@@ -18,6 +18,15 @@ mixed-ratio analysis: the probe's effective ratio is b * 10^(-X1/10), zeroed
 when it exceeds b_hat_max) or one per link ("per_link", a different model,
 kept behind the flag for comparison).
 
+The field protocol counts anchors in range on a uniform grid: anchors are
+bucketed into square cells a little wider than the largest effective radius,
+and each probe measures only the anchors in its 3 x 3 block of cells.  The
+squared distances use the same float operations as a full probes x anchors
+block, so counts (and CSVs) are identical to a dense count; one kernel serves
+all three fading modes.  "per_link" still draws its full probes x anchors
+block of fading values, so the random-stream layout does not depend on which
+pairs the grid measures.
+
 Determinism: trials are partitioned into fixed-size chunks and chunk i draws
 from an independent stream spawned from the master seed, so results are
 identical for any worker count.
@@ -148,7 +157,7 @@ def _effective_ratios(
     return np.where(ratio <= shadow.b_hat_max, ratio, 0.0)
 
 
-def _check_shadow_args(protocol, shadow, b, rng_needed):
+def _check_shadow_args(protocol, shadow, b, rng_missing):
     if protocol.shadow_draw != "none":
         if shadow is None:
             raise ValueError(f"shadow_draw={protocol.shadow_draw!r} requires shadow parameters")
@@ -156,31 +165,8 @@ def _check_shadow_args(protocol, shadow, b, rng_needed):
             raise ValueError(
                 f"shadow.b_o = {shadow.b_o} does not match the coverage ratio b = {b}"
             )
-        if rng_needed:
+        if rng_missing:
             raise ValueError("shadowed trials need an rng for the fading draws")
-
-
-def _pair_distances_sq(realization: Realization, workspace=None):
-    """Squared probe-to-anchor distances, probes in index order.
-
-    The probes-by-anchors block reaches ~1e6 entries at n ~ 3000, where
-    allocation churn dominates; passing the previous call's workspace back in
-    reuses the buffers when the shape is unchanged.
-    """
-    flags = realization.l_flags
-    x = realization.radii * np.cos(realization.angles)
-    y = realization.radii * np.sin(realization.angles)
-    probe_idx = np.flatnonzero(~flags)
-    shape = (probe_idx.size, int(flags.sum()))
-    if workspace is None or workspace[0].shape != shape:
-        workspace = (np.empty(shape), np.empty(shape))
-    d2, dy = workspace
-    np.subtract(x[probe_idx, None], x[None, flags], out=d2)
-    np.multiply(d2, d2, out=d2)
-    np.subtract(y[probe_idx, None], y[None, flags], out=dy)
-    np.multiply(dy, dy, out=dy)
-    np.add(d2, dy, out=d2)
-    return d2, probe_idx, workspace
 
 
 def run_trial(
@@ -199,7 +185,7 @@ def run_trial(
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"coverage ratio b must lie in [0, 1], got {b}")
-    _check_shadow_args(protocol, shadow, b, rng_needed=rng is None)
+    _check_shadow_args(protocol, shadow, b, rng_missing=rng is None)
     flags = realization.l_flags
     if protocol.probe == "center_node":
         anchor_dist = realization.radii[flags]
@@ -213,20 +199,60 @@ def run_trial(
             )
             return np.array([(anchor_dist <= per_link).sum() >= 3])
         return np.array([(anchor_dist <= eff[0]).sum() >= 3])
-    return _all_probe_outcomes(realization, b, protocol, shadow, rng)[0]
+    return _anchors_in_range(realization, b, protocol, shadow, rng) >= 3
 
 
-def _all_probe_outcomes(realization, b, protocol, shadow, rng, workspace=None):
-    d2, probe_idx, workspace = _pair_distances_sq(realization, workspace)
+def _grid_pairs(px, py, ax, ay, reach):
+    """Probe/anchor index pairs whose anchor lies in the probe's 3x3 cell block.
+
+    Anchors are bucketed into square cells of side h > reach on [-1, 1]^2
+    (edge cells absorb anything outside), so every anchor within reach of a
+    probe sits in the probe's cell or one of its eight neighbours.  The 1e-9
+    margin keeps that true under rounding of the cell index; the 2/sqrt(k)
+    floor keeps the cell count near the anchor count when reach is tiny.
+    Pairs come out grouped by probe.
+    """
+    side = max(reach * (1.0 + 1e-9), 2.0 / math.sqrt(max(ax.size, 1)))
+    cells = max(1, int(2.0 / side))
+
+    def cell(v):
+        return np.clip((v + 1.0) / side, 0, cells - 1).astype(np.intp)
+
+    # row-major cell ids with an empty row above and below the grid, so every
+    # probe has three rows to scan; cells c0..c1 hold order[start[c0]:start[c1 + 1]]
+    anchor_cell = (cell(ay) + 1) * cells + cell(ax)
+    order = np.argsort(anchor_cell)
+    start = np.searchsorted(anchor_cell[order], np.arange((cells + 2) * cells + 1))
+    pcx = cell(px)
+    rows = (cell(py)[:, None] + np.arange(3)) * cells
+    lo = start[rows + np.maximum(pcx - 1, 0)[:, None]].ravel()
+    length = start[rows + np.minimum(pcx + 1, cells - 1)[:, None] + 1].ravel() - lo
+    owner = np.repeat(np.arange(px.size).repeat(3), length)
+    pos = np.arange(owner.size) + np.repeat(lo - np.cumsum(length) + length, length)
+    return owner, order[pos]
+
+
+def _anchors_in_range(realization, b, protocol, shadow, rng):
+    """Anchors within each blind probe's effective radius, probes in index order.
+
+    The radius is b, or one fading draw per probe, or one per (probe, anchor)
+    pair, broadcast to the pairs _grid_pairs returns.
+    """
+    flags = realization.l_flags
+    x = realization.radii * np.cos(realization.angles)
+    y = realization.radii * np.sin(realization.angles)
+    px, py, ax, ay = x[~flags], y[~flags], x[flags], y[flags]
     if protocol.shadow_draw == "none":
-        counts = (d2 <= b * b).sum(axis=1)
+        eff = b
     elif protocol.shadow_draw == "per_node":
-        eff = _effective_ratios(b, shadow, rng.normal(0.0, shadow.sigma1, probe_idx.size))
-        counts = (d2 <= (eff**2)[:, None]).sum(axis=1)
+        eff = _effective_ratios(b, shadow, rng.normal(0.0, shadow.sigma1, px.size))[:, None]
     else:
-        eff = _effective_ratios(b, shadow, rng.normal(0.0, shadow.sigma1, d2.shape))
-        counts = (d2 <= eff**2).sum(axis=1)
-    return counts >= 3, workspace
+        eff = _effective_ratios(b, shadow, rng.normal(0.0, shadow.sigma1, (px.size, ax.size)))
+    owner, cand = _grid_pairs(px, py, ax, ay, float(np.max(eff, initial=0.0)))
+    dx = px[owner] - ax[cand]
+    dy = py[owner] - ay[cand]
+    limit = np.broadcast_to(eff, (px.size, ax.size))[owner, cand]
+    return np.bincount(owner[dx * dx + dy * dy <= limit * limit], minlength=px.size)
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -259,12 +285,9 @@ def _all_nodes_chunk(args) -> tuple[int, int]:
     rng = _chunk_rng(seed, index)
     successes = 0
     probes = 0
-    workspace = None
     for _ in range(m):
         realization = sample_realization(rng, net)
-        outcome, workspace = _all_probe_outcomes(
-            realization, b, protocol, shadow, rng, workspace
-        )
+        outcome = _anchors_in_range(realization, b, protocol, shadow, rng) >= 3
         successes += int(outcome.sum())
         probes += outcome.size
     return successes, probes
@@ -293,7 +316,7 @@ def estimate(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"coverage ratio b must lie in [0, 1], got {b}")
-    _check_shadow_args(protocol, shadow, b, rng_needed=False)
+    _check_shadow_args(protocol, shadow, b, rng_missing=False)
     if protocol.probe == "all_nl_nodes" and net.k == net.n:
         raise ValueError("all_nl_nodes protocol needs at least one blind node (k < n)")
 

@@ -46,3 +46,36 @@ def sample_truncated_ratio(
     set to zero whenever the raw value exceeds b_hat_max."""
     raw = b_o * 10.0 ** (-rng.normal(0.0, sigma1, size) / 10.0)
     return np.where(raw <= b_hat_max, raw, 0.0)
+
+
+def brute_force_anchor_counts(
+    radii: np.ndarray,
+    angles: np.ndarray,
+    l_flags: np.ndarray,
+    b: float,
+    shadow_draw: str = "none",
+    rng: np.random.Generator | None = None,
+    sigma1: float = 0.0,
+    b_hat_max: float = 1.0,
+) -> np.ndarray:
+    """Anchors within each blind node's coverage radius, blind nodes in index order.
+
+    Every blind-to-anchor distance is computed in one broadcast block.  Fading
+    draws, when asked for, come from rng in field-protocol order: one per
+    blind node ("per_node") or one per blind-anchor pair, row-major ("per_link").
+    An anchor is in range when its float squared distance is at most the
+    radius times itself (a float pow(b, 2) can differ from b * b in the last bit).
+    """
+    x = radii * np.cos(angles)
+    y = radii * np.sin(angles)
+    blind = ~l_flags
+    dx = x[blind, None] - x[None, l_flags]
+    dy = y[blind, None] - y[None, l_flags]
+    d2 = dx * dx + dy * dy
+    if shadow_draw == "none":
+        radius = b
+    elif shadow_draw == "per_node":
+        radius = sample_truncated_ratio(rng, d2.shape[0], b, sigma1, b_hat_max)[:, None]
+    else:
+        radius = sample_truncated_ratio(rng, d2.shape, b, sigma1, b_hat_max)
+    return (d2 <= radius * radius).sum(axis=1)

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import brute_force_anchor_counts
 
 from locprob.analytic import failure_prob_sum
 from locprob.model import bhat_distribution, make_network, make_shadow_model
 from locprob.montecarlo import (
+    SHADOW_CHOICES,
     ProbEstimate,
+    Realization,
     TrialProtocol,
+    _anchors_in_range,
     estimate,
     run_trial,
     sample_center_realization,
@@ -225,3 +231,96 @@ class TestEstimate:
             estimate(net, 1.5)
         with pytest.raises(ValueError, match="blind"):
             estimate(make_network(20, 20), 0.2, TrialProtocol(probe="all_nl_nodes"))
+
+
+def _scattered(n, k, seed):
+    rng = np.random.default_rng(seed)
+    flags = np.zeros(n, dtype=bool)
+    flags[rng.permutation(n)[:k]] = True
+    return Realization(np.sqrt(rng.random(n)), rng.uniform(-np.pi, np.pi, n), flags)
+
+
+def _on_x_axis(x, k, seed):
+    # angle 0 or pi keeps x = +-r exact
+    flags = np.zeros(x.size, dtype=bool)
+    flags[np.random.default_rng(seed).permutation(x.size)[:k]] = True
+    return Realization(np.abs(x), np.where(x < 0, np.pi, 0.0), flags)
+
+
+@st.composite
+def field_cases(draw):
+    """(realization, b, shadow_draw, sigma1, b_hat_max) for the field kernel."""
+    kind = draw(st.sampled_from(["scattered", "ties", "edges"]))
+    # on cell edges only a fixed radius b decides which cells are searched
+    mode = "none" if kind == "edges" else draw(st.sampled_from(SHADOW_CHOICES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "edges":
+        # a few ulps off -1 + m b, the cell edges when cells have side b, and
+        # whole steps of b from there, so pairs about b apart straddle an edge;
+        # enough anchors that cells are no wider than b, and b rarely dyadic
+        n, b = int(rng.integers(30, 61)), rng.uniform(0.25, 1.0)
+        k = int(rng.integers(n // 2, n))
+    else:
+        n = draw(st.integers(1, 60))
+        k = min(n, draw(st.one_of(st.integers(0, 3), st.integers(0, n))))
+    if kind == "scattered":
+        low = 0.0 if mode == "none" else 1e-3
+        b = draw(st.one_of(st.sampled_from([low, 1.0]), st.floats(low, 1.0)))
+        real = _scattered(n, k, seed)
+    elif kind == "ties":
+        # multiples of 1/64, so anchors at distance b are exact ties
+        b = draw(st.integers(0 if mode == "none" else 1, 64)) / 64
+        real = _on_x_axis(rng.integers(-64, 65, n) / 64, k, seed)
+    else:
+        x = -1.0 + rng.integers(0, int(2 / b) + 1, n) * b
+        x = x + rng.integers(-3, 4, n) * np.spacing(x) + rng.integers(-1, 2, n) * b
+        real = _on_x_axis(x + rng.integers(-3, 4, n) * np.spacing(x), k, seed)
+    # sigma1 = 0 with b_hat_max < b zeroes every effective ratio
+    sigma1 = draw(st.one_of(st.just(0.0), st.floats(0.5, 12.0)))
+    return real, b, mode, sigma1, draw(st.floats(0.01, 0.99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_cases(), st.integers(0, 2**32 - 1))
+# every ratio zeroed (r = 0), per-link fading, b = 1 and b = 0 with few anchors
+@example((_scattered(40, 20, 1), 0.5, "per_node", 0.0, 0.25), 0)
+@example((_scattered(40, 20, 2), 0.3, "per_link", 2.0, 0.6), 0)
+@example((_scattered(30, 3, 3), 1.0, "none", 0.0, 0.5), 0)
+@example((_scattered(30, 2, 4), 0.0, "none", 0.0, 0.5), 0)
+def test_field_counts_match_brute_force(case, seed):
+    real, b, mode, sigma1, b_hat_max = case
+    shadow = None if mode == "none" else bhat_distribution(b, sigma1, b_hat_max)
+    kernel_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _anchors_in_range(
+        real, b, TrialProtocol(probe="all_nl_nodes", shadow_draw=mode), shadow, kernel_rng
+    )
+    want = brute_force_anchor_counts(
+        real.radii, real.angles, real.l_flags, b, mode, oracle_rng, sigma1, b_hat_max
+    )
+    assert np.array_equal(got, want)
+    # both consumed the same fading draws, so later chunks see the same stream
+    assert kernel_rng.random() == oracle_rng.random()
+
+
+# Field-protocol successes recorded from the dense probes x anchors kernel:
+# any change to the random-stream layout or to the counting shows here.
+@pytest.mark.parametrize(
+    "n, k, b, seed, shadow_draw, successes, probes",
+    [
+        (200, 120, 0.15, 2024, "none", 2399, 5120),
+        (200, 120, 0.15, 2024, "per_node", 2177, 5120),
+        (200, 120, 0.15, 2024, "per_link", 3640, 5120),
+        (500, 260, 0.05, 7, "none", 383, 15360),
+        (500, 260, 0.05, 7, "per_node", 3173, 15360),
+        (500, 260, 0.05, 7, "per_link", 4519, 15360),
+    ],
+)
+def test_field_protocol_stream_is_frozen(n, k, b, seed, shadow_draw, successes, probes):
+    model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
+    dist = bhat_distribution(b, model.sigma1, model.b_hat_max)
+    sim = estimate(
+        make_network(n, k), b, TrialProtocol(probe="all_nl_nodes", shadow_draw=shadow_draw),
+        shadow=None if shadow_draw == "none" else dist, trials=64, seed=seed,
+    )
+    assert (sim.successes, sim.trials) == (successes, probes)
