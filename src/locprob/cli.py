@@ -317,6 +317,18 @@ def _shadow_model_from(config):
         raise CliError(f"invalid shadowing parameters: {exc}") from exc
 
 
+def _run_settings(config):
+    """Validated (trials, seed, workers) of a Monte Carlo or figure sweep."""
+    settings = []
+    for field, default, low in (("trials", 1000, 1), ("seed", 0, 0), ("workers", 1, 1)):
+        v = config.get(field, default)
+        if not isinstance(v, int) or isinstance(v, bool) or v < low:
+            kind = "positive" if low else "non-negative"
+            raise CliError(f"invalid value for field '{field}': {v!r} (must be a {kind} integer)")
+        settings.append(v)
+    return settings
+
+
 def run_sweep(config: dict):
     """Header and rows for a JSON-configured sweep (grid in declaration order)."""
     mode = config.get("mode")
@@ -330,13 +342,8 @@ def run_sweep(config: dict):
         name = config.get("figure")
         if name not in FIGURES:
             raise CliError(f"invalid value for field 'figure': {name!r} (expected one of {FIGURES})")
-        return build_figure(
-            name,
-            trials=config.get("trials", 1000),
-            seed=config.get("seed", 0),
-            variant=variant,
-            workers=config.get("workers", 1),
-        )
+        trials, seed, workers = _run_settings(config)
+        return build_figure(name, trials=trials, seed=seed, variant=variant, workers=workers)
 
     n_values = _require(config, "n", int, lambda v: v >= 4, "(must be an integer >= 4)")
 
@@ -400,18 +407,10 @@ def run_sweep(config: dict):
                 "p_f", "p_loc", "method", "variant"], rows
 
     # mode == "simulate"
-    trials = config.get("trials", 1000)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise CliError(f"invalid value for field 'trials': {trials!r} (must be a positive integer)")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise CliError(f"invalid value for field 'seed': {seed!r} (must be a non-negative integer)")
+    trials, seed, workers = _run_settings(config)
     protocol_name = config.get("protocol", "center")
     if protocol_name not in _PROTOCOLS:
         raise CliError(f"invalid value for field 'protocol': {protocol_name!r} (expected 'center' or 'all')")
-    workers = config.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise CliError(f"invalid value for field 'workers': {workers!r} (must be a positive integer)")
     shadowed = any(f in config for f in _SHADOW_FIELDS)
     model = _shadow_model_from(config) if shadowed else None
     draw = config.get("shadow_draw", "per_node" if shadowed else "none")

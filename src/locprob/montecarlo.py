@@ -20,12 +20,13 @@ kept behind the flag for comparison).
 
 The field protocol counts anchors in range on a uniform grid: anchors are
 bucketed into square cells a little wider than the largest effective radius,
-and each probe measures only the anchors in its 3 x 3 block of cells.  The
-squared distances use the same float operations as a full probes x anchors
+and each probe measures only the anchors in its 3 x 3 block of cells.  Without
+fading several realizations share one grid pass, each in its own band of rows.
+The squared distances use the same float operations as a full probes x anchors
 block, so counts (and CSVs) are identical to a dense count; one kernel serves
 all three fading modes.  "per_link" still draws its full probes x anchors
 block of fading values, so the random-stream layout does not depend on which
-pairs the grid measures.
+pairs the grid measures, but turns only the measured ones into ratios.
 
 Determinism: trials are partitioned into fixed-size chunks and chunk i draws
 from an independent stream spawned from the master seed, so results are
@@ -49,6 +50,8 @@ SHADOW_CHOICES = ("none", "per_node", "per_link")
 # run parameters, so changing them changes the sampled numbers (not the
 # distribution) and is part of the reproducibility contract.
 _ALL_NODES_CHUNK = 32
+# Nodes per unfaded field-protocol grid pass: larger passes measured slower.
+_FIELD_PASS_NODES = 4096
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -157,6 +160,14 @@ def _effective_ratios(
     return np.where(ratio <= shadow.b_hat_max, ratio, 0.0)
 
 
+def _fading_draws(protocol, shadow, rng, probes, anchors):
+    """Fading draws in stream order: none, one per probe, or one per (probe, anchor) pair."""
+    if protocol.shadow_draw == "none":
+        return None
+    shape = probes if protocol.shadow_draw == "per_node" else (probes, anchors)
+    return rng.normal(0.0, shadow.sigma1, shape)
+
+
 def _check_shadow_args(protocol, shadow, b, rng_missing):
     if protocol.shadow_draw != "none":
         if shadow is None:
@@ -189,70 +200,90 @@ def run_trial(
     flags = realization.l_flags
     if protocol.probe == "center_node":
         anchor_dist = realization.radii[flags]
-        if protocol.shadow_draw == "none":
-            eff = np.array([b])
-        elif protocol.shadow_draw == "per_node":
-            eff = _effective_ratios(b, shadow, rng.normal(0.0, shadow.sigma1, 1))
-        else:
-            per_link = _effective_ratios(
-                b, shadow, rng.normal(0.0, shadow.sigma1, anchor_dist.size)
-            )
-            return np.array([(anchor_dist <= per_link).sum() >= 3])
-        return np.array([(anchor_dist <= eff[0]).sum() >= 3])
+        draws = _fading_draws(protocol, shadow, rng, 1, anchor_dist.size)
+        eff = b if draws is None else _effective_ratios(b, shadow, draws)
+        return np.array([(anchor_dist <= eff).sum() >= 3])
     return _anchors_in_range(realization, b, protocol, shadow, rng) >= 3
 
 
 def _grid_pairs(px, py, ax, ay, reach):
-    """Probe/anchor index pairs whose anchor lies in the probe's 3x3 cell block.
+    """Probe/anchor pairs whose anchor lies in the probe's 3x3 cell block.
 
-    Anchors are bucketed into square cells of side h > reach on [-1, 1]^2
-    (edge cells absorb anything outside), so every anchor within reach of a
-    probe sits in the probe's cell or one of its eight neighbours.  The 1e-9
-    margin keeps that true under rounding of the cell index; the 2/sqrt(k)
-    floor keeps the cell count near the anchor count when reach is tiny.
-    Pairs come out grouped by probe.
+    Rows of px, py (m, P) and ax, ay (m, K) are realizations.  Anchors are
+    bucketed into square cells of side h > reach on [-1, 1]^2 (edge cells
+    absorb anything outside), so every anchor within reach of a probe sits in
+    the probe's cell or one of its eight neighbours.  The 1e-9 margin keeps
+    that true under rounding of the cell index; the 0.5/sqrt(K) floor caps a
+    grid at 16 K cells when reach is tiny.  Each realization has its own band
+    of rows with an empty row above and below, so blocks never mix them.
+    Returns the flat probe index (grouped by probe), each anchor's position in
+    cell order, and that order.
     """
-    side = max(reach * (1.0 + 1e-9), 2.0 / math.sqrt(max(ax.size, 1)))
+    m, k = ax.shape
+    side = max(reach * (1.0 + 1e-9), 0.5 / math.sqrt(max(k, 1)))
     cells = max(1, int(2.0 / side))
 
-    def cell(v):
-        return np.clip((v + 1.0) / side, 0, cells - 1).astype(np.intp)
+    def row_col(vx, vy):
+        # first row of the realization's band, plus the row and column inside it
+        band = np.arange(m)[:, None] * (cells + 2)
+        cx, cy = (np.clip((v + 1.0) / side, 0, cells - 1).astype(np.intp) for v in (vx, vy))
+        return (band + cy).ravel(), cx.ravel()
 
-    # row-major cell ids with an empty row above and below the grid, so every
-    # probe has three rows to scan; cells c0..c1 hold order[start[c0]:start[c1 + 1]]
-    anchor_cell = (cell(ay) + 1) * cells + cell(ax)
+    row, col = row_col(ax, ay)
+    anchor_cell = (row + 1) * cells + col
     order = np.argsort(anchor_cell)
-    start = np.searchsorted(anchor_cell[order], np.arange((cells + 2) * cells + 1))
-    pcx = cell(px)
-    rows = (cell(py)[:, None] + np.arange(3)) * cells
-    lo = start[rows + np.maximum(pcx - 1, 0)[:, None]].ravel()
-    length = start[rows + np.minimum(pcx + 1, cells - 1)[:, None] + 1].ravel() - lo
-    owner = np.repeat(np.arange(px.size).repeat(3), length)
+    # cells c0..c1 hold order[start[c0]:start[c1 + 1]]
+    start = np.cumsum(np.bincount(anchor_cell + 1, minlength=m * (cells + 2) * cells + 1))
+    row, col = row_col(px, py)
+    rows = (row[:, None] + np.arange(3)) * cells
+    lo = start[rows + np.maximum(col - 1, 0)[:, None]].ravel()
+    length = start[rows + np.minimum(col + 1, cells - 1)[:, None] + 1].ravel() - lo
+    owner = np.repeat(np.arange(row.size).repeat(3), length)
     pos = np.arange(owner.size) + np.repeat(lo - np.cumsum(length) + length, length)
-    return owner, order[pos]
+    return owner, pos, order
+
+
+def _count_in_range(realizations, draws, b, protocol, shadow):
+    """Anchors within each blind probe's effective radius, shape (m, P).
+
+    The m realizations share one anchor count (per_link: m = 1); draws[g] is
+    realization g's _fading_draws.  Per-link ratios are computed only at the
+    pairs _grid_pairs returns.
+    """
+    m = len(realizations)
+    radii = np.stack([r.radii for r in realizations])
+    angles = np.stack([r.angles for r in realizations])
+    flags = np.stack([r.l_flags for r in realizations])
+    x = radii * np.cos(angles)
+    y = radii * np.sin(angles)
+    px, py = x[~flags].reshape(m, -1), y[~flags].reshape(m, -1)
+    ax, ay = x[flags].reshape(m, -1), y[flags].reshape(m, -1)
+    if protocol.shadow_draw == "none":
+        reach = b
+    elif protocol.shadow_draw == "per_node":
+        eff = _effective_ratios(b, shadow, np.stack(draws)).ravel()
+        reach = float(np.max(eff, initial=0.0))
+    else:
+        # b_hat_max bounds every effective ratio before any is computed
+        reach = shadow.b_hat_max
+    owner, pos, order = _grid_pairs(px, py, ax, ay, reach)
+    if protocol.shadow_draw == "none":
+        limit = b
+    elif protocol.shadow_draw == "per_node":
+        limit = eff[owner]
+    else:
+        limit = _effective_ratios(b, shadow, draws[0][owner, order[pos]])
+    dx = px.ravel()[owner] - ax.ravel()[order][pos]
+    dy = py.ravel()[owner] - ay.ravel()[order][pos]
+    hit = owner[dx * dx + dy * dy <= limit * limit]
+    return np.bincount(hit, minlength=px.size).reshape(px.shape)
 
 
 def _anchors_in_range(realization, b, protocol, shadow, rng):
-    """Anchors within each blind probe's effective radius, probes in index order.
-
-    The radius is b, or one fading draw per probe, or one per (probe, anchor)
-    pair, broadcast to the pairs _grid_pairs returns.
-    """
+    """Anchors within each blind probe's effective radius, probes in index order."""
     flags = realization.l_flags
-    x = realization.radii * np.cos(realization.angles)
-    y = realization.radii * np.sin(realization.angles)
-    px, py, ax, ay = x[~flags], y[~flags], x[flags], y[flags]
-    if protocol.shadow_draw == "none":
-        eff = b
-    elif protocol.shadow_draw == "per_node":
-        eff = _effective_ratios(b, shadow, rng.normal(0.0, shadow.sigma1, px.size))[:, None]
-    else:
-        eff = _effective_ratios(b, shadow, rng.normal(0.0, shadow.sigma1, (px.size, ax.size)))
-    owner, cand = _grid_pairs(px, py, ax, ay, float(np.max(eff, initial=0.0)))
-    dx = px[owner] - ax[cand]
-    dy = py[owner] - ay[cand]
-    limit = np.broadcast_to(eff, (px.size, ax.size))[owner, cand]
-    return np.bincount(owner[dx * dx + dy * dy <= limit * limit], minlength=px.size)
+    draws = _fading_draws(protocol, shadow, rng, flags.size - flags.sum(), flags.sum())
+    return _count_in_range([realization], [draws], b, protocol, shadow)[0]
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -266,31 +297,31 @@ def _center_chunk(args) -> tuple[int, int]:
     n_other = net.n - 1
     sq_radii = rng.random((m, n_other))
     anchor = rng.random((m, n_other)) < (net.k / net.n)
-    if protocol.shadow_draw == "none":
-        eff_sq = np.full(m, b * b)
-    elif protocol.shadow_draw == "per_node":
-        eff = _effective_ratios(b, shadow, rng.normal(0.0, shadow.sigma1, m))
-        eff_sq = eff * eff
-    else:
-        eff = _effective_ratios(b, shadow, rng.normal(0.0, shadow.sigma1, (m, n_other)))
-        counts = ((sq_radii <= eff * eff) & anchor).sum(axis=1)
-        return int((counts >= 3).sum()), m
-    counts = ((sq_radii <= eff_sq[:, None]) & anchor).sum(axis=1)
+    draws = _fading_draws(protocol, shadow, rng, m, n_other)
+    eff = b if draws is None else _effective_ratios(b, shadow, draws).reshape(m, -1)
+    counts = ((sq_radii <= eff * eff) & anchor).sum(axis=1)
     return int((counts >= 3).sum()), m
 
 
 def _all_nodes_chunk(args) -> tuple[int, int]:
-    """Field-protocol trials, one realization at a time; returns pooled counts."""
+    """Field-protocol trials, each realization drawn before its fading values.
+
+    With fading the reach is near b_hat_max and a grid pass measures a large
+    share of all pairs, so one realization per pass keeps memory flat in m.
+    """
     seed, index, m, net, b, protocol, shadow = args
     rng = _chunk_rng(seed, index)
+    probes = net.n - net.k
+    batch = math.ceil(_FIELD_PASS_NODES / net.n) if protocol.shadow_draw == "none" else 1
     successes = 0
-    probes = 0
-    for _ in range(m):
-        realization = sample_realization(rng, net)
-        outcome = _anchors_in_range(realization, b, protocol, shadow, rng) >= 3
-        successes += int(outcome.sum())
-        probes += outcome.size
-    return successes, probes
+    for done in range(0, m, batch):
+        realizations, draws = [], []
+        for _ in range(min(batch, m - done)):
+            realizations.append(sample_realization(rng, net))
+            draws.append(_fading_draws(protocol, shadow, rng, probes, net.k))
+        counts = _count_in_range(realizations, draws, b, protocol, shadow)
+        successes += int((counts >= 3).sum())
+    return successes, m * probes
 
 
 def estimate(

@@ -140,6 +140,18 @@ class TestSweep:
         assert run_cli("sweep", str(cfg), "--quiet") == 1
         assert "'b'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("figure, field, value", [
+        ("fig6", "trials", "4"), ("fig6", "workers", "2"), ("fig6", "seed", 1.5),
+        ("fig1", "trials", "x"),
+    ])
+    def test_figure_mode_checks_run_settings(self, tmp_path, capsys, figure, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "figure", "figure": figure, field: value}))
+        out = tmp_path / "f.csv"
+        assert run_cli("sweep", str(cfg), "--out", str(out), "--quiet") == 1
+        assert f"error: invalid value for field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_and_bad_json(self, tmp_path, capsys):
         assert run_cli("sweep", str(tmp_path / "nope.json"), "--quiet") == 1
         bad = tmp_path / "bad.json"

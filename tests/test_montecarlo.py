@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_anchor_counts
 
+from locprob import montecarlo
 from locprob.analytic import failure_prob_sum
 from locprob.model import bhat_distribution, make_network, make_shadow_model
 from locprob.montecarlo import (
@@ -13,7 +14,10 @@ from locprob.montecarlo import (
     ProbEstimate,
     Realization,
     TrialProtocol,
+    _all_nodes_chunk,
     _anchors_in_range,
+    _chunk_rng,
+    _count_in_range,
     estimate,
     run_trial,
     sample_center_realization,
@@ -324,3 +328,75 @@ def test_field_protocol_stream_is_frozen(n, k, b, seed, shadow_draw, successes, 
         shadow=None if shadow_draw == "none" else dist, trials=64, seed=seed,
     )
     assert (sim.successes, sim.trials) == (successes, probes)
+
+
+_REFERENCE_FADING = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 32])
+@pytest.mark.parametrize(
+    "n, k, b, shadow_draw",
+    [(500, 260, 0.1, mode) for mode in SHADOW_CHOICES] + [(3010, 3000, 0.0, "none")],
+)
+def test_field_chunk_matches_per_realization_replay(monkeypatch, m, n, k, b, shadow_draw):
+    # b = 0 with 3000 anchors makes the cell-count floor, not b, set the cell side
+    net = make_network(n, k)
+    model = _REFERENCE_FADING
+    shadow = None if shadow_draw == "none" else bhat_distribution(b, model.sigma1, model.b_hat_max)
+    protocol = TrialProtocol(probe="all_nl_nodes", shadow_draw=shadow_draw)
+    chunk_rngs = []
+
+    def recorded_rng(*key):
+        chunk_rngs.append(_chunk_rng(*key))
+        return chunk_rngs[-1]
+
+    monkeypatch.setattr(montecarlo, "_chunk_rng", recorded_rng)
+    got = _all_nodes_chunk((11, 3, m, net, b, protocol, shadow))
+    replay = _chunk_rng(11, 3)
+    successes = 0
+    for _ in range(m):
+        real = sample_realization(replay, net)
+        counts = brute_force_anchor_counts(
+            real.radii, real.angles, real.l_flags, b, shadow_draw, replay,
+            model.sigma1, model.b_hat_max,
+        )
+        successes += int((counts >= 3).sum())
+    assert got == (successes, m * (n - k))
+    assert chunk_rngs[0].random() == replay.random()
+
+
+def _on_grid_border(n, k, rng):
+    # every point on y = +-1 or x = +-1, so the top row of one realization's
+    # band and the bottom row of the next are both occupied
+    along, across = rng.uniform(-1.0, 1.0, n), rng.choice([-1.0, 1.0], n)
+    swap = rng.random(n) < 0.5
+    x, y = np.where(swap, across, along), np.where(swap, along, across)
+    flags = np.zeros(n, dtype=bool)
+    flags[rng.permutation(n)[:k]] = True
+    return Realization(np.hypot(x, y), np.arctan2(y, x), flags)
+
+
+@pytest.mark.parametrize(
+    "n, k, b, shadow_draw",
+    [(40, 20, b, mode) for b in (0.3, 0.5, 1.0) for mode in ("none", "per_node")]
+    + [(60, 3, 0.7, "none"), (3010, 3000, 0.0, "none"), (3010, 3000, 0.005, "none")],
+)
+def test_batched_count_keeps_realizations_apart(n, k, b, shadow_draw):
+    model = _REFERENCE_FADING
+    shadow = None if shadow_draw == "none" else bhat_distribution(b, model.sigma1, 0.9)
+    place = np.random.default_rng(n + k)
+    reals = [_on_grid_border(n, k, place) if n < 100 else _scattered(n, k, g) for g in range(6)]
+    kernel_rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+    draws = [
+        None if shadow is None else kernel_rng.normal(0.0, shadow.sigma1, n - k) for _ in reals
+    ]
+    got = _count_in_range(
+        reals, draws, b, TrialProtocol(probe="all_nl_nodes", shadow_draw=shadow_draw), shadow
+    )
+    want = [
+        brute_force_anchor_counts(
+            r.radii, r.angles, r.l_flags, b, shadow_draw, oracle_rng, model.sigma1, 0.9
+        )
+        for r in reals
+    ]
+    assert np.array_equal(got, want)
