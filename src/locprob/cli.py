@@ -33,7 +33,7 @@ from .analytic import (
     threshold_b_star_numeric,
 )
 from .model import bhat_distribution, make_network, make_shadow_model
-from .montecarlo import TrialProtocol, estimate
+from .montecarlo import TrialProtocol, estimate, worker_pool
 from .numerics import NonConvergenceError
 from .shadowing import METHODS, failure_prob_shadow
 
@@ -153,20 +153,21 @@ def _fig6(trials, seed, variant, workers):
               "successes", "ci_low", "ci_high", "realizations", "seed", "protocol"]
     rows = []
     cell = 0
-    for n in (500, 1000, 3000):
-        for j in range(1, 12):
-            net = _network_for(n, 0.08 * j)
-            theory = failure_prob_closed(net, b, variant)
-            cell_seed = _cell_seed(seed, cell)
-            cell += 1
-            sim = estimate(net, b, protocol, trials=trials, seed=cell_seed, workers=workers)
-            rows.append(
-                {"n": n, "k": net.k, "a": net.a, "b": b, "p_loc_theory": theory.p_loc,
-                 "p_loc_sim": sim.p_hat, "trials": sim.trials, "successes": sim.successes,
-                 "ci_low": sim.ci_low, "ci_high": sim.ci_high,
-                 "realizations": sim.realizations, "seed": cell_seed,
-                 "protocol": protocol.probe}
-            )
+    with worker_pool(workers) as pool:
+        for n in (500, 1000, 3000):
+            for j in range(1, 12):
+                net = _network_for(n, 0.08 * j)
+                theory = failure_prob_closed(net, b, variant)
+                cell_seed = _cell_seed(seed, cell)
+                cell += 1
+                sim = estimate(net, b, protocol, trials=trials, seed=cell_seed, pool=pool)
+                rows.append(
+                    {"n": n, "k": net.k, "a": net.a, "b": b, "p_loc_theory": theory.p_loc,
+                     "p_loc_sim": sim.p_hat, "trials": sim.trials, "successes": sim.successes,
+                     "ci_low": sim.ci_low, "ci_high": sim.ci_high,
+                     "realizations": sim.realizations, "seed": cell_seed,
+                     "protocol": protocol.probe}
+                )
     return header, rows
 
 
@@ -423,20 +424,21 @@ def run_sweep(config: dict):
     if shadowed:
         header[4:4] = ["sigma1", "b_hat_max", "zero_mass"]
     rows = []
-    for idx, (net, b) in enumerate(product(nets, b_values)):
-        cell_seed = _cell_seed(seed, idx)
-        dist = bhat_distribution(float(b), model.sigma1, model.b_hat_max) if shadowed else None
-        sim = estimate(net, float(b), protocol, shadow=dist, trials=trials,
-                       seed=cell_seed, workers=workers)
-        row = {"n": net.n, "k": net.k, "a": net.a, "b": float(b),
-               "p_f": 1.0 - sim.p_hat, "p_loc": sim.p_hat, "trials": sim.trials,
-               "successes": sim.successes, "ci_low": sim.ci_low,
-               "ci_high": sim.ci_high, "realizations": sim.realizations,
-               "seed": cell_seed, "protocol": protocol.probe}
-        if shadowed:
-            row.update({"sigma1": dist.sigma1, "b_hat_max": dist.b_hat_max,
-                        "zero_mass": dist.zero_mass})
-        rows.append(row)
+    with worker_pool(workers) as pool:
+        for idx, (net, b) in enumerate(product(nets, b_values)):
+            cell_seed = _cell_seed(seed, idx)
+            dist = bhat_distribution(float(b), model.sigma1, model.b_hat_max) if shadowed else None
+            sim = estimate(net, float(b), protocol, shadow=dist, trials=trials,
+                           seed=cell_seed, pool=pool)
+            row = {"n": net.n, "k": net.k, "a": net.a, "b": float(b),
+                   "p_f": 1.0 - sim.p_hat, "p_loc": sim.p_hat, "trials": sim.trials,
+                   "successes": sim.successes, "ci_low": sim.ci_low,
+                   "ci_high": sim.ci_high, "realizations": sim.realizations,
+                   "seed": cell_seed, "protocol": protocol.probe}
+            if shadowed:
+                row.update({"sigma1": dist.sigma1, "b_hat_max": dist.b_hat_max,
+                            "zero_mass": dist.zero_mass})
+            rows.append(row)
     return header, rows
 
 
@@ -444,8 +446,9 @@ def run_sweep(config: dict):
 # verbs
 
 def _cmd_figure(args):
-    header, rows = build_figure(args.name, args.trials, args.seed, args.variant, args.workers)
-    config = {"figure": args.name, "trials": args.trials, "seed": args.seed,
+    trials, seed, workers = _run_settings(vars(args))
+    header, rows = build_figure(args.name, trials, seed, args.variant, workers)
+    config = {"figure": args.name, "trials": trials, "seed": seed,
               "variant": args.variant}
     _write_table(args.out, config, header, rows, args.quiet)
     problems = check_figure(args.name, rows)
@@ -503,11 +506,12 @@ def _cmd_threshold(args):
 
 
 def _cmd_estimate(args):
+    trials, seed, workers = _run_settings(vars(args))
     if (args.k is None) == (args.a is None):
         raise CliError("give exactly one of --k or --a")
     net = make_network(args.n, args.k) if args.k is not None else _network_for(args.n, args.a)
     config = {"mode": "simulate", "n": net.n, "k": net.k, "b": args.b,
-              "trials": args.trials, "seed": args.seed, "protocol": args.protocol}
+              "trials": trials, "seed": seed, "protocol": args.protocol}
     shadow_given = [
         f for f in ("sigma_s", "n_p", "gamma_dbm", "p0_dbm", "d0", "R")
         if getattr(args, f) is not None
@@ -525,8 +529,8 @@ def _cmd_estimate(args):
         config.update(cfg)
         config["shadow_draw"] = draw
     protocol = TrialProtocol(probe=_PROTOCOLS[args.protocol], shadow_draw=draw)
-    sim = estimate(net, args.b, protocol, shadow=dist, trials=args.trials,
-                   seed=args.seed, workers=args.workers)
+    sim = estimate(net, args.b, protocol, shadow=dist, trials=trials,
+                   seed=seed, workers=workers)
     header = ["n", "k", "a", "b", "p_f", "p_loc", "trials", "successes",
               "ci_low", "ci_high", "realizations", "seed", "protocol"]
     row = {"n": net.n, "k": net.k, "a": net.a, "b": args.b, "p_f": 1.0 - sim.p_hat,

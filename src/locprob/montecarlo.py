@@ -26,17 +26,20 @@ The squared distances use the same float operations as a full probes x anchors
 block, so counts (and CSVs) are identical to a dense count; one kernel serves
 all three fading modes.  "per_link" still draws its full probes x anchors
 block of fading values, so the random-stream layout does not depend on which
-pairs the grid measures, but turns only the measured ones into ratios.
+pairs the grid measures, but turns only the measured ones into ratios; the
+centre kernel likewise computes them only for anchors within b_hat_max.
 
 Determinism: trials are partitioned into fixed-size chunks and chunk i draws
 from an independent stream spawned from the master seed, so results are
-identical for any worker count.
+identical for any worker count.  A sweep or figure shares one worker pool
+(`worker_pool`) across its estimate calls instead of starting one per call.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,8 +301,15 @@ def _center_chunk(args) -> tuple[int, int]:
     sq_radii = rng.random((m, n_other))
     anchor = rng.random((m, n_other)) < (net.k / net.n)
     draws = _fading_draws(protocol, shadow, rng, m, n_other)
-    eff = b if draws is None else _effective_ratios(b, shadow, draws).reshape(m, -1)
-    counts = ((sq_radii <= eff * eff) & anchor).sum(axis=1)
+    if protocol.shadow_draw == "per_link":
+        # every effective ratio is <= b_hat_max or 0, so no other pair can hit
+        bhm = shadow.b_hat_max
+        row, col = np.nonzero(anchor & (sq_radii <= bhm * bhm))
+        eff = _effective_ratios(b, shadow, draws[row, col])
+        counts = np.bincount(row[sq_radii[row, col] <= eff * eff], minlength=m)
+    else:
+        eff = b if draws is None else _effective_ratios(b, shadow, draws).reshape(m, -1)
+        counts = ((sq_radii <= eff * eff) & anchor).sum(axis=1)
     return int((counts >= 3).sum()), m
 
 
@@ -324,6 +334,16 @@ def _all_nodes_chunk(args) -> tuple[int, int]:
     return successes, m * probes
 
 
+@contextmanager
+def worker_pool(workers: int):
+    """Process pool shared by a run of estimate calls; None at one worker."""
+    if workers == 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
 def estimate(
     net: NetworkParams,
     b: float,
@@ -332,6 +352,7 @@ def estimate(
     trials: int = 1000,
     seed: int = 0,
     workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
 ) -> ProbEstimate:
     """Monte Carlo estimate of the localization probability.
 
@@ -340,6 +361,8 @@ def estimate(
     localized fraction) and the realization count is reported alongside.
     The result is a pure function of (seed, trials, parameters, protocol):
     the chunked stream layout makes it independent of the worker count.
+    Chunks map on pool when given (see worker_pool), else on a pool of
+    workers opened for this call.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -359,11 +382,8 @@ def estimate(
         (seed, i, min(chunk_size, trials - i * chunk_size), net, b, protocol, shadow)
         for i in range((trials + chunk_size - 1) // chunk_size)
     ]
-    if workers == 1:
-        results = [kernel(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(kernel, jobs))
+    with worker_pool(workers) if pool is None else nullcontext(pool) as runner:
+        results = list((map if runner is None else runner.map)(kernel, jobs))
     successes = sum(r[0] for r in results)
     probes = sum(r[1] for r in results)
     ci_low, ci_high = wilson_interval(successes, probes)

@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 
 import pytest
 
+from locprob import montecarlo
 from locprob.cli import _build_parser, build_figure, check_figure, main
 
 
@@ -228,6 +230,48 @@ class TestEstimateVerb:
 
     def test_bad_flag_is_a_config_error(self):
         assert run_cli("estimate", "--n", "50", "--k", "10") == 1  # missing --b
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["figure", "fig2", "--trials", "-5"], "trials"),
+    (["figure", "fig2", "--workers", "0"], "workers"),
+    (["figure", "fig6", "--seed", "-3"], "seed"),
+    (["estimate", "--n", "300", "--a", "0.2", "--b", "0.1", "--seed", "-1"], "seed"),
+    (["estimate", "--n", "300", "--a", "0.2", "--b", "0.1", "--trials", "0"], "trials"),
+    (["estimate", "--n", "300", "--a", "0.2", "--b", "0.1", "--workers", "0"], "workers"),
+])
+def test_verbs_check_run_settings(tmp_path, capsys, argv, field):
+    out = tmp_path / "o.csv"
+    assert run_cli(*argv, "--out", str(out), "--quiet") == 1
+    assert f"error: invalid value for field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "{cfg}"],
+    ["figure", "fig6", "--trials", "1"],
+], ids=["simulate_sweep", "fig6"])
+def test_one_worker_pool_per_command(tmp_path, monkeypatch, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"mode": "simulate", "n": [60, 80], "k": [20], "b": [0.2, 0.3, 0.4], "trials": 300}
+    ))
+    argv = [arg.format(cfg=cfg) for arg in argv]
+    pools = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    serial, pooled = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    assert run_cli(*argv, "--workers", "1", "--out", str(serial), "--quiet") == 0
+    assert not pools
+    assert run_cli(*argv, "--workers", "2", "--out", str(pooled), "--quiet") == 0
+    assert len(pools) == 1
+    assert not multiprocessing.active_children()
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_stdout_emission(capsys):

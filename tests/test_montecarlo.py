@@ -16,6 +16,7 @@ from locprob.montecarlo import (
     TrialProtocol,
     _all_nodes_chunk,
     _anchors_in_range,
+    _center_chunk,
     _chunk_rng,
     _count_in_range,
     estimate,
@@ -400,3 +401,69 @@ def test_batched_count_keeps_realizations_apart(n, k, b, shadow_draw):
         for r in reals
     ]
     assert np.array_equal(got, want)
+
+
+# Centre-protocol successes recorded from the dense per-pair kernel; both
+# points span two chunks (chunk sizes 3495 and 1048).
+@pytest.mark.parametrize(
+    "n, k, b, seed, trials, shadow_draw, successes",
+    [
+        (300, 150, 0.15, 2024, 5000, "none", 3239),
+        (300, 150, 0.15, 2024, 5000, "per_node", 2515),
+        (300, 150, 0.15, 2024, 5000, "per_link", 4516),
+        (1000, 420, 0.08, 7, 1500, "none", 737),
+        (1000, 420, 0.08, 7, 1500, "per_node", 732),
+        (1000, 420, 0.08, 7, 1500, "per_link", 1448),
+    ],
+)
+def test_center_protocol_stream_is_frozen(n, k, b, seed, trials, shadow_draw, successes):
+    model = _REFERENCE_FADING
+    dist = bhat_distribution(b, model.sigma1, model.b_hat_max)
+    sim = estimate(
+        make_network(n, k), b, TrialProtocol(probe="center_node", shadow_draw=shadow_draw),
+        shadow=None if shadow_draw == "none" else dist, trials=trials, seed=seed,
+    )
+    assert (sim.successes, sim.trials) == (successes, trials)
+
+
+def _dense_center_chunk(rng, m, net, b, sigma1, b_hat_max):
+    """Per-link centre trials with the effective ratio of every (trial, node) pair."""
+    sq_radii = rng.random((m, net.n - 1))
+    anchor = rng.random((m, net.n - 1)) < (net.k / net.n)
+    ratio = b * 10.0 ** (-rng.normal(0.0, sigma1, (m, net.n - 1)) / 10.0)
+    eff = np.where(ratio <= b_hat_max, ratio, 0.0)
+    counts = ((sq_radii <= eff * eff) & anchor).sum(axis=1)
+    return int((counts >= 3).sum()), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(4, 200),
+    st.floats(0.0, 1.0),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.just(0.0), st.floats(0.5, 12.0)),
+    st.floats(0.01, 0.99),
+    st.integers(0, 2**32 - 1),
+)
+# b = b_hat_max without fading: every anchor ratio sits exactly on the mask's bound
+@example(200, 60, 1.0, 0.5, 0.0, 0.5, 1)
+@example(50, 40, 0.9, 1.0, 3.0, 0.99, 2)
+@example(50, 40, 0.9, 0.0, 3.0, 0.5, 3)
+def test_center_per_link_chunk_matches_dense_replay(m, n, anchors, b, sigma1, b_hat_max, seed):
+    net = make_network(n, round(anchors * n))
+    # the chunk reads only sigma1 and b_hat_max; b_o must be positive
+    shadow = bhat_distribution(max(b, 1e-3), sigma1, b_hat_max)
+    protocol = TrialProtocol(probe="center_node", shadow_draw="per_link")
+    chunk_rngs = []
+
+    def recorded_rng(*key):
+        chunk_rngs.append(_chunk_rng(*key))
+        return chunk_rngs[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_chunk_rng", recorded_rng)
+        got = _center_chunk((seed, 5, m, net, b, protocol, shadow))
+    replay = _chunk_rng(seed, 5)
+    assert got == _dense_center_chunk(replay, m, net, b, sigma1, b_hat_max)
+    assert chunk_rngs[0].random() == replay.random()
