@@ -16,13 +16,17 @@ import math
 from dataclasses import dataclass
 
 from .model import NetworkParams
-from .numerics import find_sign_change, log_binomial, second_derivative_fd
+from .numerics import find_sign_change, second_derivative_fd
 
 #: Bracket-coefficient variants for the closed form.  "corrected" uses the
 #: b^4 coefficient (n-2)(n-3)/2 that matches the term-by-term series exactly;
 #: "paper" keeps the as-published coefficient (n-1)(n-2)/2, which is retained
 #: only to document the discrepancy -- it can exceed probability 1.
 VARIANTS = ("corrected", "paper")
+
+# exp() of anything below about -745.13 is exactly 0.0; the margin absorbs
+# the rounding of a series term's log, so only exact zeros are skipped.
+_LOG_ZERO_TERM = -800.0
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,8 @@ def failure_prob_sum(net: NetworkParams, b: float) -> FailureProbResult:
     with exact compensated summation.  The weighted sum is normalised by the
     computed total mass of the count distribution -- analytically 1 -- which
     cancels the rounding error the log-gamma evaluations share across terms.
+    Terms whose log lies below -800 are skipped: their exp is exactly 0.0,
+    which fsum would ignore anyway.
     """
     _check_ratio(b)
     n, a = net.n, net.a
@@ -82,10 +88,17 @@ def failure_prob_sum(net: NetworkParams, b: float) -> FailureProbResult:
     else:
         log_b2 = math.log(b2)
         log_q = math.log1p(-b2)
+        # lgamma(j + 1) for j < n: the three log-gammas of log C(n-1, p)
+        log_fact = [math.lgamma(j + 1) for j in range(n)]
+        log_top = log_fact[n - 1]
         weighted = []
         total = []
         for p in range(n):
-            term = math.exp(log_binomial(n - 1, p) + p * log_b2 + (n - 1 - p) * log_q)
+            rest = n - 1 - p
+            exponent = log_top - log_fact[p] - log_fact[rest] + p * log_b2 + rest * log_q
+            if exponent < _LOG_ZERO_TERM:
+                continue
+            term = math.exp(exponent)
             total.append(term)
             mass = _few_anchor_mass(p, a)
             if mass != 0.0:
@@ -94,14 +107,22 @@ def failure_prob_sum(net: NetworkParams, b: float) -> FailureProbResult:
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="sum")
 
 
+def _bracket(n: int, variant: str, weight: float = 1.0) -> tuple[int, float]:
+    """Bracket coefficients (c1, weight * c2) of 1 + c1 s + c2 s^2.
+
+    c1 = n - 3 in both variants; c2 is (n-2)(n-3)/2 ("corrected") or the
+    published (n-1)(n-2)/2 ("paper").  The weight is multiplied in first,
+    as weight * 0.5 * top * (top - 1), so a caller that scales c2 keeps
+    one fixed order of float operations.
+    """
+    top = n - 2 if variant == "corrected" else n - 1
+    return n - 3, weight * 0.5 * top * (top - 1)
+
+
 def _closed_value(n: int, a: float, b: float, variant: str) -> float:
     s = (1.0 - a) * b * b
-    u = 1.0 - s
-    if variant == "corrected":
-        c2 = 0.5 * (n - 2) * (n - 3)
-    else:
-        c2 = 0.5 * (n - 1) * (n - 2)
-    return u ** (n - 3) * (1.0 + (n - 3) * s + c2 * s * s)
+    c1, c2 = _bracket(n, variant)
+    return (1.0 - s) ** c1 * (1.0 + c1 * s + c2 * s * s)
 
 
 def failure_prob_closed(

@@ -42,6 +42,8 @@ SWEEP_MODES = ("analytic", "simulate", "shadow", "threshold", "figure")
 
 _PROTOCOLS = {"center": "center_node", "all": "all_nl_nodes"}
 _SHADOW_FIELDS = ("p0_dbm", "gamma_dbm", "d0", "n_p", "sigma_s", "R")
+# flags that override the sweep config's field of the same name
+_SWEEP_FLAGS = ("trials", "seed", "variant", "workers", "protocol")
 
 
 class CliError(Exception):
@@ -471,7 +473,7 @@ def _cmd_sweep(args):
         raise CliError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise CliError("config must be a JSON object")
-    for flag in ("trials", "seed", "variant", "workers", "protocol"):
+    for flag in _SWEEP_FLAGS:
         value = getattr(args, flag)
         if value is not None:
             config[flag] = value
@@ -546,20 +548,29 @@ def _cmd_estimate(args):
     return 0
 
 
-def _add_common(parser: _Parser, defer_to_config: bool = False) -> None:
-    """Shared flags.  With defer_to_config the value-bearing defaults become
-    None so a sweep config file wins unless the flag is given explicitly."""
+def _add_common(parser: _Parser, names: tuple[str, ...], defer_to_config: bool = False) -> None:
+    """--out, --quiet and the shared value flags in `names`.
+
+    A verb registers only the flags it reads, so a flag it would ignore is
+    rejected as unrecognized (exit 1) rather than accepted silently.  With
+    defer_to_config the value defaults become None so a sweep config file
+    wins unless the flag is given explicitly.
+    """
     dflt = (lambda v: None) if defer_to_config else (lambda v: v)
-    parser.add_argument("--seed", type=int, default=dflt(0), help="master seed (default 0)")
-    parser.add_argument("--trials", type=int, default=dflt(1000),
-                        help="Monte Carlo realizations per point (default 1000)")
+    flags = {
+        "seed": dict(type=int, default=dflt(0), help="master seed (default 0)"),
+        "trials": dict(type=int, default=dflt(1000),
+                       help="Monte Carlo realizations per point (default 1000)"),
+        "variant": dict(choices=VARIANTS, default=dflt("corrected"),
+                        help="closed-form coefficient variant"),
+        "protocol": dict(choices=sorted(_PROTOCOLS), default=dflt("center"),
+                         help="probe protocol for simulations"),
+        "workers": dict(type=int, default=dflt(1),
+                        help="parallel workers (results are worker-count independent)"),
+    }
+    for name in names:
+        parser.add_argument(f"--{name}", **flags[name])
     parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    parser.add_argument("--variant", choices=VARIANTS, default=dflt("corrected"),
-                        help="closed-form coefficient variant")
-    parser.add_argument("--protocol", choices=sorted(_PROTOCOLS), default=dflt("center"),
-                        help="probe protocol for simulations")
-    parser.add_argument("--workers", type=int, default=dflt(1),
-                        help="parallel workers (results are worker-count independent)")
     parser.add_argument("--quiet", action="store_true", help="suppress status messages")
 
 
@@ -568,24 +579,24 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_fig = sub.add_parser("figure", help="emit a canned figure table")
-    _add_common(p_fig)
+    _add_common(p_fig, ("seed", "trials", "variant", "workers"))
     p_fig.add_argument("name", choices=FIGURES)
     p_fig.set_defaults(func=_cmd_figure)
 
     p_sweep = sub.add_parser("sweep", help="run a JSON-configured sweep")
-    _add_common(p_sweep, defer_to_config=True)
+    _add_common(p_sweep, _SWEEP_FLAGS, defer_to_config=True)
     p_sweep.add_argument("config", help="path to the JSON sweep configuration")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_thr = sub.add_parser("threshold", help="transition-threshold query")
-    _add_common(p_thr)
+    _add_common(p_thr, ("variant",))
     p_thr.add_argument("--n", type=int, required=True)
     p_thr.add_argument("--b", type=float, default=None, help="coverage ratio (query a*)")
     p_thr.add_argument("--a", type=float, default=None, help="blind fraction (query b*)")
     p_thr.set_defaults(func=_cmd_threshold)
 
     p_est = sub.add_parser("estimate", help="Monte Carlo estimate query")
-    _add_common(p_est)
+    _add_common(p_est, ("seed", "trials", "protocol", "workers"))
     p_est.add_argument("--n", type=int, required=True)
     p_est.add_argument("--k", type=int, default=None, help="anchor count")
     p_est.add_argument("--a", type=float, default=None, help="blind fraction (alternative to --k)")

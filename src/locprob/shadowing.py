@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .analytic import FailureProbResult, _check_variant, _closed_value
+from .analytic import FailureProbResult, _bracket, _check_variant, _closed_value
 from .model import ALPHA, BhatDistribution, NetworkParams
-from .numerics import QuadratureSpec, integrate
+from .numerics import QuadratureSpec, integrate, normal_lower_tail
 
 METHODS = ("integrate_conditional", "alternating_sum", "moment_approx")
 
@@ -25,6 +25,18 @@ MOMENT_APPROX_MAX_N = 10
 
 _EPS_SCALE = 1e-12  # lower integration cutoff, relative to b_o
 _PEAK_SPAN = 10  # density split points at b_o * 10^(m sigma1 / 10), |m| <= span
+
+
+def _density_terms(dist: BhatDistribution) -> tuple[float, float, float, float]:
+    """Per-distribution constants of the density: sqrt(2 pi) sigma1,
+    2 sigma1^2, mu and b_hat_max.
+
+    bhat_pdf and the integrands below build the density from these with the
+    same float operations in the same order, so an integrand that inlines it
+    is bit-equal to g(x) * bhat_pdf(dist, x) without the per-point calls.
+    """
+    sigma1 = dist.sigma1
+    return math.sqrt(2.0 * math.pi) * sigma1, 2.0 * sigma1 * sigma1, dist.mu, dist.b_hat_max
 
 
 def bhat_pdf(dist: BhatDistribution, bhat: float) -> float:
@@ -40,15 +52,11 @@ def bhat_pdf(dist: BhatDistribution, bhat: float) -> float:
         )
     if bhat < 0.0:
         raise ValueError(f"bhat must be non-negative, got {bhat}")
-    if bhat == 0.0 or bhat > dist.b_hat_max:
+    scale, two_var, mu, b_hat_max = _density_terms(dist)
+    if bhat == 0.0 or bhat > b_hat_max:
         return 0.0
-    z = 10.0 * math.log10(bhat) - dist.mu
-    sigma1 = dist.sigma1
-    return (
-        ALPHA
-        / (math.sqrt(2.0 * math.pi) * sigma1 * bhat)
-        * math.exp(-z * z / (2.0 * sigma1 * sigma1))
-    )
+    z = 10.0 * math.log10(bhat) - mu
+    return ALPHA / (scale * bhat) * math.exp(-z * z / two_var)
 
 
 def _split_points(dist: BhatDistribution) -> list[float]:
@@ -67,15 +75,11 @@ def _split_points(dist: BhatDistribution) -> list[float]:
     return sorted(points)
 
 
-def _integrate_mixed(dist, g, abs_tol: float) -> float:
-    """Integral of g(x) * density(x) over the continuous support."""
+def _integrate_mixed(dist: BhatDistribution, f, abs_tol: float) -> float:
+    """Integral of f over the continuous support, split around the density peak."""
     points = _split_points(dist)
     spec = QuadratureSpec(abs_tol=abs_tol / (len(points) - 1))
-    pieces = [
-        integrate(lambda x: g(x) * bhat_pdf(dist, x), lo, hi, spec)
-        for lo, hi in zip(points, points[1:])
-    ]
-    return math.fsum(pieces)
+    return math.fsum(integrate(f, lo, hi, spec) for lo, hi in zip(points, points[1:]))
 
 
 def bhat_moment(
@@ -102,18 +106,16 @@ def bhat_moment(
         return 1.0
     if dist.degenerate:
         return dist.b_o**order if dist.b_o <= dist.b_hat_max else 0.0
-    return _integrate_mixed(dist, lambda x: x**order, 1e-12)
+    scale, two_var, mu, b_hat_max = _density_terms(dist)
+    log10, exp = math.log10, math.exp
 
+    def f(x: float) -> float:  # x**order * bhat_pdf(dist, x)
+        if not 0.0 < x <= b_hat_max:
+            return 0.0
+        z = 10.0 * log10(x) - mu
+        return x**order * (ALPHA / (scale * x) * exp(-z * z / two_var))
 
-def _series_constants(net: NetworkParams, variant: str) -> tuple[float, float, float]:
-    n, a = net.n, net.a
-    k1 = 1.0 - a
-    k2 = (1.0 - a) * (n - 3)
-    if variant == "corrected":
-        k3 = (1.0 - a) ** 2 * 0.5 * (n - 2) * (n - 3)
-    else:
-        k3 = (1.0 - a) ** 2 * 0.5 * (n - 1) * (n - 2)
-    return k1, k2, k3
+    return _integrate_mixed(dist, f, 1e-12)
 
 
 def failure_prob_shadow(
@@ -126,7 +128,9 @@ def failure_prob_shadow(
 
     integrate_conditional (default): zero_mass + integral of the conditional
     fixed-coverage bound against the continuous density.  Conditional failure
-    at ratio zero is certain, hence the zero_mass term.
+    at ratio zero is certain, hence the zero_mass term; it tends to 1 as the
+    ratio tends to 0, so the density's mass below the integration cutoff
+    counts in full as well.
 
     alternating_sum: binomial series over quadrature moments, restricted to
     n <= 30 (catastrophic cancellation beyond); algebraically identical to
@@ -146,8 +150,8 @@ def failure_prob_shadow(
                 else 1.0
             )
         else:
-            p_f = dist.zero_mass + _integrate_mixed(
-                dist, lambda x: _closed_value(n, net.a, x, variant), 1e-9
+            p_f = dist.zero_mass + _below_cutoff(dist) + _integrate_mixed(
+                dist, _failure_integrand(net, dist, variant), 1e-9
             )
     elif method == "alternating_sum":
         if n > ALTERNATING_SUM_MAX_N:
@@ -176,10 +180,39 @@ def failure_prob_shadow(
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method=method, variant=variant)
 
 
+def _below_cutoff(dist: BhatDistribution) -> float:
+    """Continuous mass below the lower integration cutoff _EPS_SCALE * b_o."""
+    lo = _EPS_SCALE * dist.b_o
+    if lo == 0.0:  # b_o so small that the cutoff underflows: nothing lies below
+        return 0.0
+    return normal_lower_tail((10.0 * math.log10(lo) - dist.mu) / dist.sigma1)
+
+
+def _failure_integrand(net: NetworkParams, dist: BhatDistribution, variant: str):
+    """x -> _closed_value(n, a, x, variant) * bhat_pdf(dist, x), bit for bit."""
+    one_minus_a = 1.0 - net.a
+    c1, c2 = _bracket(net.n, variant)
+    scale, two_var, mu, b_hat_max = _density_terms(dist)
+    log10, exp = math.log10, math.exp
+
+    def f(x: float) -> float:
+        if not 0.0 < x <= b_hat_max:
+            return 0.0
+        s = one_minus_a * x * x
+        z = 10.0 * log10(x) - mu
+        return (1.0 - s) ** c1 * (1.0 + c1 * s + c2 * s * s) * (
+            ALPHA / (scale * x) * exp(-z * z / two_var)
+        )
+
+    return f
+
+
 def _series(net: NetworkParams, variant: str, moment) -> float:
     """Alternating binomial series over even moments of the ratio."""
     n = net.n
-    k1, k2, k3 = _series_constants(net, variant)
+    k1 = 1.0 - net.a
+    c1, k3 = _bracket(n, variant, k1**2)
+    k2 = k1 * c1
     terms = []
     for ell in range(n - 2):
         coeff = math.comb(n - 3, ell) * (-k1) ** ell

@@ -1,7 +1,9 @@
 """Independent reference computations used to freeze expected test values.
 
-These deliberately avoid the library's own code paths: exact rational
-arithmetic for binomial tails, and raw sampling for distribution checks.
+Most of these deliberately avoid the library's own code paths: exact
+rational arithmetic for binomial tails, and raw sampling for distribution
+checks.  The last section keeps plain formulations of the analytic fast
+paths, built from the library's unchanged primitives, for bitwise checks.
 """
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from locprob.analytic import _few_anchor_mass
+from locprob.numerics import QuadratureSpec, integrate, log_binomial, normal_lower_tail
+from locprob.model import ALPHA
+from locprob.shadowing import _split_points
 
 
 def exact_binomial_cdf(count: int, trials: int, p: float) -> Fraction:
@@ -79,3 +86,95 @@ def brute_force_anchor_counts(
     else:
         radius = sample_truncated_ratio(rng, d2.shape, b, sigma1, b_hat_max)
     return (d2 <= radius * radius).sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Straightforward formulations of the analytic fast paths.  The library
+# hoists constants and skips exact-zero terms; these compose the unchanged
+# primitives call by call, so the fast paths must match them bit for bit.
+
+def closed_value_reference(n: int, a: float, b: float, variant: str) -> float:
+    """Closed-form failure bound with the bracket coefficient chosen inline."""
+    s = (1.0 - a) * b * b
+    u = 1.0 - s
+    if variant == "corrected":
+        c2 = 0.5 * (n - 2) * (n - 3)
+    else:
+        c2 = 0.5 * (n - 1) * (n - 2)
+    return u ** (n - 3) * (1.0 + (n - 3) * s + c2 * s * s)
+
+
+def pdf_reference(dist, bhat: float) -> float:
+    """Density of the estimated ratio for a non-degenerate distribution, bhat >= 0."""
+    if bhat == 0.0 or bhat > dist.b_hat_max:
+        return 0.0
+    z = 10.0 * math.log10(bhat) - dist.mu
+    sigma1 = dist.sigma1
+    return (
+        ALPHA
+        / (math.sqrt(2.0 * math.pi) * sigma1 * bhat)
+        * math.exp(-z * z / (2.0 * sigma1 * sigma1))
+    )
+
+
+def _mixed_integral_reference(dist, g, abs_tol: float) -> float:
+    """Integral of g(x) * pdf_reference(dist, x) piece by piece over the split points."""
+    points = _split_points(dist)
+    spec = QuadratureSpec(abs_tol=abs_tol / (len(points) - 1))
+    pieces = [
+        integrate(lambda x: g(x) * pdf_reference(dist, x), lo, hi, spec)
+        for lo, hi in zip(points, points[1:])
+    ]
+    return math.fsum(pieces)
+
+
+def shadow_failure_reference(n: int, a: float, dist, variant: str) -> float:
+    """integrate_conditional failure bound for a non-degenerate distribution:
+    zero mass, plus the density's mass below the lowest split point (where
+    conditional failure tends to 1), plus the integral above it."""
+    lo = _split_points(dist)[0]
+    below = normal_lower_tail((10.0 * math.log10(lo) - dist.mu) / dist.sigma1) if lo > 0.0 else 0.0
+    integral = _mixed_integral_reference(
+        dist, lambda x: closed_value_reference(n, a, x, variant), 1e-9
+    )
+    return dist.zero_mass + below + integral
+
+
+def moment_reference(dist, order: int) -> float:
+    """Quadrature moment E[ratio^order] of a non-degenerate distribution, order >= 2."""
+    return _mixed_integral_reference(dist, lambda x: x**order, 1e-12)
+
+
+def alternating_series_reference(n: int, a: float, variant: str, moment) -> float:
+    """Alternating binomial series over even moments, constants spelled out."""
+    k1 = 1.0 - a
+    k2 = (1.0 - a) * (n - 3)
+    if variant == "corrected":
+        k3 = (1.0 - a) ** 2 * 0.5 * (n - 2) * (n - 3)
+    else:
+        k3 = (1.0 - a) ** 2 * 0.5 * (n - 1) * (n - 2)
+    terms = []
+    for ell in range(n - 2):
+        coeff = math.comb(n - 3, ell) * (-k1) ** ell
+        terms.append(
+            coeff
+            * (moment(2 * ell) + k2 * moment(2 * ell + 2) + k3 * moment(2 * ell + 4))
+        )
+    return math.fsum(terms)
+
+
+def failure_series_reference(n: int, a: float, b: float) -> float:
+    """Series failure bound for 0 < b^2 < 1: every term through three
+    log-gammas and exp, zeros included, normalised by the total mass."""
+    b2 = b * b
+    log_b2 = math.log(b2)
+    log_q = math.log1p(-b2)
+    weighted = []
+    total = []
+    for p in range(n):
+        term = math.exp(log_binomial(n - 1, p) + p * log_b2 + (n - 1 - p) * log_q)
+        total.append(term)
+        mass = _few_anchor_mass(p, a)
+        if mass != 0.0:
+            weighted.append(term * mass)
+    return math.fsum(weighted) / math.fsum(total)

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from locprob.analytic import (
+    VARIANTS,
+    _closed_value,
     failure_prob_approx_small,
     failure_prob_closed,
     failure_prob_sum,
@@ -13,9 +17,14 @@ from locprob.analytic import (
     threshold_b_star,
     threshold_b_star_numeric,
 )
-from locprob.model import make_network
+from locprob.model import NetworkParams, make_network
 from locprob.numerics import second_derivative_fd
-from oracles import exact_binomial_cdf, independent_failure_bound
+from oracles import (
+    closed_value_reference,
+    exact_binomial_cdf,
+    failure_series_reference,
+    independent_failure_bound,
+)
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -241,3 +250,40 @@ def test_second_difference_sign_flips_at_threshold():
     a_star = threshold_a_star(n, b)
     g = lambda a: second_derivative_fd(lambda t: _closed_value(n, t, b, "corrected"), a, 1e-4)
     assert g(a_star - 0.05) * g(a_star + 0.05) < 0.0
+
+
+_blind_fractions = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.floats(1e-300, 1e-6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([4, 5, 20, 3000, 5000]), st.integers(4, 600)),
+    a=_blind_fractions,
+    b=st.one_of(
+        st.floats(0.0, 1.0),
+        # b^2 at and below exp's underflow: the leading terms' logs sit near -745
+        st.floats(-1600.0, -600.0).map(lambda u: math.exp(0.5 * u)),
+        # b^2 just below 1: the tail terms carry the large (n-1-p) log(1-b^2)
+        st.floats(0.0, 0.2).map(lambda t: math.sqrt(1.0 - t)),
+    ),
+)
+@example(n=3000, a=0.2, b=0.5)
+@example(n=5000, a=1e-9, b=math.exp(-372.0))
+def test_failure_prob_sum_matches_every_term_series(n, a, b):
+    # skipping terms whose log lies below -800 drops only exact zeros
+    assume(0.0 < b * b < 1.0)
+    net = NetworkParams(n=n, k=round(n * (1.0 - a)), a=a)
+    assert failure_prob_sum(net, b).p_f == failure_series_reference(n, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(4, 10**6),
+    a=_blind_fractions,
+    b=st.floats(0.0, 1.0),
+    variant=st.sampled_from(VARIANTS),
+)
+def test_closed_value_matches_inline_coefficients(n, a, b, variant):
+    assert _closed_value(n, a, b, variant) == closed_value_reference(n, a, b, variant)

@@ -279,3 +279,25 @@ def test_stdout_emission(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# locprob ")
     assert out.count("\n") == 3
+
+
+def test_threshold_table_bytes(capsys):
+    assert run_cli("threshold", "--n", "300", "--b", "0.15") == 0
+    assert capsys.readouterr().out == (
+        '# locprob 0.1.0 config={"b":0.15,"mode":"threshold","n":300,"variant":"corrected"}\n'
+        "n,b,a_star,a_star_fd,gap\n"
+        "300,0.15,0.701715137957,0.701714832781,3.05175781312e-07\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--n", "300", "--b", "0.15", "--workers", "0", "--trials", "-5", "--seed", "-2"],
+    ["threshold", "--n", "300", "--b", "0.15", "--protocol", "all"],
+    ["figure", "fig2", "--protocol", "all"],
+    ["estimate", "--n", "300", "--a", "0.2", "--b", "0.1", "--variant", "paper"],
+], ids=["threshold_run_settings", "threshold_protocol", "figure_protocol", "estimate_variant"])
+def test_verbs_reject_flags_they_ignore(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert run_cli(*argv, "--out", str(out), "--quiet") == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from locprob.analytic import failure_prob_closed
-from locprob.model import bhat_distribution, make_network, make_shadow_model
+from locprob.analytic import VARIANTS, failure_prob_closed
+from locprob.model import NetworkParams, bhat_distribution, make_network, make_shadow_model
 from locprob.numerics import QuadratureSpec, integrate
-from locprob.shadowing import bhat_moment, bhat_pdf, failure_prob_shadow
-from oracles import sample_truncated_ratio
+from locprob.shadowing import _series, bhat_moment, bhat_pdf, failure_prob_shadow
+from oracles import (
+    alternating_series_reference,
+    moment_reference,
+    pdf_reference,
+    sample_truncated_ratio,
+    shadow_failure_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +125,15 @@ class TestFailureProbShadow:
         want = failure_prob_closed(net, 0.2).p_f
         assert abs(got - want) < 1e-3
 
+    @pytest.mark.parametrize("sigma1", [3.43, 12.0, 20.0, 40.0])
+    def test_no_anchors_fail_with_certainty(self, sigma1):
+        # with k = 0 every ratio fails, so the whole mass must count, including
+        # the log-normal tail below the integration cutoff
+        net = make_network(50, 0)
+        for b_o in (0.01, 0.2, 0.9):
+            p_f = failure_prob_shadow(net, bhat_distribution(b_o, sigma1, 0.483)).p_f
+            assert abs(p_f - 1.0) < 1e-9
+
     def test_degenerate_equals_fixed_coverage(self, field_model):
         net = make_network(50, 10)
         dist = bhat_distribution(0.2, 0.0, field_model.b_hat_max)
@@ -196,3 +213,64 @@ class TestFailureProbShadow:
         assert failure_prob_shadow(net, lo).p_loc > failure_prob_closed(net, 0.05).p_loc
         hi = bhat_distribution(0.4, field_model.sigma1, field_model.b_hat_max)
         assert failure_prob_shadow(net, hi).p_loc < failure_prob_closed(net, 0.4).p_loc
+
+
+def _network(n: int, a: float) -> NetworkParams:
+    """Node counts with an arbitrary blind fraction (tiny a included)."""
+    return NetworkParams(n=n, k=round(n * (1.0 - a)), a=a)
+
+
+_blind_fractions = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.floats(1e-300, 1e-6)
+)
+_distributions = st.builds(
+    bhat_distribution,
+    b_o=st.floats(1e-3, 1.0),
+    sigma1=st.floats(0.05, 40.0),
+    b_hat_max=st.floats(0.05, 0.95),
+)
+
+
+class TestFastPathsMatchReference:
+    """The hoisted integrands reproduce g(x) * density(x), evaluated call by
+    call, bit for bit: every result must be equal, not merely close."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([4, 5, 20, 3000, 5000]), st.integers(4, 400)),
+        a=_blind_fractions,
+        dist=_distributions,
+        variant=st.sampled_from(VARIANTS),
+    )
+    @example(n=50, a=0.8, dist=bhat_distribution(0.9, 3.43, 0.483), variant="corrected")
+    @example(n=3000, a=1e-12, dist=bhat_distribution(0.2, 40.0, 0.483), variant="paper")
+    @example(n=5000, a=0.0, dist=bhat_distribution(0.01, 0.05, 0.483), variant="corrected")
+    def test_failure_prob_shadow(self, n, a, dist, variant):
+        got = failure_prob_shadow(_network(n, a), dist, variant=variant).p_f
+        assert got == shadow_failure_reference(n, a, dist, variant)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dist=_distributions, order=st.integers(1, 30).map(lambda j: 2 * j))
+    @example(dist=bhat_distribution(0.9, 3.43, 0.483), order=2)
+    def test_bhat_moment(self, dist, order):
+        assert bhat_moment(dist, order) == moment_reference(dist, order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dist=_distributions, x=st.one_of(st.just(0.0), st.floats(1e-300, 1.0)))
+    def test_bhat_pdf(self, dist, x):
+        assert bhat_pdf(dist, x) == pdf_reference(dist, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(4, 30),
+        a=_blind_fractions,
+        variant=st.sampled_from(VARIANTS),
+        b=st.floats(1e-3, 1.0),
+    )
+    def test_alternating_series(self, n, a, variant, b):
+        def moment(j):
+            return b**j
+
+        assert _series(_network(n, a), variant, moment) == alternating_series_reference(
+            n, a, variant, moment
+        )
