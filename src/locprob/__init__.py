@@ -24,12 +24,10 @@ from .analytic import (
 from .model import (
     ALPHA,
     BhatDistribution,
-    CoverageParams,
     NetworkParams,
     ShadowModel,
     bhat_distribution,
     make_bhat_distribution,
-    make_coverage,
     make_network,
     make_shadow_model,
 )
@@ -38,8 +36,6 @@ from .montecarlo import (
     Realization,
     TrialProtocol,
     estimate,
-    run_trial,
-    sample_center_realization,
     sample_realization,
     wilson_interval,
 )
@@ -48,7 +44,6 @@ from .numerics import (
     QuadratureSpec,
     find_sign_change,
     integrate,
-    log_binomial,
     normal_lower_tail,
     second_derivative_fd,
 )
@@ -61,7 +56,6 @@ __all__ = [
     "METHODS",
     "VARIANTS",
     "BhatDistribution",
-    "CoverageParams",
     "FailureProbResult",
     "NetworkParams",
     "NonConvergenceError",
@@ -81,14 +75,10 @@ __all__ = [
     "find_sign_change",
     "integrate",
     "iterative_failure_floor",
-    "log_binomial",
     "make_bhat_distribution",
-    "make_coverage",
     "make_network",
     "make_shadow_model",
     "normal_lower_tail",
-    "run_trial",
-    "sample_center_realization",
     "sample_realization",
     "second_derivative_fd",
     "threshold_a_star",

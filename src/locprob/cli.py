@@ -2,11 +2,13 @@
 
 Verbs: `figure <name>` rebuilds one of the canned curve families as a data
 table, `sweep <config.json>` runs a custom parameter grid, `threshold` and
-`estimate` answer single queries.  Every table re-runs byte-identically for
-the same seed: floats carry 12 significant digits, line endings are LF, the
-leading comment records the semantic configuration (worker count and output
-path are execution details and deliberately excluded), and row order follows
-grid order regardless of any parallelism.
+`estimate` answer single queries.  `figure` runs as a figure sweep and
+`threshold` as a one-cell sweep; `estimate` builds the sweep's simulate row
+but draws from the master seed, not from a per-cell seed.  Every table re-runs
+byte-identically for the same seed: floats carry 12 significant digits, line
+endings are LF, the leading comment records the semantic configuration
+(worker count and output path are execution details and deliberately
+excluded), and row order follows grid order regardless of any parallelism.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical non-convergence
 or a failed figure self-check.
@@ -88,6 +90,71 @@ def _cell_seed(seed: int, index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# rows: one builder per table kind.  Layer functions are looked up in this
+# module's globals at call time, so per-layer tracing can wrap them here.
+
+_ANALYTIC_HEADER = ["n", "k", "a", "b", "p_f", "p_loc", "method", "variant"]
+_A_STAR_HEADER = ["n", "b", "a_star", "a_star_fd", "gap"]
+_B_STAR_HEADER = ["n", "a", "b_star_exact", "b_star_large_n", "b_star_fd", "gap_exact_fd"]
+_FADING_COLUMNS = ["sigma1", "b_hat_max", "zero_mass"]
+_SHADOW_HEADER = ["n", "k", "a", "b_o", *_FADING_COLUMNS, "p_f", "p_loc", "method", "variant"]
+_SIMULATE_HEADER = ["n", "k", "a", "b", "p_f", "p_loc", "trials", "successes",
+                    "ci_low", "ci_high", "realizations", "seed", "protocol"]
+
+
+def _analytic_row(net, b, method, variant):
+    if method == "closed":
+        res = failure_prob_closed(net, b, variant)
+    elif method == "sum":
+        res = failure_prob_sum(net, b)
+    else:
+        res = failure_prob_approx_small(net, b)
+    return {"n": net.n, "k": net.k, "a": net.a, "b": b, "p_f": res.p_f,
+            "p_loc": res.p_loc, "method": res.method, "variant": res.variant}
+
+
+def _a_star_row(n, b, variant):
+    a_star = threshold_a_star(n, b)
+    fd = threshold_a_star_numeric(n, b, variant) if a_star is not None else None
+    return {"n": n, "b": b, "a_star": a_star, "a_star_fd": fd,
+            "gap": None if a_star is None else a_star - fd}
+
+
+def _b_star_row(n, a, variant):
+    exact = threshold_b_star(n, a, form="exact")
+    approx = threshold_b_star(n, a, form="large_n")
+    fd = threshold_b_star_numeric(n, a, variant)
+    return {"n": n, "a": a, "b_star_exact": exact, "b_star_large_n": approx,
+            "b_star_fd": fd, "gap_exact_fd": exact - fd}
+
+
+def _fading(dist):
+    return {"sigma1": dist.sigma1, "b_hat_max": dist.b_hat_max, "zero_mass": dist.zero_mass}
+
+
+def _shadow_row(net, b_o, model, method, variant):
+    dist = bhat_distribution(b_o, model.sigma1, model.b_hat_max)
+    res = failure_prob_shadow(net, dist, method, variant)
+    return {"n": net.n, "k": net.k, "a": net.a, "b_o": b_o, **_fading(dist), "p_f": res.p_f,
+            "p_loc": res.p_loc, "method": res.method, "variant": res.variant}
+
+
+def _simulate_header(model):
+    return _SIMULATE_HEADER[:4] + (_FADING_COLUMNS if model else []) + _SIMULATE_HEADER[4:]
+
+
+def _simulate_row(net, b, protocol, model, trials, seed, pool):
+    """One Monte Carlo cell; with a shadow model b is the true ratio b_o."""
+    dist = bhat_distribution(b, model.sigma1, model.b_hat_max) if model else None
+    sim = estimate(net, b, protocol, shadow=dist, trials=trials, seed=seed, pool=pool)
+    row = {"n": net.n, "k": net.k, "a": net.a, "b": b, "p_f": 1.0 - sim.p_hat,
+           "p_loc": sim.p_hat, "trials": sim.trials, "successes": sim.successes,
+           "ci_low": sim.ci_low, "ci_high": sim.ci_high, "realizations": sim.realizations,
+           "seed": sim.seed, "protocol": protocol.probe}
+    return {**row, **_fading(dist)} if dist else row
+
+
+# ---------------------------------------------------------------------------
 # figures
 
 def _geometric_grid(j_lo: int, j_hi: int) -> list[float]:
@@ -96,17 +163,9 @@ def _geometric_grid(j_lo: int, j_hi: int) -> list[float]:
 
 
 def _fig1(trials, seed, variant, workers):
-    n = 300
-    rows = []
-    for b in _geometric_grid(3, 20):
-        for i in range(51):
-            net = _network_for(n, i / 50.0)
-            res = failure_prob_closed(net, b, variant)
-            rows.append(
-                {"n": n, "k": net.k, "a": net.a, "b": b, "p_f": res.p_f,
-                 "p_loc": res.p_loc, "method": res.method, "variant": variant}
-            )
-    return ["n", "k", "a", "b", "p_f", "p_loc", "method", "variant"], rows
+    rows = [_analytic_row(_network_for(300, i / 50.0), b, "closed", variant)
+            for b in _geometric_grid(3, 20) for i in range(51)]
+    return _ANALYTIC_HEADER, rows
 
 
 def _fig2(trials, seed, variant, workers):
@@ -119,83 +178,41 @@ def _fig2(trials, seed, variant, workers):
 
 
 def _fig3(trials, seed, variant, workers):
-    n = 300
-    rows = []
-    for a in _geometric_grid(1, 20):
-        net = _network_for(n, a)
-        for i in range(51):
-            b = i / 50.0
-            res = failure_prob_closed(net, b, variant)
-            rows.append(
-                {"n": n, "k": net.k, "a": net.a, "b": b, "p_f": res.p_f,
-                 "p_loc": res.p_loc, "method": res.method, "variant": variant}
-            )
-    return ["n", "k", "a", "b", "p_f", "p_loc", "method", "variant"], rows
+    nets = [_network_for(300, a) for a in _geometric_grid(1, 20)]
+    rows = [_analytic_row(net, i / 50.0, "closed", variant) for net in nets for i in range(51)]
+    return _ANALYTIC_HEADER, rows
 
 
 def _fig4(trials, seed, variant, workers):
-    n = 300
-    rows = []
-    for i in range(20):
-        a = 0.05 * i
-        exact = threshold_b_star(n, a, form="exact")
-        approx = threshold_b_star(n, a, form="large_n")
-        fd = threshold_b_star_numeric(n, a, variant)
-        rows.append(
-            {"n": n, "a": a, "b_star_exact": exact, "b_star_large_n": approx,
-             "b_star_fd": fd, "gap_exact_fd": exact - fd}
-        )
-    return ["n", "a", "b_star_exact", "b_star_large_n", "b_star_fd", "gap_exact_fd"], rows
+    return _B_STAR_HEADER, [_b_star_row(300, 0.05 * i, variant) for i in range(20)]
 
 
 def _fig6(trials, seed, variant, workers):
     b = 0.05
     protocol = TrialProtocol(probe="all_nl_nodes")
-    header = ["n", "k", "a", "b", "p_loc_theory", "p_loc_sim", "trials",
-              "successes", "ci_low", "ci_high", "realizations", "seed", "protocol"]
+    nets = [_network_for(n, 0.08 * j) for n in (500, 1000, 3000) for j in range(1, 12)]
     rows = []
-    cell = 0
     with worker_pool(workers) as pool:
-        for n in (500, 1000, 3000):
-            for j in range(1, 12):
-                net = _network_for(n, 0.08 * j)
-                theory = failure_prob_closed(net, b, variant)
-                cell_seed = _cell_seed(seed, cell)
-                cell += 1
-                sim = estimate(net, b, protocol, trials=trials, seed=cell_seed, pool=pool)
-                rows.append(
-                    {"n": n, "k": net.k, "a": net.a, "b": b, "p_loc_theory": theory.p_loc,
-                     "p_loc_sim": sim.p_hat, "trials": sim.trials, "successes": sim.successes,
-                     "ci_low": sim.ci_low, "ci_high": sim.ci_high,
-                     "realizations": sim.realizations, "seed": cell_seed,
-                     "protocol": protocol.probe}
-                )
-    return header, rows
+        for cell, net in enumerate(nets):
+            row = _simulate_row(net, b, protocol, None, trials, _cell_seed(seed, cell), pool)
+            rows.append({**row, "p_loc_sim": row["p_loc"],
+                         "p_loc_theory": failure_prob_closed(net, b, variant).p_loc})
+    return [*_SIMULATE_HEADER[:4], "p_loc_theory", "p_loc_sim", *_SIMULATE_HEADER[6:]], rows
 
 
 def _fig_shadow(trials, seed, variant, workers):
     model = make_shadow_model(
         p0_dbm=0.0, gamma_dbm=-80.0, d0=0.1, n_p=3.5, sigma_s=12.0, R=40.0
     )
-    n = 50
-    header = ["n", "k", "a", "b_o", "sigma1", "b_hat_max", "zero_mass",
-              "p_loc_shadow", "p_loc_noshadow", "method", "variant"]
     rows = []
     # the worked-example fraction (a = 0.8) and the captioned one (a = 0.2)
     for k in (10, 40):
-        net = make_network(n, k)
+        net = make_network(50, k)
         for i in range(1, 48):
-            b_o = 0.01 * i
-            dist = bhat_distribution(b_o, model.sigma1, model.b_hat_max)
-            shadowed = failure_prob_shadow(net, dist, "integrate_conditional", variant)
-            plain = failure_prob_closed(net, b_o, variant)
-            rows.append(
-                {"n": n, "k": k, "a": net.a, "b_o": b_o, "sigma1": dist.sigma1,
-                 "b_hat_max": dist.b_hat_max, "zero_mass": dist.zero_mass,
-                 "p_loc_shadow": shadowed.p_loc, "p_loc_noshadow": plain.p_loc,
-                 "method": shadowed.method, "variant": variant}
-            )
-    return header, rows
+            row = _shadow_row(net, 0.01 * i, model, "integrate_conditional", variant)
+            rows.append({**row, "p_loc_shadow": row["p_loc"],
+                         "p_loc_noshadow": failure_prob_closed(net, row["b_o"], variant).p_loc})
+    return [*_SHADOW_HEADER[:7], "p_loc_shadow", "p_loc_noshadow", *_SHADOW_HEADER[9:]], rows
 
 
 _FIGURE_BUILDERS = {
@@ -205,13 +222,12 @@ _FIGURE_BUILDERS = {
 
 
 def build_figure(name, trials=1000, seed=0, variant="corrected", workers=1):
-    """Header and rows for one canned figure table."""
-    if name not in FIGURES:
-        raise CliError(f"unknown figure {name!r}, expected one of {FIGURES}")
-    if variant not in VARIANTS:
-        raise CliError(f"invalid value for field 'variant': {variant!r}")
-    header, rows = _FIGURE_BUILDERS[name](trials, seed, variant, workers)
-    return header, rows
+    """Header and rows for one canned figure table.
+
+    run_sweep checks the name, variant and run settings first; every verb
+    that emits a figure goes through it.
+    """
+    return _FIGURE_BUILDERS[name](trials, seed, variant, workers)
 
 
 def _non_increasing(values, slack=0.0):
@@ -288,7 +304,12 @@ def _require(config, field, types, check=None, describe=""):
     return values
 
 
-def _networks_from(config, n_values):
+def _n_values(config):
+    return _require(config, "n", int, lambda v: v >= 4, "(must be an integer >= 4)")
+
+
+def _networks_from(config):
+    n_values = _n_values(config)
     if "k" in config and "a" in config:
         raise CliError("give either field 'k' or field 'a', not both")
     nets = []
@@ -348,49 +369,27 @@ def run_sweep(config: dict):
         trials, seed, workers = _run_settings(config)
         return build_figure(name, trials=trials, seed=seed, variant=variant, workers=workers)
 
-    n_values = _require(config, "n", int, lambda v: v >= 4, "(must be an integer >= 4)")
-
     if mode == "threshold":
-        rows = []
+        n_values = _n_values(config)
         if "b" in config:
-            for n in n_values:
-                for b in _require(config, "b", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])"):
-                    a_star = threshold_a_star(n, float(b))
-                    fd = threshold_a_star_numeric(n, float(b), variant) if a_star is not None else None
-                    rows.append({"n": n, "b": float(b), "a_star": a_star, "a_star_fd": fd,
-                                 "gap": None if a_star is None else a_star - fd})
-            return ["n", "b", "a_star", "a_star_fd", "gap"], rows
+            b_values = _require(config, "b", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
+            return _A_STAR_HEADER, [_a_star_row(n, float(b), variant)
+                                    for n, b in product(n_values, b_values)]
         if "a" in config:
-            for n in n_values:
-                for a in _require(config, "a", (int, float), lambda v: 0.0 <= v < 1.0, "(must lie in [0, 1))"):
-                    exact = threshold_b_star(n, float(a), form="exact")
-                    approx = threshold_b_star(n, float(a), form="large_n")
-                    fd = threshold_b_star_numeric(n, float(a), variant)
-                    rows.append({"n": n, "a": float(a), "b_star_exact": exact,
-                                 "b_star_large_n": approx, "b_star_fd": fd,
-                                 "gap_exact_fd": exact - fd})
-            return ["n", "a", "b_star_exact", "b_star_large_n", "b_star_fd", "gap_exact_fd"], rows
+            a_values = _require(config, "a", (int, float), lambda v: 0.0 <= v < 1.0, "(must lie in [0, 1))")
+            return _B_STAR_HEADER, [_b_star_row(n, float(a), variant)
+                                    for n, a in product(n_values, a_values)]
         raise CliError("missing required field 'b' or 'a' for threshold mode")
 
-    nets = _networks_from(config, n_values)
+    nets = _networks_from(config)
 
     if mode == "analytic":
         method = config.get("method", "closed")
         if method not in ("closed", "sum", "approx_small"):
             raise CliError(f"invalid value for field 'method': {method!r}")
         b_values = _require(config, "b", (int, float), lambda v: 0.0 <= v <= 1.0, "(must lie in [0, 1])")
-        rows = []
-        for net, b in product(nets, b_values):
-            if method == "closed":
-                res = failure_prob_closed(net, float(b), variant)
-            elif method == "sum":
-                res = failure_prob_sum(net, float(b))
-            else:
-                res = failure_prob_approx_small(net, float(b))
-            rows.append({"n": net.n, "k": net.k, "a": net.a, "b": float(b),
-                         "p_f": res.p_f, "p_loc": res.p_loc,
-                         "method": res.method, "variant": res.variant})
-        return ["n", "k", "a", "b", "p_f", "p_loc", "method", "variant"], rows
+        return _ANALYTIC_HEADER, [_analytic_row(net, float(b), method, variant)
+                                  for net, b in product(nets, b_values)]
 
     if mode == "shadow":
         method = config.get("method", "integrate_conditional")
@@ -398,16 +397,8 @@ def run_sweep(config: dict):
             raise CliError(f"invalid value for field 'method': {method!r} (expected one of {METHODS})")
         model = _shadow_model_from(config)
         b_values = _require(config, "b_o", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
-        rows = []
-        for net, b_o in product(nets, b_values):
-            dist = bhat_distribution(float(b_o), model.sigma1, model.b_hat_max)
-            res = failure_prob_shadow(net, dist, method, variant)
-            rows.append({"n": net.n, "k": net.k, "a": net.a, "b_o": float(b_o),
-                         "sigma1": dist.sigma1, "b_hat_max": dist.b_hat_max,
-                         "zero_mass": dist.zero_mass, "p_f": res.p_f,
-                         "p_loc": res.p_loc, "method": method, "variant": variant})
-        return ["n", "k", "a", "b_o", "sigma1", "b_hat_max", "zero_mass",
-                "p_f", "p_loc", "method", "variant"], rows
+        return _SHADOW_HEADER, [_shadow_row(net, float(b_o), model, method, variant)
+                                for net, b_o in product(nets, b_values)]
 
     # mode == "simulate"
     trials, seed, workers = _run_settings(config)
@@ -421,37 +412,19 @@ def run_sweep(config: dict):
         raise CliError(f"invalid value for field 'shadow_draw': {draw!r}")
     protocol = TrialProtocol(probe=_PROTOCOLS[protocol_name], shadow_draw=draw)
     b_values = _require(config, "b", (int, float), lambda v: 0.0 <= v <= 1.0, "(must lie in [0, 1])")
-    header = ["n", "k", "a", "b", "p_f", "p_loc", "trials", "successes",
-              "ci_low", "ci_high", "realizations", "seed", "protocol"]
-    if shadowed:
-        header[4:4] = ["sigma1", "b_hat_max", "zero_mass"]
-    rows = []
     with worker_pool(workers) as pool:
-        for idx, (net, b) in enumerate(product(nets, b_values)):
-            cell_seed = _cell_seed(seed, idx)
-            dist = bhat_distribution(float(b), model.sigma1, model.b_hat_max) if shadowed else None
-            sim = estimate(net, float(b), protocol, shadow=dist, trials=trials,
-                           seed=cell_seed, pool=pool)
-            row = {"n": net.n, "k": net.k, "a": net.a, "b": float(b),
-                   "p_f": 1.0 - sim.p_hat, "p_loc": sim.p_hat, "trials": sim.trials,
-                   "successes": sim.successes, "ci_low": sim.ci_low,
-                   "ci_high": sim.ci_high, "realizations": sim.realizations,
-                   "seed": cell_seed, "protocol": protocol.probe}
-            if shadowed:
-                row.update({"sigma1": dist.sigma1, "b_hat_max": dist.b_hat_max,
-                            "zero_mass": dist.zero_mass})
-            rows.append(row)
-    return header, rows
+        rows = [_simulate_row(net, float(b), protocol, model, trials, _cell_seed(seed, i), pool)
+                for i, (net, b) in enumerate(product(nets, b_values))]
+    return _simulate_header(model), rows
 
 
 # ---------------------------------------------------------------------------
 # verbs
 
 def _cmd_figure(args):
-    trials, seed, workers = _run_settings(vars(args))
-    header, rows = build_figure(args.name, trials, seed, args.variant, workers)
-    config = {"figure": args.name, "trials": trials, "seed": seed,
+    config = {"figure": args.name, "trials": args.trials, "seed": args.seed,
               "variant": args.variant}
+    header, rows = run_sweep({**config, "mode": "figure", "workers": args.workers})
     _write_table(args.out, config, header, rows, args.quiet)
     problems = check_figure(args.name, rows)
     if problems:
@@ -487,22 +460,9 @@ def _cmd_sweep(args):
 def _cmd_threshold(args):
     if (args.b is None) == (args.a is None):
         raise CliError("give exactly one of --b (threshold on a) or --a (threshold on b)")
-    n = args.n
-    if args.b is not None:
-        a_star = threshold_a_star(n, args.b)
-        fd = threshold_a_star_numeric(n, args.b, args.variant) if a_star is not None else None
-        header = ["n", "b", "a_star", "a_star_fd", "gap"]
-        rows = [{"n": n, "b": args.b, "a_star": a_star, "a_star_fd": fd,
-                 "gap": None if a_star is None else a_star - fd}]
-        config = {"mode": "threshold", "n": n, "b": args.b, "variant": args.variant}
-    else:
-        exact = threshold_b_star(n, args.a, form="exact")
-        approx = threshold_b_star(n, args.a, form="large_n")
-        fd = threshold_b_star_numeric(n, args.a, args.variant)
-        header = ["n", "a", "b_star_exact", "b_star_large_n", "b_star_fd", "gap_exact_fd"]
-        rows = [{"n": n, "a": args.a, "b_star_exact": exact, "b_star_large_n": approx,
-                 "b_star_fd": fd, "gap_exact_fd": exact - fd}]
-        config = {"mode": "threshold", "n": n, "a": args.a, "variant": args.variant}
+    axis = "b" if args.b is not None else "a"
+    config = {"mode": "threshold", "n": args.n, axis: getattr(args, axis), "variant": args.variant}
+    header, rows = run_sweep(config)
     _write_table(args.out, config, header, rows, args.quiet)
     return 0
 
@@ -511,40 +471,24 @@ def _cmd_estimate(args):
     trials, seed, workers = _run_settings(vars(args))
     if (args.k is None) == (args.a is None):
         raise CliError("give exactly one of --k or --a")
-    net = make_network(args.n, args.k) if args.k is not None else _network_for(args.n, args.a)
+    axis = "k" if args.k is not None else "a"
+    [net] = _networks_from({"n": args.n, axis: getattr(args, axis)})
     config = {"mode": "simulate", "n": net.n, "k": net.k, "b": args.b,
               "trials": trials, "seed": seed, "protocol": args.protocol}
-    shadow_given = [
-        f for f in ("sigma_s", "n_p", "gamma_dbm", "p0_dbm", "d0", "R")
-        if getattr(args, f) is not None
-    ]
-    dist = None
-    draw = "none"
-    if shadow_given:
-        cfg = {f: getattr(args, f) for f in _SHADOW_FIELDS}
-        missing = [f for f, v in cfg.items() if v is None]
+    model, draw = None, "none"
+    if any(getattr(args, f) is not None for f in _SHADOW_FIELDS):
+        shadow = {f: getattr(args, f) for f in _SHADOW_FIELDS}
+        missing = [f for f, v in shadow.items() if v is None]
         if missing:
             raise CliError(f"shadowed estimate needs --{missing[0].replace('_', '-')}")
-        model = _shadow_model_from(cfg)
-        dist = bhat_distribution(args.b, model.sigma1, model.b_hat_max)
+        model = _shadow_model_from(shadow)
         draw = args.shadow_draw
-        config.update(cfg)
-        config["shadow_draw"] = draw
+        config.update(shadow, shadow_draw=draw)
     protocol = TrialProtocol(probe=_PROTOCOLS[args.protocol], shadow_draw=draw)
-    sim = estimate(net, args.b, protocol, shadow=dist, trials=trials,
-                   seed=seed, workers=workers)
-    header = ["n", "k", "a", "b", "p_f", "p_loc", "trials", "successes",
-              "ci_low", "ci_high", "realizations", "seed", "protocol"]
-    row = {"n": net.n, "k": net.k, "a": net.a, "b": args.b, "p_f": 1.0 - sim.p_hat,
-           "p_loc": sim.p_hat, "trials": sim.trials, "successes": sim.successes,
-           "ci_low": sim.ci_low, "ci_high": sim.ci_high,
-           "realizations": sim.realizations, "seed": sim.seed,
-           "protocol": protocol.probe}
-    if dist is not None:
-        header[4:4] = ["sigma1", "b_hat_max", "zero_mass"]
-        row.update({"sigma1": dist.sigma1, "b_hat_max": dist.b_hat_max,
-                    "zero_mass": dist.zero_mass})
-    _write_table(args.out, config, header, [row], args.quiet)
+    # the master seed itself drives the one cell, as the printed seed says
+    with worker_pool(workers) as pool:
+        row = _simulate_row(net, args.b, protocol, model, trials, seed, pool)
+    _write_table(args.out, config, _simulate_header(model), [row], args.quiet)
     return 0
 
 

@@ -27,15 +27,6 @@ class NetworkParams:
 
 
 @dataclass(frozen=True)
-class CoverageParams:
-    """Domain radius R, coverage radius d and their ratio b = d/R."""
-
-    R: float
-    d: float
-    b: float
-
-
-@dataclass(frozen=True)
 class ShadowModel:
     """Propagation constants for power-based ranging with log-normal fading.
 
@@ -88,18 +79,6 @@ def make_network(n: int, k: int) -> NetworkParams:
     if not 0 <= k <= n:
         raise ValueError(f"anchor count k must lie in [0, {n}], got {k}")
     return NetworkParams(n=n, k=k, a=1.0 - k / n)
-
-
-def make_coverage(R: float, d: float) -> CoverageParams:
-    """Validated radii with b = d/R; b = 1 is accepted as a degenerate value."""
-    if not R > 0.0:
-        raise ValueError(f"domain radius R must be positive, got {R}")
-    if d < 0.0:
-        raise ValueError(f"coverage radius d must be non-negative, got {d}")
-    b = d / R
-    if b > 1.0:
-        raise ValueError(f"coverage ratio b = d/R = {b:.4g} exceeds 1")
-    return CoverageParams(R=R, d=d, b=b)
 
 
 def make_shadow_model(

@@ -136,25 +136,6 @@ def sample_realization(rng: np.random.Generator, net: NetworkParams) -> Realizat
     return Realization(radii=radii, angles=angles, l_flags=l_flags)
 
 
-def sample_center_realization(rng: np.random.Generator, net: NetworkParams) -> Realization:
-    """Interior-probe configuration: node 0 pinned at the origin, blind.
-
-    The other n - 1 nodes are uniform on the disk and each is an anchor
-    independently with probability k/n, mirroring the probabilistic model
-    behind the closed-form bounds (the flag count is random here, unlike
-    sample_realization's exactly-k draw).
-    """
-    radii = np.empty(net.n)
-    angles = np.empty(net.n)
-    radii[0] = 0.0
-    angles[0] = 0.0
-    radii[1:] = np.sqrt(rng.random(net.n - 1))
-    angles[1:] = rng.uniform(-np.pi, np.pi, net.n - 1)
-    l_flags = np.zeros(net.n, dtype=bool)
-    l_flags[1:] = rng.random(net.n - 1) < (net.k / net.n)
-    return Realization(radii=radii, angles=angles, l_flags=l_flags)
-
-
 def _effective_ratios(
     b: float, shadow: BhatDistribution, draws: np.ndarray
 ) -> np.ndarray:
@@ -171,7 +152,7 @@ def _fading_draws(protocol, shadow, rng, probes, anchors):
     return rng.normal(0.0, shadow.sigma1, shape)
 
 
-def _check_shadow_args(protocol, shadow, b, rng_missing):
+def _check_shadow_args(protocol, shadow, b):
     if protocol.shadow_draw != "none":
         if shadow is None:
             raise ValueError(f"shadow_draw={protocol.shadow_draw!r} requires shadow parameters")
@@ -179,34 +160,6 @@ def _check_shadow_args(protocol, shadow, b, rng_missing):
             raise ValueError(
                 f"shadow.b_o = {shadow.b_o} does not match the coverage ratio b = {b}"
             )
-        if rng_missing:
-            raise ValueError("shadowed trials need an rng for the fading draws")
-
-
-def run_trial(
-    realization: Realization,
-    b: float,
-    protocol: TrialProtocol = TrialProtocol(),
-    shadow: BhatDistribution | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Success flag per probe for one realization.
-
-    A probe succeeds when at least three anchors lie within its effective
-    coverage radius.  For the center protocol the single probe is the domain
-    origin, so anchor distances are just their radial coordinates; for
-    all_nl_nodes every unflagged node is probed in index order.
-    """
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"coverage ratio b must lie in [0, 1], got {b}")
-    _check_shadow_args(protocol, shadow, b, rng_missing=rng is None)
-    flags = realization.l_flags
-    if protocol.probe == "center_node":
-        anchor_dist = realization.radii[flags]
-        draws = _fading_draws(protocol, shadow, rng, 1, anchor_dist.size)
-        eff = b if draws is None else _effective_ratios(b, shadow, draws)
-        return np.array([(anchor_dist <= eff).sum() >= 3])
-    return _anchors_in_range(realization, b, protocol, shadow, rng) >= 3
 
 
 def _grid_pairs(px, py, ax, ay, reach):
@@ -280,13 +233,6 @@ def _count_in_range(realizations, draws, b, protocol, shadow):
     dy = py.ravel()[owner] - ay.ravel()[order][pos]
     hit = owner[dx * dx + dy * dy <= limit * limit]
     return np.bincount(hit, minlength=px.size).reshape(px.shape)
-
-
-def _anchors_in_range(realization, b, protocol, shadow, rng):
-    """Anchors within each blind probe's effective radius, probes in index order."""
-    flags = realization.l_flags
-    draws = _fading_draws(protocol, shadow, rng, flags.size - flags.sum(), flags.sum())
-    return _count_in_range([realization], [draws], b, protocol, shadow)[0]
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -370,7 +316,7 @@ def estimate(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"coverage ratio b must lie in [0, 1], got {b}")
-    _check_shadow_args(protocol, shadow, b, rng_missing=False)
+    _check_shadow_args(protocol, shadow, b)
     if protocol.probe == "all_nl_nodes" and net.k == net.n:
         raise ValueError("all_nl_nodes protocol needs at least one blind node (k < n)")
 

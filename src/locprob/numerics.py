@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-Log-domain combinatorics, the Gaussian tail, adaptive quadrature, central
-finite differences and a bracketing root search.  Everything here is pure and
-re-entrant; integrand callables must be side-effect free.
+The Gaussian tail, adaptive quadrature, central finite differences and a
+bracketing root search.  Everything here is pure and re-entrant; integrand
+callables must be side-effect free.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ class QuadratureSpec:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-
-
-def log_binomial(n: int, k: int) -> float:
-    """Natural log of the binomial coefficient C(n, k), via log-gamma."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def normal_lower_tail(z: float) -> float:

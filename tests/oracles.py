@@ -14,9 +14,16 @@ from fractions import Fraction
 import numpy as np
 
 from locprob.analytic import _few_anchor_mass
-from locprob.numerics import QuadratureSpec, integrate, log_binomial, normal_lower_tail
+from locprob.numerics import QuadratureSpec, integrate, normal_lower_tail
 from locprob.model import ALPHA
 from locprob.shadowing import _split_points
+
+
+def log_binomial(n: int, k: int) -> float:
+    """Natural log of the binomial coefficient C(n, k), via log-gamma."""
+    if n < 0 or k < 0 or k > n:
+        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def exact_binomial_cdf(count: int, trials: int, p: float) -> Fraction:

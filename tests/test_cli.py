@@ -231,6 +231,12 @@ class TestEstimateVerb:
     def test_bad_flag_is_a_config_error(self):
         assert run_cli("estimate", "--n", "50", "--k", "10") == 1  # missing --b
 
+    def test_bad_network_names_its_field(self, capsys):
+        assert run_cli("estimate", "--n", "300", "--a", "1.5", "--b", "0.1", "--quiet") == 1
+        assert "error: invalid value for field 'a': 1.5 (must lie in [0, 1])" in capsys.readouterr().err
+        assert run_cli("estimate", "--n", "3", "--k", "1", "--b", "0.1", "--quiet") == 1
+        assert "error: invalid value for field 'n': 3 (must be an integer >= 4)" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv, field", [
     (["figure", "fig2", "--trials", "-5"], "trials"),
@@ -250,7 +256,8 @@ def test_verbs_check_run_settings(tmp_path, capsys, argv, field):
 @pytest.mark.parametrize("argv", [
     ["sweep", "{cfg}"],
     ["figure", "fig6", "--trials", "1"],
-], ids=["simulate_sweep", "fig6"])
+    ["estimate", "--n", "300", "--a", "0.2", "--b", "0.099", "--trials", "9000"],
+], ids=["simulate_sweep", "fig6", "estimate"])
 def test_one_worker_pool_per_command(tmp_path, monkeypatch, argv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
@@ -301,3 +308,66 @@ def test_verbs_reject_flags_they_ignore(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(out), "--quiet") == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+_SHADOW_FLAGS = ["--sigma-s", "12", "--n-p", "3.5", "--gamma-dbm", "-80", "--p0-dbm", "0",
+                 "--d0", "0.1", "--R", "40"]
+
+
+# Tables recorded when each verb still built its own rows; a change in the
+# shared row builders or in estimate's seeding shows here.
+@pytest.mark.parametrize("argv, config, expected", [
+    (["estimate", "--n", "300", "--a", "0.2", "--b", "0.099", "--trials", "1000", "--seed", "1"],
+     None,
+     '# locprob 0.1.0 config={"b":0.099,"k":240,"mode":"simulate","n":300,"protocol":"center",'
+     '"seed":1,"trials":1000}\n'
+     "n,k,a,b,p_f,p_loc,trials,successes,ci_low,ci_high,realizations,seed,protocol\n"
+     "300,240,0.2,0.099,0.572,0.428,1000,428,0.397666253174,0.458884800048,1000,1,center_node\n"),
+    (["estimate", "--n", "50", "--k", "10", "--b", "0.3", "--trials", "20", "--seed", "3",
+      "--protocol", "all"],
+     None,
+     '# locprob 0.1.0 config={"b":0.3,"k":10,"mode":"simulate","n":50,"protocol":"all",'
+     '"seed":3,"trials":20}\n'
+     "n,k,a,b,p_f,p_loc,trials,successes,ci_low,ci_high,realizations,seed,protocol\n"
+     "50,10,0.8,0.3,0.97,0.03,800,24,0.0202414836858,0.0442506599475,20,3,all_nl_nodes\n"),
+    (["estimate", "--n", "50", "--k", "10", "--b", "0.2", *_SHADOW_FLAGS,
+      "--shadow-draw", "per_link", "--trials", "500", "--seed", "2"],
+     None,
+     '# locprob 0.1.0 config={"R":40.0,"b":0.2,"d0":0.1,"gamma_dbm":-80.0,"k":10,'
+     '"mode":"simulate","n":50,"n_p":3.5,"p0_dbm":0.0,"protocol":"center","seed":2,'
+     '"shadow_draw":"per_link","sigma_s":12.0,"trials":500}\n'
+     "n,k,a,b,sigma1,b_hat_max,zero_mass,p_f,p_loc,trials,successes,ci_low,ci_high,"
+     "realizations,seed,protocol\n"
+     "50,10,0.8,0.2,3.42857142857,0.482674432221,0.132213734503,0.994,0.006,500,3,"
+     "0.00204259627196,0.0174902521041,500,2,center_node\n"),
+    (["sweep", "{cfg}", "--seed", "9", "--trials", "200"],
+     {"mode": "simulate", "n": [50, 80], "k": [10], "b": [0.2, 0.3]},
+     '# locprob 0.1.0 config={"b":[0.2,0.3],"k":[10],"mode":"simulate","n":[50,80],'
+     '"seed":9,"trials":200}\n'
+     "n,k,a,b,p_f,p_loc,trials,successes,ci_low,ci_high,realizations,seed,protocol\n"
+     "50,10,0.8,0.2,1,0,200,0,0,0.0188453263773,200,747784396,center_node\n"
+     "50,10,0.8,0.3,0.935,0.065,200,13,0.0383763546492,0.108019079299,200,4053640108,"
+     "center_node\n"
+     "80,10,0.875,0.2,0.98,0.02,200,4,0.00780442641635,0.0502870869058,200,1988026542,"
+     "center_node\n"
+     "80,10,0.875,0.3,0.915,0.085,200,17,0.0537457501775,0.131895870716,200,219603630,"
+     "center_node\n"),
+    (["sweep", "{cfg}"],
+     {"mode": "analytic", "method": "sum", "n": 50, "a": [0.2, 0.8], "b": [0.3]},
+     '# locprob 0.1.0 config={"a":[0.2,0.8],"b":[0.3],"method":"sum","mode":"analytic",'
+     '"n":50}\n'
+     "n,k,a,b,p_f,p_loc,method,variant\n"
+     "50,40,0.2,0.3,0.305278625823,0.694721374177,sum,\n"
+     "50,10,0.8,0.3,0.941719082917,0.058280917083,sum,\n"),
+    (["threshold", "--n", "300", "--a", "0.5"],
+     None,
+     '# locprob 0.1.0 config={"a":0.5,"mode":"threshold","n":300,"variant":"corrected"}\n'
+     "n,a,b_star_exact,b_star_large_n,b_star_fd,gap_exact_fd\n"
+     "300,0.5,0.124904992723,0.124442105831,0.129423569393,-0.0045185766706\n"),
+], ids=["estimate_a", "estimate_k_all", "estimate_per_link", "simulate_sweep", "analytic_sum",
+        "threshold_a"])
+def test_table_bytes(tmp_path, capsys, argv, config, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(*[arg.format(cfg=cfg) for arg in argv]) == 0
+    assert capsys.readouterr().out == expected

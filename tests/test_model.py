@@ -7,7 +7,6 @@ import pytest
 from locprob.model import (
     bhat_distribution,
     make_bhat_distribution,
-    make_coverage,
     make_network,
     make_shadow_model,
 )
@@ -41,26 +40,6 @@ class TestMakeNetwork:
             k = int(rng.integers(0, n + 1))
             net = make_network(n, k)
             assert abs(Fraction(net.a) - (1 - Fraction(k, n))) < Fraction(1, 10**15)
-
-
-class TestMakeCoverage:
-    def test_ratio(self):
-        cov = make_coverage(40.0, 8.0)
-        assert cov.b == pytest.approx(0.2)
-
-    def test_full_coverage_accepted(self):
-        assert make_coverage(5.0, 5.0).b == 1.0
-
-    def test_zero_coverage_accepted(self):
-        assert make_coverage(5.0, 0.0).b == 0.0
-
-    def test_rejects_bad_radii(self):
-        with pytest.raises(ValueError):
-            make_coverage(0.0, 1.0)
-        with pytest.raises(ValueError):
-            make_coverage(10.0, -1.0)
-        with pytest.raises(ValueError):
-            make_coverage(10.0, 11.0)
 
 
 class TestMakeShadowModel:

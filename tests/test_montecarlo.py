@@ -15,13 +15,11 @@ from locprob.montecarlo import (
     Realization,
     TrialProtocol,
     _all_nodes_chunk,
-    _anchors_in_range,
     _center_chunk,
     _chunk_rng,
     _count_in_range,
+    _fading_draws,
     estimate,
-    run_trial,
-    sample_center_realization,
     sample_realization,
     wilson_interval,
 )
@@ -83,69 +81,35 @@ class TestSampling:
         assert np.array_equal(one.angles, two.angles)
         assert np.array_equal(one.l_flags, two.l_flags)
 
-    def test_center_realization_pins_probe(self):
-        rng = np.random.default_rng(5)
-        net = make_network(200, 50)
-        real = sample_center_realization(rng, net)
-        assert real.radii[0] == 0.0
-        assert not real.l_flags[0]
-
-    def test_center_anchor_labels_are_bernoulli(self):
-        rng = np.random.default_rng(6)
-        net = make_network(200, 50)
-        counts = [sample_center_realization(rng, net).l_flags.sum() for _ in range(4000)]
-        mean = float(np.mean(counts))
-        want = (net.n - 1) * net.k / net.n
-        se = math.sqrt((net.n - 1) * 0.25 * 0.75 / 4000)
-        assert abs(mean - want) < 4.0 * se
-
-    def test_coverage_count_is_binomial(self):
-        # probe at the center: nodes within the coverage ratio follow
-        # binomial(n-1, b^2)
-        rng = np.random.default_rng(8)
-        net = make_network(100, 30)
-        b = 0.3
-        counts = [
-            int((sample_center_realization(rng, net).radii[1:] <= b).sum())
-            for _ in range(20_000)
-        ]
-        want = (net.n - 1) * b * b
-        se = math.sqrt((net.n - 1) * b * b * (1 - b * b) / 20_000)
-        assert abs(float(np.mean(counts)) - want) < 4.0 * se
-
 
 class TestRunTrial:
+    """Outcomes every trial must share, observed through estimate."""
+
     def test_too_few_anchors_always_fail(self):
-        rng = np.random.default_rng(1)
-        net = make_network(50, 2)
-        for protocol in (TrialProtocol(), TrialProtocol(probe="all_nl_nodes")):
-            real = sample_realization(rng, net)
-            assert not run_trial(real, 1.0, protocol).any()
+        # the field protocol places exactly k anchors; the centre protocol
+        # makes each node an anchor with probability k/n, so only k = 0 caps it
+        for k, probe in ((2, "all_nl_nodes"), (0, "center_node")):
+            sim = estimate(make_network(50, k), 1.0, TrialProtocol(probe=probe), trials=200, seed=1)
+            assert sim.successes == 0
 
     def test_full_coverage_from_center_succeeds(self):
-        rng = np.random.default_rng(2)
-        net = make_network(50, 3)
-        real = sample_realization(rng, net)
-        assert run_trial(real, 1.0, TrialProtocol()).all()
+        # with k = n every other node is an anchor, and b = 1 reaches them all
+        sim = estimate(make_network(50, 50), 1.0, trials=200, seed=2)
+        assert sim.successes == sim.trials == 200
 
     def test_all_blind_nodes_are_probed(self):
-        rng = np.random.default_rng(3)
-        net = make_network(40, 15)
-        out = run_trial(sample_realization(rng, net), 0.4, TrialProtocol(probe="all_nl_nodes"))
-        assert out.shape == (25,)
+        sim = estimate(make_network(40, 15), 0.4, TrialProtocol(probe="all_nl_nodes"),
+                       trials=3, seed=3)
+        assert (sim.trials, sim.realizations) == (3 * 25, 3)
 
-    def test_shadow_requires_parameters_and_rng(self):
-        rng = np.random.default_rng(4)
+    def test_shadow_requires_matching_parameters(self):
         net = make_network(20, 10)
-        real = sample_realization(rng, net)
         protocol = TrialProtocol(shadow_draw="per_node")
         with pytest.raises(ValueError, match="shadow"):
-            run_trial(real, 0.2, protocol, shadow=None, rng=rng)
+            estimate(net, 0.2, protocol, shadow=None)
         dist = bhat_distribution(0.2, 1.0, 0.48)
-        with pytest.raises(ValueError, match="rng"):
-            run_trial(real, 0.2, protocol, shadow=dist, rng=None)
         with pytest.raises(ValueError, match="does not match"):
-            run_trial(real, 0.3, protocol, shadow=dist, rng=rng)
+            estimate(net, 0.3, protocol, shadow=dist)
 
     def test_protocol_validation(self):
         with pytest.raises(ValueError):
@@ -154,15 +118,13 @@ class TestRunTrial:
             TrialProtocol(shadow_draw="sometimes")
 
     def test_per_link_runs_both_protocols(self):
-        rng = np.random.default_rng(9)
         net = make_network(30, 12)
         dist = bhat_distribution(0.25, 2.0, 0.48)
-        protocol = TrialProtocol(probe="all_nl_nodes", shadow_draw="per_link")
-        out = run_trial(sample_realization(rng, net), 0.25, protocol, dist, rng)
-        assert out.shape == (18,)
-        center = TrialProtocol(probe="center_node", shadow_draw="per_link")
-        out = run_trial(sample_realization(rng, net), 0.25, center, dist, rng)
-        assert out.shape == (1,)
+        for probe, probes in (("all_nl_nodes", 18), ("center_node", 1)):
+            protocol = TrialProtocol(probe=probe, shadow_draw="per_link")
+            sim = estimate(net, 0.25, protocol, dist, trials=50, seed=9)
+            assert sim.trials == 50 * probes
+            assert 0 <= sim.successes <= sim.trials
 
 
 class TestEstimate:
@@ -297,9 +259,10 @@ def test_field_counts_match_brute_force(case, seed):
     real, b, mode, sigma1, b_hat_max = case
     shadow = None if mode == "none" else bhat_distribution(b, sigma1, b_hat_max)
     kernel_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _anchors_in_range(
-        real, b, TrialProtocol(probe="all_nl_nodes", shadow_draw=mode), shadow, kernel_rng
-    )
+    protocol = TrialProtocol(probe="all_nl_nodes", shadow_draw=mode)
+    anchors = int(real.l_flags.sum())
+    draws = _fading_draws(protocol, shadow, kernel_rng, real.l_flags.size - anchors, anchors)
+    got = _count_in_range([real], [draws], b, protocol, shadow)[0]
     want = brute_force_anchor_counts(
         real.radii, real.angles, real.l_flags, b, mode, oracle_rng, sigma1, b_hat_max
     )

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import log_binomial
 
 from locprob.numerics import (
     NonConvergenceError,
     QuadratureSpec,
     find_sign_change,
     integrate,
-    log_binomial,
     normal_lower_tail,
     second_derivative_fd,
 )
