@@ -38,6 +38,7 @@ from .montecarlo import (
     estimate,
     sample_realization,
     wilson_interval,
+    worker_pool,
 )
 from .numerics import (
     NonConvergenceError,
@@ -86,4 +87,5 @@ __all__ = [
     "threshold_b_star",
     "threshold_b_star_numeric",
     "wilson_interval",
+    "worker_pool",
 ]

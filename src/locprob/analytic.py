@@ -28,6 +28,12 @@ VARIANTS = ("corrected", "paper")
 # the rounding of a series term's log, so only exact zeros are skipped.
 _LOG_ZERO_TERM = -800.0
 
+# Finite-difference step, bisection tolerance and the half-width of the
+# bracket around the closed-form a* for the numeric threshold roots.
+_FD_STEP = 1e-4
+_ROOT_TOL = 1e-6
+_A_BRACKET = 0.08
+
 
 @dataclass(frozen=True)
 class FailureProbResult:
@@ -142,21 +148,18 @@ def failure_prob_closed(
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="closed", variant=variant)
 
 
-def failure_prob_approx_small(
-    net: NetworkParams, b: float, force: bool = False
-) -> FailureProbResult:
+def failure_prob_approx_small(net: NetworkParams, b: float) -> FailureProbResult:
     """Small-coverage approximation p_f ~= 1 - [(n-3)(1-a) b^2]^2.
 
-    Valid when (1-a) b^2 << 2/n; outside that regime a ValueError is raised
-    unless force=True.
+    Valid when (1-a) b^2 << 2/n; outside that regime a ValueError is raised.
     """
     _check_ratio(b)
     n, a = net.n, net.a
     s = (1.0 - a) * b * b
-    if s >= 2.0 / n and not force:
+    if s >= 2.0 / n:
         raise ValueError(
             f"outside validity domain: (1-a) b^2 = {s:.4g} is not small "
-            f"against 2/n = {2.0 / n:.4g} (pass force=True to override)"
+            f"against 2/n = {2.0 / n:.4g}"
         )
     p_f = 1.0 - ((n - 3) * s) ** 2
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="approx_small")
@@ -216,18 +219,11 @@ def iterative_failure_floor(n: int, b: float) -> float:
     return math.fsum(terms)
 
 
-def threshold_a_star_numeric(
-    n: int,
-    b: float,
-    variant: str = "corrected",
-    h: float = 1e-4,
-    tol: float = 1e-6,
-    bracket: float = 0.08,
-) -> float:
+def threshold_a_star_numeric(n: int, b: float, variant: str = "corrected") -> float:
     """Root of the finite-difference second derivative of p_f in a.
 
     Independent verification of threshold_a_star: brackets the closed-form
-    value and bisects the central second difference (step h) to tol.
+    value and bisects the central second difference to _ROOT_TOL.
     """
     _check_variant(variant)
     a_star = threshold_a_star(n, b)
@@ -235,31 +231,32 @@ def threshold_a_star_numeric(
         raise ValueError(f"no threshold inside (0, 1) for n={n}, b={b}")
 
     def curvature(a: float) -> float:
-        return second_derivative_fd(lambda x: _closed_value(n, x, b, variant), a, h)
+        return second_derivative_fd(lambda x: _closed_value(n, x, b, variant), a, _FD_STEP)
 
-    lo = max(h, a_star - bracket)
-    hi = min(1.0 - h, a_star + bracket)
-    return find_sign_change(curvature, lo, hi, tol)
+    lo = max(_FD_STEP, a_star - _A_BRACKET)
+    hi = min(1.0 - _FD_STEP, a_star + _A_BRACKET)
+    return find_sign_change(curvature, lo, hi, _ROOT_TOL)
 
 
-def threshold_b_star_numeric(
-    n: int,
-    a: float,
-    variant: str = "corrected",
-    h: float = 1e-4,
-    tol: float = 1e-6,
-) -> float:
+def threshold_b_star_numeric(n: int, a: float, variant: str = "corrected") -> float | None:
     """Root of the finite-difference second derivative of p_f in b.
 
     Reported alongside threshold_b_star so their gap can be recorded; the
-    closed expression and the numeric root are not asserted equal.
+    closed expression and the numeric root are not asserted equal.  The
+    bracket spans 0.5 to 1.8 times the closed-form b*, clipped below b = 1;
+    None means the clipped bracket holds no sign change, so the root lies
+    past the domain (at n = 20, a = 0.9 it is near b = 1.17).
     """
     _check_variant(variant)
     center = threshold_b_star(n, a, form="exact")
 
     def curvature(b: float) -> float:
-        return second_derivative_fd(lambda x: _closed_value(n, a, x, variant), b, h)
+        return second_derivative_fd(lambda x: _closed_value(n, a, x, variant), b, _FD_STEP)
 
-    lo = max(h, 0.5 * center)
-    hi = min(1.0 - h, 1.8 * center)
-    return find_sign_change(curvature, lo, hi, tol)
+    lo, hi = max(_FD_STEP, 0.5 * center), 1.8 * center
+    if hi <= 1.0 - _FD_STEP:
+        return find_sign_change(curvature, lo, hi, _ROOT_TOL)
+    try:
+        return find_sign_change(curvature, lo, 1.0 - _FD_STEP, _ROOT_TOL)
+    except ValueError:
+        return None

@@ -3,8 +3,9 @@
 Verbs: `figure <name>` rebuilds one of the canned curve families as a data
 table, `sweep <config.json>` runs a custom parameter grid, `threshold` and
 `estimate` answer single queries.  `figure` runs as a figure sweep and
-`threshold` as a one-cell sweep; `estimate` builds the sweep's simulate row
-but draws from the master seed, not from a per-cell seed.  Every table re-runs
+`threshold` as a one-cell sweep; `estimate` reads its flags as a simulate
+config and builds the sweep's simulate row, but draws from the master seed,
+not from a per-cell seed.  Every table re-runs
 byte-identically for the same seed: floats carry 12 significant digits, line
 endings are LF, the leading comment records the semantic configuration
 (worker count and output path are execution details and deliberately
@@ -125,7 +126,7 @@ def _b_star_row(n, a, variant):
     approx = threshold_b_star(n, a, form="large_n")
     fd = threshold_b_star_numeric(n, a, variant)
     return {"n": n, "a": a, "b_star_exact": exact, "b_star_large_n": approx,
-            "b_star_fd": fd, "gap_exact_fd": exact - fd}
+            "b_star_fd": fd, "gap_exact_fd": None if fd is None else exact - fd}
 
 
 def _fading(dist):
@@ -304,8 +305,8 @@ def _require(config, field, types, check=None, describe=""):
     return values
 
 
-def _n_values(config):
-    return _require(config, "n", int, lambda v: v >= 4, "(must be an integer >= 4)")
+def _n_values(config, low=4):
+    return _require(config, "n", int, lambda v: v >= low, f"(must be an integer >= {low})")
 
 
 def _networks_from(config):
@@ -341,6 +342,25 @@ def _shadow_model_from(config):
         raise CliError(f"invalid shadowing parameters: {exc}") from exc
 
 
+def _simulate_config(config):
+    """Validated (protocol, shadow model or None, b values) of a simulate config."""
+    protocol_name = config.get("protocol", "center")
+    if protocol_name not in _PROTOCOLS:
+        raise CliError(f"invalid value for field 'protocol': {protocol_name!r} (expected 'center' or 'all')")
+    shadowed = any(f in config for f in _SHADOW_FIELDS)
+    model = _shadow_model_from(config) if shadowed else None
+    draw = config.get("shadow_draw", "per_node" if shadowed else "none")
+    if shadowed and draw not in ("per_node", "per_link"):
+        raise CliError(f"invalid value for field 'shadow_draw': {draw!r}")
+    protocol = TrialProtocol(probe=_PROTOCOLS[protocol_name], shadow_draw=draw)
+    # a shadowed b is the true ratio b_o, which must be positive
+    if shadowed:
+        b_values = _require(config, "b", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
+    else:
+        b_values = _require(config, "b", (int, float), lambda v: 0.0 <= v <= 1.0, "(must lie in [0, 1])")
+    return protocol, model, [float(b) for b in b_values]
+
+
 def _run_settings(config):
     """Validated (trials, seed, workers) of a Monte Carlo or figure sweep."""
     settings = []
@@ -370,12 +390,14 @@ def run_sweep(config: dict):
         return build_figure(name, trials=trials, seed=seed, variant=variant, workers=workers)
 
     if mode == "threshold":
-        n_values = _n_values(config)
+        # a* needs n >= 5, b* needs n >= 10
         if "b" in config:
+            n_values = _n_values(config, 5)
             b_values = _require(config, "b", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
             return _A_STAR_HEADER, [_a_star_row(n, float(b), variant)
                                     for n, b in product(n_values, b_values)]
         if "a" in config:
+            n_values = _n_values(config, 10)
             a_values = _require(config, "a", (int, float), lambda v: 0.0 <= v < 1.0, "(must lie in [0, 1))")
             return _B_STAR_HEADER, [_b_star_row(n, float(a), variant)
                                     for n, a in product(n_values, a_values)]
@@ -402,18 +424,9 @@ def run_sweep(config: dict):
 
     # mode == "simulate"
     trials, seed, workers = _run_settings(config)
-    protocol_name = config.get("protocol", "center")
-    if protocol_name not in _PROTOCOLS:
-        raise CliError(f"invalid value for field 'protocol': {protocol_name!r} (expected 'center' or 'all')")
-    shadowed = any(f in config for f in _SHADOW_FIELDS)
-    model = _shadow_model_from(config) if shadowed else None
-    draw = config.get("shadow_draw", "per_node" if shadowed else "none")
-    if shadowed and draw not in ("per_node", "per_link"):
-        raise CliError(f"invalid value for field 'shadow_draw': {draw!r}")
-    protocol = TrialProtocol(probe=_PROTOCOLS[protocol_name], shadow_draw=draw)
-    b_values = _require(config, "b", (int, float), lambda v: 0.0 <= v <= 1.0, "(must lie in [0, 1])")
+    protocol, model, b_values = _simulate_config(config)
     with worker_pool(workers) as pool:
-        rows = [_simulate_row(net, float(b), protocol, model, trials, _cell_seed(seed, i), pool)
+        rows = [_simulate_row(net, b, protocol, model, trials, _cell_seed(seed, i), pool)
                 for i, (net, b) in enumerate(product(nets, b_values))]
     return _simulate_header(model), rows
 
@@ -475,19 +488,16 @@ def _cmd_estimate(args):
     [net] = _networks_from({"n": args.n, axis: getattr(args, axis)})
     config = {"mode": "simulate", "n": net.n, "k": net.k, "b": args.b,
               "trials": trials, "seed": seed, "protocol": args.protocol}
-    model, draw = None, "none"
-    if any(getattr(args, f) is not None for f in _SHADOW_FIELDS):
-        shadow = {f: getattr(args, f) for f in _SHADOW_FIELDS}
-        missing = [f for f, v in shadow.items() if v is None]
+    shadow = {f: getattr(args, f) for f in _SHADOW_FIELDS}
+    missing = [f for f, v in shadow.items() if v is None]
+    if len(missing) < len(shadow):
         if missing:
             raise CliError(f"shadowed estimate needs --{missing[0].replace('_', '-')}")
-        model = _shadow_model_from(shadow)
-        draw = args.shadow_draw
-        config.update(shadow, shadow_draw=draw)
-    protocol = TrialProtocol(probe=_PROTOCOLS[args.protocol], shadow_draw=draw)
+        config.update(shadow, shadow_draw=args.shadow_draw)
+    protocol, model, [b] = _simulate_config(config)
     # the master seed itself drives the one cell, as the printed seed says
     with worker_pool(workers) as pool:
-        row = _simulate_row(net, args.b, protocol, model, trials, seed, pool)
+        row = _simulate_row(net, b, protocol, model, trials, seed, pool)
     _write_table(args.out, config, _simulate_header(model), [row], args.quiet)
     return 0
 
@@ -545,12 +555,8 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--k", type=int, default=None, help="anchor count")
     p_est.add_argument("--a", type=float, default=None, help="blind fraction (alternative to --k)")
     p_est.add_argument("--b", type=float, required=True, help="coverage ratio (b_o when shadowed)")
-    p_est.add_argument("--sigma-s", dest="sigma_s", type=float, default=None)
-    p_est.add_argument("--n-p", dest="n_p", type=float, default=None)
-    p_est.add_argument("--gamma-dbm", dest="gamma_dbm", type=float, default=None)
-    p_est.add_argument("--p0-dbm", dest="p0_dbm", type=float, default=None)
-    p_est.add_argument("--d0", type=float, default=None)
-    p_est.add_argument("--R", type=float, default=None)
+    for field in _SHADOW_FIELDS:
+        p_est.add_argument(f"--{field.replace('_', '-')}", type=float, default=None)
     p_est.add_argument("--shadow-draw", choices=("per_node", "per_link"), default="per_node")
     p_est.set_defaults(func=_cmd_estimate)
     return parser

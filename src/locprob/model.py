@@ -46,7 +46,6 @@ class ShadowModel:
     sigma1: float
     d_hat_max: float
     b_hat_max: float
-    alpha: float = ALPHA
 
 
 @dataclass(frozen=True)

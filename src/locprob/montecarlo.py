@@ -31,15 +31,15 @@ centre kernel likewise computes them only for anchors within b_hat_max.
 
 Determinism: trials are partitioned into fixed-size chunks and chunk i draws
 from an independent stream spawned from the master seed, so results are
-identical for any worker count.  A sweep or figure shares one worker pool
-(`worker_pool`) across its estimate calls instead of starting one per call.
+identical for any worker count.  Chunks run in-process unless the caller
+passes a `worker_pool`, which a sweep or figure shares across its cells.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,13 +107,13 @@ class ProbEstimate:
     realizations: int
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Score-based binomial confidence interval, valid at the extremes."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Score-based binomial 95% confidence interval, valid at the extremes."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
-    p = successes / trials
+    p, z = successes / trials, _WILSON_Z
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
@@ -282,7 +282,7 @@ def _all_nodes_chunk(args) -> tuple[int, int]:
 
 @contextmanager
 def worker_pool(workers: int):
-    """Process pool shared by a run of estimate calls; None at one worker."""
+    """Process pool shared by a run of estimate calls; None at one worker, ValueError below."""
     if workers == 1:
         yield None
         return
@@ -297,7 +297,6 @@ def estimate(
     shadow: BhatDistribution | None = None,
     trials: int = 1000,
     seed: int = 0,
-    workers: int = 1,
     pool: ProcessPoolExecutor | None = None,
 ) -> ProbEstimate:
     """Monte Carlo estimate of the localization probability.
@@ -307,13 +306,10 @@ def estimate(
     localized fraction) and the realization count is reported alongside.
     The result is a pure function of (seed, trials, parameters, protocol):
     the chunked stream layout makes it independent of the worker count.
-    Chunks map on pool when given (see worker_pool), else on a pool of
-    workers opened for this call.
+    Chunks map on pool when given (see worker_pool), else in this process.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"coverage ratio b must lie in [0, 1], got {b}")
     _check_shadow_args(protocol, shadow, b)
@@ -328,8 +324,7 @@ def estimate(
         (seed, i, min(chunk_size, trials - i * chunk_size), net, b, protocol, shadow)
         for i in range((trials + chunk_size - 1) // chunk_size)
     ]
-    with worker_pool(workers) if pool is None else nullcontext(pool) as runner:
-        results = list((map if runner is None else runner.map)(kernel, jobs))
+    results = list((map if pool is None else pool.map)(kernel, jobs))
     successes = sum(r[0] for r in results)
     probes = sum(r[1] for r in results)
     ci_low, ci_high = wilson_interval(successes, probes)

@@ -25,6 +25,7 @@ MOMENT_APPROX_MAX_N = 10
 
 _EPS_SCALE = 1e-12  # lower integration cutoff, relative to b_o
 _PEAK_SPAN = 10  # density split points at b_o * 10^(m sigma1 / 10), |m| <= span
+_TWO_ALPHA_SQ = 2.0 * ALPHA * ALPHA  # ~= 37.72, computed rather than quoted
 
 
 def _density_terms(dist: BhatDistribution) -> tuple[float, float, float, float]:
@@ -82,26 +83,14 @@ def _integrate_mixed(dist: BhatDistribution, f, abs_tol: float) -> float:
     return math.fsum(integrate(f, lo, hi, spec) for lo, hi in zip(points, points[1:]))
 
 
-def bhat_moment(
-    dist: BhatDistribution, order: int, method: str = "quadrature"
-) -> float:
-    """E[ratio^order] for even order.
+def bhat_moment(dist: BhatDistribution, order: int) -> float:
+    """E[ratio^order] for even order, by quadrature over the mixed distribution.
 
-    method="quadrature" integrates over the mixed distribution; the point
-    mass at zero contributes only at order 0, where the total mass is 1
-    exactly.  method="lognormal_approx" returns the closed-form log-normal
-    moment exp((order/alpha) mu + ((order/alpha)^2 / 2) sigma1^2), ignoring
-    the truncation and the zero mass.
+    The point mass at zero contributes only at order 0, where the total mass
+    is 1 exactly.
     """
     if order < 0 or order % 2 != 0:
         raise ValueError(f"order must be a non-negative even integer, got {order}")
-    if method == "lognormal_approx":
-        scaled = order / ALPHA
-        return math.exp(scaled * dist.mu + 0.5 * scaled * scaled * dist.sigma1**2)
-    if method != "quadrature":
-        raise ValueError(
-            f"unknown method {method!r}, expected 'quadrature' or 'lognormal_approx'"
-        )
     if order == 0:
         return 1.0
     if dist.degenerate:
@@ -159,9 +148,7 @@ def failure_prob_shadow(
                 f"alternating_sum is numerically unstable for n = {n} > "
                 f"{ALTERNATING_SUM_MAX_N}, use integrate_conditional"
             )
-        moments = {
-            j: bhat_moment(dist, j, method="quadrature") for j in range(0, 2 * n, 2)
-        }
+        moments = {j: bhat_moment(dist, j) for j in range(0, 2 * n, 2)}
         p_f = _series(net, variant, moments.__getitem__)
     elif method == "moment_approx":
         if n > MOMENT_APPROX_MAX_N:
@@ -169,15 +156,15 @@ def failure_prob_shadow(
                 f"moment_approx is outside its stated validity for n = {n} > "
                 f"{MOMENT_APPROX_MAX_N}"
             )
-        two_alpha_sq = 2.0 * ALPHA * ALPHA  # ~= 37.72, computed rather than quoted
-
-        def lognormal_moment(j: int) -> float:
-            return dist.b_o**j * math.exp(dist.sigma1**2 * j * j / two_alpha_sq)
-
-        p_f = _series(net, variant, lognormal_moment)
+        p_f = _series(net, variant, lambda j: _lognormal_moment(dist, j))
     else:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method=method, variant=variant)
+
+
+def _lognormal_moment(dist: BhatDistribution, j: int) -> float:
+    """Untruncated log-normal moment b_o^j exp(sigma1^2 j^2 / (2 alpha^2)), no zero mass."""
+    return dist.b_o**j * math.exp(dist.sigma1**2 * j * j / _TWO_ALPHA_SQ)
 
 
 def _below_cutoff(dist: BhatDistribution) -> float:

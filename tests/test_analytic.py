@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from locprob import analytic
 from locprob.analytic import (
     VARIANTS,
     _closed_value,
@@ -147,8 +148,6 @@ class TestApproxSmall:
         net = make_network(300, 240)
         with pytest.raises(ValueError, match="outside validity domain"):
             failure_prob_approx_small(net, 0.5)
-        forced = failure_prob_approx_small(net, 0.5, force=True)
-        assert forced.method == "approx_small"
 
 
 class TestThresholdOnBlindFraction:
@@ -215,6 +214,19 @@ class TestThresholdOnCoverage:
         # the numeric root and the closed expression are close but not
         # asserted equal; record-keeping only
         assert abs(exact - root) < 0.05
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_numeric_root_past_the_domain_is_none(self, variant):
+        # the closed form gives b* = 1.14 here: the bracket is clipped below
+        # b = 1 and the curvature keeps one sign on it
+        assert threshold_b_star(20, 0.9) > 1.0
+        assert threshold_b_star_numeric(20, 0.9, variant) is None
+
+    def test_missing_sign_change_in_an_unclipped_bracket_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic, "second_derivative_fd", lambda f, x, h: 1.0)
+        assert threshold_b_star_numeric(20, 0.9) is None
+        with pytest.raises(ValueError, match="no sign change"):
+            threshold_b_star_numeric(300, 0.5)
 
 
 class TestIterativeFloor:

@@ -3,7 +3,7 @@ import multiprocessing
 
 import pytest
 
-from locprob import montecarlo
+from locprob import cli, montecarlo
 from locprob.cli import _build_parser, build_figure, check_figure, main
 
 
@@ -371,3 +371,38 @@ def test_table_bytes(tmp_path, capsys, argv, config, expected):
     cfg.write_text(json.dumps(config))
     assert run_cli(*[arg.format(cfg=cfg) for arg in argv]) == 0
     assert capsys.readouterr().out == expected
+
+
+_SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s": 12, "R": 40}
+
+
+@pytest.mark.parametrize("argv, config, field", [
+    (["estimate", "--n", "50", "--k", "10", "--b", "1.5"], None, "b"),
+    (["estimate", "--n", "50", "--k", "10", "--b", "0", *_SHADOW_FLAGS], None, "b"),
+    (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "k": 10, "b": 0, **_SHADOW_CONFIG}, "b"),
+    (["threshold", "--n", "4", "--b", "0.5"], None, "n"),
+    (["threshold", "--n", "9", "--a", "0.5"], None, "n"),
+    (["sweep", "{cfg}"], {"mode": "threshold", "n": [300, 9], "a": 0.5}, "n"),
+], ids=["estimate_b", "estimate_shadowed_b", "simulate_shadowed_b", "threshold_a_star_n",
+        "threshold_b_star_n", "threshold_sweep_n"])
+def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, config, field):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed before the config was checked")
+
+    for name in ("estimate", "threshold_a_star", "threshold_b_star"):
+        monkeypatch.setattr(cli, name, no_rows)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(*[arg.format(cfg=cfg) for arg in argv], "--out", str(out), "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid value for field '{field}'")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_b_star_root_past_the_domain_leaves_its_columns_empty(capsys):
+    assert run_cli("threshold", "--n", "20", "--a", "0.9") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "n,a,b_star_exact,b_star_large_n,b_star_fd,gap_exact_fd",
+        "20,0.9,1.14055428344,1.0777002495,,",
+    ]

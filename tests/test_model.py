@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from locprob.model import (
+    ALPHA,
     bhat_distribution,
     make_bhat_distribution,
     make_network,
@@ -49,7 +50,7 @@ class TestMakeShadowModel:
         assert model.sigma1 == pytest.approx(3.43, abs=0.01)
         assert model.d_hat_max == pytest.approx(19.3, abs=0.05)
         assert model.b_hat_max == pytest.approx(0.48, abs=0.005)
-        assert model.alpha == pytest.approx(10.0 / math.log(10.0), rel=1e-15)
+        assert ALPHA == pytest.approx(10.0 / math.log(10.0), rel=1e-15)
 
     def test_threshold_at_reference_power(self):
         model = make_shadow_model(-10.0, -10.0, 0.25, 2.0, 3.0, 100.0)

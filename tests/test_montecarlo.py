@@ -22,6 +22,7 @@ from locprob.montecarlo import (
     estimate,
     sample_realization,
     wilson_interval,
+    worker_pool,
 )
 from locprob.shadowing import failure_prob_shadow
 
@@ -149,9 +150,10 @@ class TestEstimate:
 
     def test_deterministic_across_runs_and_workers(self):
         net = make_network(120, 60)
-        one = estimate(net, 0.2, trials=9000, seed=17, workers=1)
-        again = estimate(net, 0.2, trials=9000, seed=17, workers=1)
-        four = estimate(net, 0.2, trials=9000, seed=17, workers=4)
+        one = estimate(net, 0.2, trials=9000, seed=17)
+        again = estimate(net, 0.2, trials=9000, seed=17)
+        with worker_pool(4) as pool:
+            four = estimate(net, 0.2, trials=9000, seed=17, pool=pool)
         assert one == again == four
 
     def test_seed_changes_the_draws(self):
@@ -192,8 +194,8 @@ class TestEstimate:
         net = make_network(20, 10)
         with pytest.raises(ValueError):
             estimate(net, 0.2, trials=0)
-        with pytest.raises(ValueError):
-            estimate(net, 0.2, workers=0)
+        with pytest.raises(ValueError), worker_pool(0):
+            pass
         with pytest.raises(ValueError):
             estimate(net, 1.5)
         with pytest.raises(ValueError, match="blind"):

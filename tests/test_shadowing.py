@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from locprob.analytic import VARIANTS, failure_prob_closed
 from locprob.model import NetworkParams, bhat_distribution, make_network, make_shadow_model
 from locprob.numerics import QuadratureSpec, integrate
-from locprob.shadowing import _series, bhat_moment, bhat_pdf, failure_prob_shadow
+from locprob.shadowing import (
+    _lognormal_moment,
+    _series,
+    bhat_moment,
+    bhat_pdf,
+    failure_prob_shadow,
+)
 from oracles import (
     alternating_series_reference,
     moment_reference,
@@ -64,7 +70,7 @@ class TestMoments:
     def test_order_zero_is_total_mass(self, field_model):
         dist = bhat_distribution(0.3, field_model.sigma1, field_model.b_hat_max)
         assert bhat_moment(dist, 0) == 1.0
-        assert bhat_moment(dist, 0, "lognormal_approx") == pytest.approx(1.0, rel=1e-15)
+        assert _lognormal_moment(dist, 0) == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("order", [1, 3, -2])
     def test_rejects_odd_or_negative_orders(self, order, field_model):
@@ -72,18 +78,11 @@ class TestMoments:
         with pytest.raises(ValueError, match="even"):
             bhat_moment(dist, order)
 
-    def test_rejects_unknown_method(self, field_model):
-        dist = bhat_distribution(0.3, field_model.sigma1, field_model.b_hat_max)
-        with pytest.raises(ValueError, match="method"):
-            bhat_moment(dist, 2, "bogus")
-
     def test_narrow_fading_collapses_to_power(self):
         dist = bhat_distribution(0.2, 1e-4, 0.48)
         for order in (2, 4):
             assert bhat_moment(dist, order) == pytest.approx(0.2**order, rel=1e-6)
-            assert bhat_moment(dist, order, "lognormal_approx") == pytest.approx(
-                0.2**order, rel=1e-6
-            )
+            assert _lognormal_moment(dist, order) == pytest.approx(0.2**order, rel=1e-6)
 
     def test_degenerate_moments(self):
         inside = bhat_distribution(0.2, 0.0, 0.48)
@@ -99,7 +98,7 @@ class TestMoments:
         # truncation test below)
         dist = bhat_distribution(0.05, 2.0, field_model.b_hat_max)
         quad = bhat_moment(dist, 2)
-        closed = bhat_moment(dist, 2, "lognormal_approx")
+        closed = _lognormal_moment(dist, 2)
         assert abs(quad - closed) / closed < 0.01
 
     def test_quadrature_against_sampling_oracle(self, field_model):
@@ -114,7 +113,7 @@ class TestMoments:
 
     def test_truncation_only_reduces_moments(self, field_model):
         dist = bhat_distribution(0.3, field_model.sigma1, field_model.b_hat_max)
-        assert bhat_moment(dist, 2) < bhat_moment(dist, 2, "lognormal_approx")
+        assert bhat_moment(dist, 2) < _lognormal_moment(dist, 2)
 
 
 class TestFailureProbShadow:
