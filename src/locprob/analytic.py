@@ -148,20 +148,24 @@ def failure_prob_closed(
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="closed", variant=variant)
 
 
+def _small_coverage_load(n: int, a: float, b: float) -> tuple[float, float]:
+    """(s, 2/n) with s = (1-a) b^2; the small-coverage form needs s < 2/n."""
+    return (1.0 - a) * b * b, 2.0 / n
+
+
 def failure_prob_approx_small(net: NetworkParams, b: float) -> FailureProbResult:
     """Small-coverage approximation p_f ~= 1 - [(n-3)(1-a) b^2]^2.
 
     Valid when (1-a) b^2 << 2/n; outside that regime a ValueError is raised.
     """
     _check_ratio(b)
-    n, a = net.n, net.a
-    s = (1.0 - a) * b * b
-    if s >= 2.0 / n:
+    s, limit = _small_coverage_load(net.n, net.a, b)
+    if s >= limit:
         raise ValueError(
             f"outside validity domain: (1-a) b^2 = {s:.4g} is not small "
-            f"against 2/n = {2.0 / n:.4g}"
+            f"against 2/n = {limit:.4g}"
         )
-    p_f = 1.0 - ((n - 3) * s) ** 2
+    p_f = 1.0 - ((net.n - 3) * s) ** 2
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="approx_small")
 
 
@@ -219,11 +223,14 @@ def iterative_failure_floor(n: int, b: float) -> float:
     return math.fsum(terms)
 
 
-def threshold_a_star_numeric(n: int, b: float, variant: str = "corrected") -> float:
+def threshold_a_star_numeric(n: int, b: float, variant: str = "corrected") -> float | None:
     """Root of the finite-difference second derivative of p_f in a.
 
-    Independent verification of threshold_a_star: brackets the closed-form
-    value and bisects the central second difference to _ROOT_TOL.
+    Independent verification of threshold_a_star: bisects the central
+    second difference to _ROOT_TOL within _A_BRACKET of the closed-form
+    value, clipped to the domain.  None means that bracket holds no sign
+    change (n = 52, b = 0.2 gives a* ~ 2e-16; the "paper" root at n = 60,
+    b = 0.655 lies far from a*).
     """
     _check_variant(variant)
     a_star = threshold_a_star(n, b)
@@ -235,7 +242,10 @@ def threshold_a_star_numeric(n: int, b: float, variant: str = "corrected") -> fl
 
     lo = max(_FD_STEP, a_star - _A_BRACKET)
     hi = min(1.0 - _FD_STEP, a_star + _A_BRACKET)
-    return find_sign_change(curvature, lo, hi, _ROOT_TOL)
+    try:
+        return find_sign_change(curvature, lo, hi, _ROOT_TOL)
+    except ValueError:
+        return None
 
 
 def threshold_b_star_numeric(n: int, a: float, variant: str = "corrected") -> float | None:

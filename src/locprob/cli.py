@@ -2,23 +2,25 @@
 
 Verbs: `figure <name>` rebuilds one of the canned curve families as a data
 table, `sweep <config.json>` runs a custom parameter grid, `threshold` and
-`estimate` answer single queries.  `figure` runs as a figure sweep and
-`threshold` as a one-cell sweep; `estimate` reads its flags as a simulate
-config and builds the sweep's simulate row, but draws from the master seed,
-not from a per-cell seed.  Every table re-runs
-byte-identically for the same seed: floats carry 12 significant digits, line
-endings are LF, the leading comment records the semantic configuration
-(worker count and output path are execution details and deliberately
-excluded), and row order follows grid order regardless of any parallelism.
+`estimate` answer single queries.  A figure is a named sweep config (fig2,
+a bare list of a* values, aside), `threshold` a one-cell sweep, and
+`estimate` a simulate cell drawn from the master seed rather than from a
+per-cell seed.  Every table re-runs byte-identically for the same seed:
+floats carry 12 significant digits, line endings are LF, the leading
+comment records the semantic configuration (worker count and output path
+are execution details and deliberately excluded), and row order follows
+grid order regardless of any parallelism.
 
-Exit codes: 0 success, 1 invalid configuration, 2 numerical non-convergence
-or a failed figure self-check.
+Exit codes: 0 success, 1 invalid configuration (checked at the sweep
+boundary, before any row), 2 numerical non-convergence or a failed figure
+self-check.  Any other error is an internal fault and ends in a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import product
 
@@ -27,6 +29,7 @@ import numpy as np
 from . import __version__
 from .analytic import (
     VARIANTS,
+    _small_coverage_load,
     failure_prob_approx_small,
     failure_prob_closed,
     failure_prob_sum,
@@ -38,13 +41,15 @@ from .analytic import (
 from .model import bhat_distribution, make_network, make_shadow_model
 from .montecarlo import TrialProtocol, estimate, worker_pool
 from .numerics import NonConvergenceError
-from .shadowing import METHODS, failure_prob_shadow
+from .shadowing import ALTERNATING_SUM_MAX_N, METHODS, MOMENT_APPROX_MAX_N, failure_prob_shadow
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig6", "fig_shadow")
 SWEEP_MODES = ("analytic", "simulate", "shadow", "threshold", "figure")
 
 _PROTOCOLS = {"center": "center_node", "all": "all_nl_nodes"}
 _SHADOW_FIELDS = ("p0_dbm", "gamma_dbm", "d0", "n_p", "sigma_s", "R")
+# the largest n at which each series form of the shadow bound holds
+_SHADOW_MAX_N = {"alternating_sum": ALTERNATING_SUM_MAX_N, "moment_approx": MOMENT_APPROX_MAX_N}
 # flags that override the sweep config's field of the same name
 _SWEEP_FLAGS = ("trials", "seed", "variant", "workers", "protocol")
 
@@ -80,12 +85,6 @@ def _write_table(out_path, config, header, rows, quiet):
             print(f"wrote {len(rows)} rows to {out_path}", file=sys.stderr)
 
 
-def _network_for(n: int, a: float):
-    """Integer anchor count closest to the requested blind fraction."""
-    k = round(n * (1.0 - a))
-    return make_network(n, k)
-
-
 def _cell_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
 
@@ -118,7 +117,7 @@ def _a_star_row(n, b, variant):
     a_star = threshold_a_star(n, b)
     fd = threshold_a_star_numeric(n, b, variant) if a_star is not None else None
     return {"n": n, "b": b, "a_star": a_star, "a_star_fd": fd,
-            "gap": None if a_star is None else a_star - fd}
+            "gap": None if fd is None else a_star - fd}
 
 
 def _b_star_row(n, a, variant):
@@ -156,87 +155,58 @@ def _simulate_row(net, b, protocol, model, trials, seed, pool):
 
 
 # ---------------------------------------------------------------------------
-# figures
+# figures: each is a named sweep config, run by run_sweep's own branch
 
 def _geometric_grid(j_lo: int, j_hi: int) -> list[float]:
     """The doubling grid 2^(j/22) - 1 used for both coverage and blind-fraction sweeps."""
     return [2.0 ** (j / 22.0) - 1.0 for j in range(j_lo, j_hi + 1)]
 
 
-def _fig1(trials, seed, variant, workers):
-    rows = [_analytic_row(_network_for(300, i / 50.0), b, "closed", variant)
-            for b in _geometric_grid(3, 20) for i in range(51)]
-    return _ANALYTIC_HEADER, rows
-
-
-def _fig2(trials, seed, variant, workers):
-    n = 300
-    rows = []
-    for i in range(159):
-        b = 0.085 + 0.005 * i
-        rows.append({"n": n, "b": b, "a_star": threshold_a_star(n, b)})
-    return ["n", "b", "a_star"], rows
-
-
-def _fig3(trials, seed, variant, workers):
-    nets = [_network_for(300, a) for a in _geometric_grid(1, 20)]
-    rows = [_analytic_row(net, i / 50.0, "closed", variant) for net in nets for i in range(51)]
-    return _ANALYTIC_HEADER, rows
-
-
-def _fig4(trials, seed, variant, workers):
-    return _B_STAR_HEADER, [_b_star_row(300, 0.05 * i, variant) for i in range(20)]
-
-
-def _fig6(trials, seed, variant, workers):
-    b = 0.05
-    protocol = TrialProtocol(probe="all_nl_nodes")
-    nets = [_network_for(n, 0.08 * j) for n in (500, 1000, 3000) for j in range(1, 12)]
-    rows = []
-    with worker_pool(workers) as pool:
-        for cell, net in enumerate(nets):
-            row = _simulate_row(net, b, protocol, None, trials, _cell_seed(seed, cell), pool)
-            rows.append({**row, "p_loc_sim": row["p_loc"],
-                         "p_loc_theory": failure_prob_closed(net, b, variant).p_loc})
-    return [*_SIMULATE_HEADER[:4], "p_loc_theory", "p_loc_sim", *_SIMULATE_HEADER[6:]], rows
-
-
-def _fig_shadow(trials, seed, variant, workers):
-    model = make_shadow_model(
-        p0_dbm=0.0, gamma_dbm=-80.0, d0=0.1, n_p=3.5, sigma_s=12.0, R=40.0
-    )
-    rows = []
-    # the worked-example fraction (a = 0.8) and the captioned one (a = 0.2)
-    for k in (10, 40):
-        net = make_network(50, k)
-        for i in range(1, 48):
-            row = _shadow_row(net, 0.01 * i, model, "integrate_conditional", variant)
-            rows.append({**row, "p_loc_shadow": row["p_loc"],
-                         "p_loc_noshadow": failure_prob_closed(net, row["b_o"], variant).p_loc})
-    return [*_SHADOW_HEADER[:7], "p_loc_shadow", "p_loc_noshadow", *_SHADOW_HEADER[9:]], rows
-
-
-_FIGURE_BUILDERS = {
-    "fig1": _fig1, "fig2": _fig2, "fig3": _fig3,
-    "fig4": _fig4, "fig6": _fig6, "fig_shadow": _fig_shadow,
+_FIGURE_SWEEPS = {
+    "fig1": {"mode": "analytic", "n": 300, "a": [i / 50.0 for i in range(51)],
+             "b": _geometric_grid(3, 20)},
+    "fig3": {"mode": "analytic", "n": 300, "a": _geometric_grid(1, 20),
+             "b": [i / 50.0 for i in range(51)]},
+    "fig4": {"mode": "threshold", "n": 300, "a": [0.05 * i for i in range(20)]},
+    "fig6": {"mode": "simulate", "n": [500, 1000, 3000], "a": [0.08 * j for j in range(1, 12)],
+             "b": 0.05, "protocol": "all"},
+    # the worked-example fraction (k = 10, a = 0.8) and the captioned one (k = 40, a = 0.2)
+    "fig_shadow": {"mode": "shadow", "n": 50, "k": [10, 40], "b_o": [0.01 * i for i in range(1, 48)],
+                   "p0_dbm": 0.0, "gamma_dbm": -80.0, "d0": 0.1, "n_p": 3.5, "sigma_s": 12.0,
+                   "R": 40.0},
 }
 
 
-def build_figure(name, trials=1000, seed=0, variant="corrected", workers=1):
-    """Header and rows for one canned figure table.
+def _figure(name, variant, trials, seed, workers):
+    """Header and rows of one figure: its sweep plus the figure's own columns."""
+    if name == "fig2":  # a* alone; a threshold sweep would add a bisection per row
+        return ["n", "b", "a_star"], [{"n": 300, "b": b, "a_star": threshold_a_star(300, b)}
+                                      for b in (0.085 + 0.005 * i for i in range(159))]
+    header, rows = run_sweep({**_FIGURE_SWEEPS[name], "variant": variant, "trials": trials,
+                              "seed": seed, "workers": workers})
 
-    run_sweep checks the name, variant and run settings first; every verb
-    that emits a figure goes through it.
-    """
-    return _FIGURE_BUILDERS[name](trials, seed, variant, workers)
+    def closed_p_loc(row, ratio):
+        return failure_prob_closed(make_network(row["n"], row["k"]), row[ratio], variant).p_loc
+
+    if name == "fig1":
+        rows.sort(key=lambda row: row["b"])  # one curve per coverage ratio, a ascending
+    elif name == "fig6":
+        header = [*header[:4], "p_loc_theory", "p_loc_sim", *header[6:]]
+        rows = [{**row, "p_loc_sim": row["p_loc"], "p_loc_theory": closed_p_loc(row, "b")}
+                for row in rows]
+    elif name == "fig_shadow":
+        header = [*header[:7], "p_loc_shadow", "p_loc_noshadow", *header[9:]]
+        rows = [{**row, "p_loc_shadow": row["p_loc"], "p_loc_noshadow": closed_p_loc(row, "b_o")}
+                for row in rows]
+    return header, rows
 
 
-def _non_increasing(values, slack=0.0):
-    return all(y <= x + slack for x, y in zip(values, values[1:]))
+def _non_increasing(values):
+    return all(y <= x for x, y in zip(values, values[1:]))
 
 
-def _non_decreasing(values, slack=0.0):
-    return all(y >= x - slack for x, y in zip(values, values[1:]))
+def _non_decreasing(values):
+    return all(y >= x for x, y in zip(values, values[1:]))
 
 
 def check_figure(name, rows) -> list[str]:
@@ -322,7 +292,8 @@ def _networks_from(config):
             nets.append(make_network(n, k))
     else:
         a_values = _require(config, "a", (int, float), lambda v: 0.0 <= v <= 1.0, "(must lie in [0, 1])")
-        nets.extend(_network_for(n, float(a)) for n, a in product(n_values, a_values))
+        # the integer anchor count closest to the requested blind fraction
+        nets.extend(make_network(n, round(n * (1.0 - float(a)))) for n, a in product(n_values, a_values))
     return nets
 
 
@@ -333,8 +304,8 @@ def _shadow_model_from(config):
     vals = {}
     for f in _SHADOW_FIELDS:
         v = config[f]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise CliError(f"invalid value for field '{f}': {v!r} (must be a number)")
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            raise CliError(f"invalid value for field '{f}': {v!r} (must be a finite number)")
         vals[f] = float(v)
     try:
         return make_shadow_model(**vals)
@@ -343,22 +314,29 @@ def _shadow_model_from(config):
 
 
 def _simulate_config(config):
-    """Validated (protocol, shadow model or None, b values) of a simulate config."""
+    """Validated (networks, protocol, shadow model or None, b values) of a simulate config."""
     protocol_name = config.get("protocol", "center")
-    if protocol_name not in _PROTOCOLS:
+    if protocol_name not in tuple(_PROTOCOLS):  # an unhashable value is a config error too
         raise CliError(f"invalid value for field 'protocol': {protocol_name!r} (expected 'center' or 'all')")
+    nets = _networks_from(config)
+    blindless = [net for net in nets if net.k == net.n] if protocol_name == "all" else []
+    if blindless:
+        raise CliError(f"invalid value for field '{'k' if 'k' in config else 'a'}': "
+                       f"n={blindless[0].n}, k={blindless[0].k} leaves no blind node for protocol 'all'")
     shadowed = any(f in config for f in _SHADOW_FIELDS)
     model = _shadow_model_from(config) if shadowed else None
     draw = config.get("shadow_draw", "per_node" if shadowed else "none")
-    if shadowed and draw not in ("per_node", "per_link"):
-        raise CliError(f"invalid value for field 'shadow_draw': {draw!r}")
+    if draw not in (("per_node", "per_link") if shadowed else ("none",)):
+        why = ("expected 'per_node' or 'per_link'" if shadowed
+               else f"needs the shadowing parameters {', '.join(_SHADOW_FIELDS)}")
+        raise CliError(f"invalid value for field 'shadow_draw': {draw!r} ({why})")
     protocol = TrialProtocol(probe=_PROTOCOLS[protocol_name], shadow_draw=draw)
     # a shadowed b is the true ratio b_o, which must be positive
     if shadowed:
         b_values = _require(config, "b", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
     else:
         b_values = _require(config, "b", (int, float), lambda v: 0.0 <= v <= 1.0, "(must lie in [0, 1])")
-    return protocol, model, [float(b) for b in b_values]
+    return nets, protocol, model, [float(b) for b in b_values]
 
 
 def _run_settings(config):
@@ -386,8 +364,7 @@ def run_sweep(config: dict):
         name = config.get("figure")
         if name not in FIGURES:
             raise CliError(f"invalid value for field 'figure': {name!r} (expected one of {FIGURES})")
-        trials, seed, workers = _run_settings(config)
-        return build_figure(name, trials=trials, seed=seed, variant=variant, workers=workers)
+        return _figure(name, variant, *_run_settings(config))
 
     if mode == "threshold":
         # a* needs n >= 5, b* needs n >= 10
@@ -403,6 +380,14 @@ def run_sweep(config: dict):
                                     for n, a in product(n_values, a_values)]
         raise CliError("missing required field 'b' or 'a' for threshold mode")
 
+    if mode == "simulate":
+        trials, seed, workers = _run_settings(config)
+        nets, protocol, model, b_values = _simulate_config(config)
+        with worker_pool(workers) as pool:
+            rows = [_simulate_row(net, b, protocol, model, trials, _cell_seed(seed, i), pool)
+                    for i, (net, b) in enumerate(product(nets, b_values))]
+        return _simulate_header(model), rows
+
     nets = _networks_from(config)
 
     if mode == "analytic":
@@ -410,25 +395,26 @@ def run_sweep(config: dict):
         if method not in ("closed", "sum", "approx_small"):
             raise CliError(f"invalid value for field 'method': {method!r}")
         b_values = _require(config, "b", (int, float), lambda v: 0.0 <= v <= 1.0, "(must lie in [0, 1])")
-        return _ANALYTIC_HEADER, [_analytic_row(net, float(b), method, variant)
-                                  for net, b in product(nets, b_values)]
+        cells = [(net, float(b)) for net, b in product(nets, b_values)]
+        if method == "approx_small":
+            for net, b in cells:
+                s, limit = _small_coverage_load(net.n, net.a, b)
+                if s >= limit:
+                    raise CliError(f"invalid value for field 'b': {b!r} (approx_small needs (1-a) b^2 "
+                                   f"< 2/n, got {s:.4g} >= {limit:.4g} at n={net.n}, k={net.k})")
+        return _ANALYTIC_HEADER, [_analytic_row(net, b, method, variant) for net, b in cells]
 
-    if mode == "shadow":
-        method = config.get("method", "integrate_conditional")
-        if method not in METHODS:
-            raise CliError(f"invalid value for field 'method': {method!r} (expected one of {METHODS})")
-        model = _shadow_model_from(config)
-        b_values = _require(config, "b_o", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
-        return _SHADOW_HEADER, [_shadow_row(net, float(b_o), model, method, variant)
-                                for net, b_o in product(nets, b_values)]
-
-    # mode == "simulate"
-    trials, seed, workers = _run_settings(config)
-    protocol, model, b_values = _simulate_config(config)
-    with worker_pool(workers) as pool:
-        rows = [_simulate_row(net, b, protocol, model, trials, _cell_seed(seed, i), pool)
-                for i, (net, b) in enumerate(product(nets, b_values))]
-    return _simulate_header(model), rows
+    # mode == "shadow"
+    method = config.get("method", "integrate_conditional")
+    if method not in METHODS:
+        raise CliError(f"invalid value for field 'method': {method!r} (expected one of {METHODS})")
+    if method in _SHADOW_MAX_N:
+        limit = _SHADOW_MAX_N[method]
+        _require(config, "n", int, lambda v: v <= limit, f"({method} needs n <= {limit})")
+    model = _shadow_model_from(config)
+    b_values = _require(config, "b_o", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
+    return _SHADOW_HEADER, [_shadow_row(net, float(b_o), model, method, variant)
+                            for net, b_o in product(nets, b_values)]
 
 
 # ---------------------------------------------------------------------------
@@ -485,19 +471,21 @@ def _cmd_estimate(args):
     if (args.k is None) == (args.a is None):
         raise CliError("give exactly one of --k or --a")
     axis = "k" if args.k is not None else "a"
-    [net] = _networks_from({"n": args.n, axis: getattr(args, axis)})
-    config = {"mode": "simulate", "n": net.n, "k": net.k, "b": args.b,
+    config = {"mode": "simulate", "n": args.n, axis: getattr(args, axis), "b": args.b,
               "trials": trials, "seed": seed, "protocol": args.protocol}
     shadow = {f: getattr(args, f) for f in _SHADOW_FIELDS}
     missing = [f for f, v in shadow.items() if v is None]
     if len(missing) < len(shadow):
         if missing:
             raise CliError(f"shadowed estimate needs --{missing[0].replace('_', '-')}")
-        config.update(shadow, shadow_draw=args.shadow_draw)
-    protocol, model, [b] = _simulate_config(config)
+        config.update(shadow, shadow_draw=args.shadow_draw or "per_node")
+    elif args.shadow_draw is not None:
+        config["shadow_draw"] = args.shadow_draw  # rejected: nothing to draw without shadowing
+    [net], protocol, model, [b] = _simulate_config(config)
     # the master seed itself drives the one cell, as the printed seed says
     with worker_pool(workers) as pool:
         row = _simulate_row(net, b, protocol, model, trials, seed, pool)
+    config = {**{f: v for f, v in config.items() if f != "a"}, "k": net.k}  # record the anchor count
     _write_table(args.out, config, _simulate_header(model), [row], args.quiet)
     return 0
 
@@ -557,7 +545,8 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--b", type=float, required=True, help="coverage ratio (b_o when shadowed)")
     for field in _SHADOW_FIELDS:
         p_est.add_argument(f"--{field.replace('_', '-')}", type=float, default=None)
-    p_est.add_argument("--shadow-draw", choices=("per_node", "per_link"), default="per_node")
+    p_est.add_argument("--shadow-draw", choices=("per_node", "per_link"), default=None,
+                       help="fading-draw granularity when shadowed (default per_node)")
     p_est.set_defaults(func=_cmd_estimate)
     return parser
 
@@ -568,9 +557,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonConvergenceError as exc:

@@ -92,11 +92,11 @@ def make_shadow_model(
 
     d_hat_max = d0 * 10^((p0 - gamma) / (10 n_p)) is the distance estimate at
     which the received power hits the detection threshold.  The mixed-ratio
-    analysis requires that this stays inside the domain (b_hat_max < 1).
+    analysis requires that this stays inside the domain (0 < b_hat_max < 1).
     """
     if not n_p > 0.0:
         raise ValueError(f"path-loss exponent n_p must be positive, got {n_p}")
-    if sigma_s < 0.0:
+    if not sigma_s >= 0.0:
         raise ValueError(f"sigma_s must be non-negative, got {sigma_s}")
     if not d0 > 0.0:
         raise ValueError(f"reference distance d0 must be positive, got {d0}")
@@ -104,10 +104,11 @@ def make_shadow_model(
         raise ValueError(f"domain radius R must be positive, got {R}")
     d_hat_max = d0 * 10.0 ** ((p0_dbm - gamma_dbm) / (10.0 * n_p))
     b_hat_max = d_hat_max / R
-    if b_hat_max >= 1.0:
+    if not 0.0 < b_hat_max < 1.0:
         raise ValueError(
-            f"b_hat_max = {b_hat_max:.4g} >= 1: the maximum measurable distance "
-            f"{d_hat_max:.4g} does not fit inside the domain radius {R:.4g}"
+            f"b_hat_max = {b_hat_max:.4g} is outside (0, 1): the maximum measurable "
+            f"distance {d_hat_max:.4g} must be positive and fit inside the domain "
+            f"radius {R:.4g}"
         )
     return ShadowModel(
         p0_dbm=p0_dbm,

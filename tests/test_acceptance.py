@@ -18,7 +18,7 @@ from locprob.analytic import (
     threshold_b_star,
     threshold_b_star_numeric,
 )
-from locprob.cli import build_figure, main
+from locprob.cli import main, run_sweep
 from locprob.model import bhat_distribution, make_network, make_shadow_model
 from locprob.montecarlo import ProbEstimate, estimate
 from locprob.numerics import QuadratureSpec, integrate
@@ -216,7 +216,7 @@ def test_criterion_10_vanishing_fading_limit():
 
 @pytest.fixture(scope="module")
 def fig6_rows():
-    _, rows = build_figure("fig6", trials=1000, seed=0)
+    _, rows = run_sweep({"mode": "figure", "figure": "fig6", "trials": 1000, "seed": 0})
     return rows
 
 

@@ -176,6 +176,12 @@ class TestThresholdOnBlindFraction:
         with pytest.raises(ValueError, match="no threshold"):
             threshold_a_star_numeric(300, 0.05)
 
+    @pytest.mark.parametrize("n, b, variant", [(52, 0.2, "corrected"), (60, 0.655, "paper")])
+    def test_numeric_root_outside_the_bracket_is_none(self, n, b, variant):
+        # a* ~ 2e-16 at the domain's edge; the paper variant's root far from a* ~ 0.92
+        assert threshold_a_star(n, b) is not None
+        assert threshold_a_star_numeric(n, b, variant) is None
+
 
 class TestThresholdOnCoverage:
     def test_large_n_reference_value(self):

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import multiprocessing
 
 import pytest
 
 from locprob import cli, montecarlo
-from locprob.cli import _build_parser, build_figure, check_figure, main
+from locprob.cli import _build_parser, check_figure, main, run_sweep
 
 
 def run_cli(*argv):
@@ -45,7 +46,7 @@ class TestFigureTables:
         assert len(rows) == 20
 
     def test_fig6_structure_with_tiny_run(self):
-        header, rows = build_figure("fig6", trials=4, seed=1)
+        header, rows = run_sweep({"mode": "figure", "figure": "fig6", "trials": 4, "seed": 1})
         assert {"p_loc_theory", "p_loc_sim", "realizations"} <= set(header)
         assert len(rows) == 33
         assert all(row["realizations"] == 4 for row in rows)
@@ -68,10 +69,24 @@ class TestFigureTables:
         assert "fig99" in capsys.readouterr().err
 
     def test_figure_tables_rerun_byte_identically(self, tmp_path):
+        # sha256 of each table as first emitted by the per-figure row loops;
+        # bench/refs.json records the same digests
+        digests = {
+            ("fig1",): "76f472ebeac5f03fb5c5597445edc8deee2c2156c8dcd2fc975fb6fe80836ac3",
+            ("fig2",): "98dd2aabb230866389022882d40bdbc0e6e86efffc04cb8e8f723e0b4b7f27f2",
+            ("fig3",): "8aec22b3f1d3bcca67806c40e30d8441978bcb52721e1ba2458b49388995cc10",
+            ("fig4",): "1952ec892786ca57d8fd3551b2a27be1b8717b03767d2fd44d03d2996da1b4ed",
+            ("fig_shadow",): "d7f2ec1585d73ae9d04b27420be860419e3daca7113b51a263cb082d0c79878c",
+            ("fig6", "--trials", "4", "--seed", "0"):
+                "01ce150305069ccb8e593b8a68f40e8b077c0378b1732420db5b973961115639",
+        }
         one, two = tmp_path / "one.csv", tmp_path / "two.csv"
         assert run_cli("figure", "fig2", "--out", str(one), "--quiet") == 0
         assert run_cli("figure", "fig2", "--out", str(two), "--quiet") == 0
         assert one.read_bytes() == two.read_bytes()
+        for argv, digest in digests.items():
+            assert run_cli("figure", *argv, "--out", str(one), "--quiet") == 0
+            assert hashlib.sha256(one.read_bytes()).hexdigest() == digest, argv
 
     def test_figure_mode_in_sweep_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -376,6 +391,10 @@ def test_table_bytes(tmp_path, capsys, argv, config, expected):
 _SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s": 12, "R": 40}
 
 
+_SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFIG}
+
+
+# field None: a combination of shadowing parameters the model rejects
 @pytest.mark.parametrize("argv, config, field", [
     (["estimate", "--n", "50", "--k", "10", "--b", "1.5"], None, "b"),
     (["estimate", "--n", "50", "--k", "10", "--b", "0", *_SHADOW_FLAGS], None, "b"),
@@ -383,21 +402,64 @@ _SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s
     (["threshold", "--n", "4", "--b", "0.5"], None, "n"),
     (["threshold", "--n", "9", "--a", "0.5"], None, "n"),
     (["sweep", "{cfg}"], {"mode": "threshold", "n": [300, 9], "a": 0.5}, "n"),
+    (["sweep", "{cfg}"],
+     {"mode": "analytic", "method": "approx_small", "n": 300, "a": [0.2], "b": [0.5]}, "b"),
+    (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "method": "alternating_sum"}, "n"),
+    (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "n": 20, "method": "moment_approx"}, "n"),
+    (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, "shadow_draw": "per_node"},
+     "shadow_draw"),
+    (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, "shadow_draw": "bogus"},
+     "shadow_draw"),
+    (["estimate", "--n", "50", "--k", "10", "--b", "0.2", "--shadow-draw", "per_link"], None,
+     "shadow_draw"),
+    (["estimate", "--n", "50", "--k", "50", "--protocol", "all", "--b", "0.2"], None, "k"),
+    (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "a": [0.5, 0], "b": 0.2, "protocol": "all"},
+     "a"),
+    (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, "protocol": ["all"]},
+     "protocol"),
+    (["estimate", "--n", "50", "--k", "10", "--b", "0.2", *_SHADOW_FLAGS[2:], "--sigma-s", "nan"],
+     None, "sigma_s"),
+    (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "p0_dbm": float("nan")}, "p0_dbm"),
+    (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "R": float("inf")}, "R"),
+    (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "p0_dbm": -1e6}, None),
 ], ids=["estimate_b", "estimate_shadowed_b", "simulate_shadowed_b", "threshold_a_star_n",
-        "threshold_b_star_n", "threshold_sweep_n"])
+        "threshold_b_star_n", "threshold_sweep_n", "approx_small_domain", "alternating_sum_n",
+        "moment_approx_n", "unshadowed_draw", "bogus_draw", "estimate_unshadowed_draw",
+        "estimate_all_without_blind", "simulate_all_without_blind", "protocol_list",
+        "estimate_nan_sigma_s",
+        "shadow_nan_p0", "shadow_inf_R", "shadow_b_hat_max_underflow"])
 def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, config, field):
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed before the config was checked")
 
-    for name in ("estimate", "threshold_a_star", "threshold_b_star"):
+    for name in ("estimate", "threshold_a_star", "threshold_b_star", "failure_prob_approx_small",
+                 "failure_prob_shadow"):
         monkeypatch.setattr(cli, name, no_rows)
     cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
     cfg.write_text(json.dumps(config))
     assert run_cli(*[arg.format(cfg=cfg) for arg in argv], "--out", str(out), "--quiet") == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: invalid value for field '{field}'")
+    expected = "invalid shadowing parameters" if field is None else f"invalid value for field '{field}'"
+    assert err.startswith(f"error: {expected}")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_library_fault_is_not_a_config_error(monkeypatch):
+    def fault(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "failure_prob_closed", fault)
+    with pytest.raises(ValueError, match="internal fault"):
+        run_cli("figure", "fig1", "--quiet")
+
+
+def test_a_star_root_outside_its_bracket_leaves_its_columns_empty(capsys):
+    assert run_cli("threshold", "--n", "52", "--b", "0.2") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "n,b,a_star,a_star_fd,gap",
+        "52,0.2,2.22044604925e-16,,",
+    ]
 
 
 def test_b_star_root_past_the_domain_leaves_its_columns_empty(capsys):

@@ -69,6 +69,10 @@ class TestMakeShadowModel:
             {"d0": 0.0},
             {"R": -5.0},
             {"sigma_s": -0.1},
+            {"sigma_s": math.nan},
+            {"p0_dbm": math.nan},  # b_hat_max nan
+            {"p0_dbm": -1e6},  # b_hat_max underflows to 0
+            {"R": math.inf},  # b_hat_max 0
         ],
     )
     def test_rejects_bad_constants(self, kwargs):
