@@ -33,7 +33,6 @@ from .model import (
 )
 from .montecarlo import (
     ProbEstimate,
-    Realization,
     TrialProtocol,
     estimate,
     sample_realization,
@@ -62,7 +61,6 @@ __all__ = [
     "NonConvergenceError",
     "ProbEstimate",
     "QuadratureSpec",
-    "Realization",
     "ShadowModel",
     "TrialProtocol",
     "bhat_distribution",

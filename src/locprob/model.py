@@ -102,7 +102,10 @@ def make_shadow_model(
         raise ValueError(f"reference distance d0 must be positive, got {d0}")
     if not R > 0.0:
         raise ValueError(f"domain radius R must be positive, got {R}")
-    d_hat_max = d0 * 10.0 ** ((p0_dbm - gamma_dbm) / (10.0 * n_p))
+    try:
+        d_hat_max = d0 * 10.0 ** ((p0_dbm - gamma_dbm) / (10.0 * n_p))
+    except OverflowError:  # the power-ratio exponent passes the float range
+        d_hat_max = math.inf
     b_hat_max = d_hat_max / R
     if not 0.0 < b_hat_max < 1.0:
         raise ValueError(

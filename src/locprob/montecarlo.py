@@ -29,6 +29,13 @@ block of fading values, so the random-stream layout does not depend on which
 pairs the grid measures, but turns only the measured ones into ratios; the
 centre kernel likewise computes them only for anchors within b_hat_max.
 
+The centre kernel walks its trials in row blocks of about 2^15 (trial, node)
+pairs, so each block is drawn and counted while it sits in cache.  A chunk's
+stream holds all its radius uniforms, then all its anchor uniforms, then its
+fading draws; a float64 uniform takes exactly one PCG64 output, so each
+uniform run is read from a copy of the stream advanced to its offset and the
+blocks draw the same numbers as whole-chunk draws.
+
 Determinism: trials are partitioned into fixed-size chunks and chunk i draws
 from an independent stream spawned from the master seed, so results are
 identical for any worker count.  Chunks run in-process unless the caller
@@ -37,6 +44,7 @@ passes a `worker_pool`, which a sweep or figure shares across its cells.
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -60,8 +68,13 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
 def _center_chunk_size(n: int) -> int:
-    # cap the (trials x nodes) draw blocks near 8 MB
+    # fixes only the stream layout (see the chunk note above); memory is
+    # bounded by _CENTER_BLOCK_PAIRS
     return min(4096, max(128, 2**20 // n))
+
+
+# (trial, node) pairs per block of centre trials: one block's draws stay in cache
+_CENTER_BLOCK_PAIRS = 2**15
 
 
 @dataclass(frozen=True)
@@ -236,27 +249,50 @@ def _count_in_range(realizations, draws, b, protocol, shadow):
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    # default_rng's generator, spelled out because _center_chunk relies on PCG64.advance
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def _stream_at(rng: np.random.Generator, outputs: int) -> np.random.Generator:
+    """A generator on a copy of rng's stream, moved on by `outputs` 64-bit outputs."""
+    bit_generator = copy.deepcopy(rng.bit_generator)
+    bit_generator.advance(outputs)
+    return np.random.Generator(bit_generator)
 
 
 def _center_chunk(args) -> tuple[int, int]:
-    """Vectorised centered-probe trials; returns (successes, probes)."""
+    """Vectorised centered-probe trials in row blocks; returns (successes, probes).
+
+    The m*(n-1) radius and m*(n-1) anchor uniforms are read from copies of the
+    stream at their offsets.  rng itself skips both runs and draws the fading
+    values, whose normals take a variable number of outputs, so it ends where
+    whole-chunk draws would.
+    """
     seed, index, m, net, b, protocol, shadow = args
     rng = _chunk_rng(seed, index)
     n_other = net.n - 1
-    sq_radii = rng.random((m, n_other))
-    anchor = rng.random((m, n_other)) < (net.k / net.n)
-    draws = _fading_draws(protocol, shadow, rng, m, n_other)
-    if protocol.shadow_draw == "per_link":
-        # every effective ratio is <= b_hat_max or 0, so no other pair can hit
-        bhm = shadow.b_hat_max
-        row, col = np.nonzero(anchor & (sq_radii <= bhm * bhm))
-        eff = _effective_ratios(b, shadow, draws[row, col])
-        counts = np.bincount(row[sq_radii[row, col] <= eff * eff], minlength=m)
-    else:
-        eff = b if draws is None else _effective_ratios(b, shadow, draws).reshape(m, -1)
-        counts = ((sq_radii <= eff * eff) & anchor).sum(axis=1)
-    return int((counts >= 3).sum()), m
+    radii_rng, anchor_rng = _stream_at(rng, 0), _stream_at(rng, m * n_other)
+    rng.bit_generator.advance(2 * m * n_other)
+    rows = max(1, _CENTER_BLOCK_PAIRS // n_other)
+    successes = 0
+    for start in range(0, m, rows):
+        block = min(rows, m - start)
+        sq_radii = radii_rng.random((block, n_other))
+        anchor = anchor_rng.random((block, n_other)) < (net.k / net.n)
+        draws = _fading_draws(protocol, shadow, rng, block, n_other)
+        if protocol.shadow_draw == "per_link":
+            # every effective ratio is <= b_hat_max or 0, so no other pair can hit
+            bhm = shadow.b_hat_max
+            row, col = np.nonzero(anchor & (sq_radii <= bhm * bhm))
+            eff = _effective_ratios(b, shadow, draws[row, col])
+            counts = np.bincount(row[sq_radii[row, col] <= eff * eff], minlength=block)
+        else:
+            eff = b if draws is None else _effective_ratios(b, shadow, draws).reshape(block, 1)
+            anchor &= sq_radii <= eff * eff
+            counts = np.count_nonzero(anchor, axis=1)
+        successes += int(np.count_nonzero(counts >= 3))
+    return successes, m
 
 
 def _all_nodes_chunk(args) -> tuple[int, int]:

@@ -422,12 +422,14 @@ _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFI
     (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "p0_dbm": float("nan")}, "p0_dbm"),
     (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "R": float("inf")}, "R"),
     (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "p0_dbm": -1e6}, None),
+    (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "p0_dbm": 1e6}, None),
 ], ids=["estimate_b", "estimate_shadowed_b", "simulate_shadowed_b", "threshold_a_star_n",
         "threshold_b_star_n", "threshold_sweep_n", "approx_small_domain", "alternating_sum_n",
         "moment_approx_n", "unshadowed_draw", "bogus_draw", "estimate_unshadowed_draw",
         "estimate_all_without_blind", "simulate_all_without_blind", "protocol_list",
         "estimate_nan_sigma_s",
-        "shadow_nan_p0", "shadow_inf_R", "shadow_b_hat_max_underflow"])
+        "shadow_nan_p0", "shadow_inf_R", "shadow_b_hat_max_underflow",
+        "shadow_b_hat_max_overflow"])
 def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, config, field):
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed before the config was checked")

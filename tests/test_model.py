@@ -73,6 +73,7 @@ class TestMakeShadowModel:
             {"p0_dbm": math.nan},  # b_hat_max nan
             {"p0_dbm": -1e6},  # b_hat_max underflows to 0
             {"R": math.inf},  # b_hat_max 0
+            {"p0_dbm": 1e6},  # 10 ** exponent overflows: b_hat_max inf
         ],
     )
     def test_rejects_bad_constants(self, kwargs):

@@ -391,12 +391,17 @@ def test_center_protocol_stream_is_frozen(n, k, b, seed, trials, shadow_draw, su
     assert (sim.successes, sim.trials) == (successes, trials)
 
 
-def _dense_center_chunk(rng, m, net, b, sigma1, b_hat_max):
-    """Per-link centre trials with the effective ratio of every (trial, node) pair."""
+def _dense_center_chunk(rng, m, net, b, sigma1, b_hat_max, shadow_draw="per_link"):
+    """Centre trials drawn as whole (m, n-1) blocks, with the effective ratio
+    of every trial (per_node) or every (trial, node) pair (per_link)."""
     sq_radii = rng.random((m, net.n - 1))
     anchor = rng.random((m, net.n - 1)) < (net.k / net.n)
-    ratio = b * 10.0 ** (-rng.normal(0.0, sigma1, (m, net.n - 1)) / 10.0)
-    eff = np.where(ratio <= b_hat_max, ratio, 0.0)
+    if shadow_draw == "none":
+        eff = b
+    else:
+        shape = (m, 1) if shadow_draw == "per_node" else (m, net.n - 1)
+        ratio = b * 10.0 ** (-rng.normal(0.0, sigma1, shape) / 10.0)
+        eff = np.where(ratio <= b_hat_max, ratio, 0.0)
     counts = ((sq_radii <= eff * eff) & anchor).sum(axis=1)
     return int((counts >= 3).sum()), m
 
@@ -432,3 +437,46 @@ def test_center_per_link_chunk_matches_dense_replay(m, n, anchors, b, sigma1, b_
     replay = _chunk_rng(seed, 5)
     assert got == _dense_center_chunk(replay, m, net, b, sigma1, b_hat_max)
     assert chunk_rngs[0].random() == replay.random()
+
+
+_BLOCK = montecarlo._CENTER_BLOCK_PAIRS
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(SHADOW_CHOICES),
+    st.integers(1, 1500),
+    st.integers(4, 400),
+    st.floats(0.0, 1.0),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.just(0.0), st.floats(0.5, 12.0)),
+    st.floats(0.01, 0.99),
+    st.integers(0, 2**32 - 1),
+)
+# n - 1 = 128 divides the block: exactly two whole blocks, or one and a partial last one
+@example("none", 2 * _BLOCK // 128, 129, 0.5, 0.3, 0.0, 0.5, 1)
+@example("per_node", 2 * _BLOCK // 128, 129, 0.5, 0.3, 4.0, 0.5, 2)
+@example("per_link", _BLOCK // 128 + 45, 129, 0.5, 0.3, 4.0, 0.5, 3)
+# n - 1 above the block: one trial per block
+@example("none", 3, _BLOCK + 2, 0.99, 0.02, 0.0, 0.5, 4)
+@example("per_link", 3, _BLOCK + 2, 0.99, 0.02, 3.0, 0.5, 5)
+@example("per_node", 1, 40, 0.5, 0.4, 3.0, 0.9, 6)
+def test_center_chunk_matches_dense_replay_in_every_mode(
+    shadow_draw, m, n, anchors, b, sigma1, b_hat_max, seed
+):
+    net = make_network(n, round(anchors * n))
+    shadow = None if shadow_draw == "none" else bhat_distribution(max(b, 1e-3), sigma1, b_hat_max)
+    protocol = TrialProtocol(probe="center_node", shadow_draw=shadow_draw)
+    chunk_rngs = []
+
+    def recorded_rng(*key):
+        chunk_rngs.append(_chunk_rng(*key))
+        return chunk_rngs[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_chunk_rng", recorded_rng)
+        got = _center_chunk((seed, 5, m, net, b, protocol, shadow))
+    replay = _chunk_rng(seed, 5)
+    assert got == _dense_center_chunk(replay, m, net, b, sigma1, b_hat_max, shadow_draw)
+    # the chunk's own generator drew the fading values and ends where the dense draws end
+    assert [r.bit_generator.state for r in chunk_rngs] == [replay.bit_generator.state]
