@@ -7,6 +7,11 @@ fixed coverage and under log-normal fading of power-based range estimates --
 together with the parameter thresholds where the behaviour flips, and ships
 a seeded Monte Carlo simulator that independently validates every closed
 form.
+
+Importing the package does not import numpy: the analytic, shadowing and
+numerics layers use only the standard library.  The Monte Carlo names
+(`estimate`, `worker_pool`, `TrialProtocol`, ...) import `locprob.montecarlo`,
+and with it numpy, on first use.
 """
 
 from .analytic import (
@@ -31,14 +36,6 @@ from .model import (
     make_network,
     make_shadow_model,
 )
-from .montecarlo import (
-    ProbEstimate,
-    TrialProtocol,
-    estimate,
-    sample_realization,
-    wilson_interval,
-    worker_pool,
-)
 from .numerics import (
     NonConvergenceError,
     QuadratureSpec,
@@ -50,6 +47,19 @@ from .numerics import (
 from .shadowing import METHODS, bhat_moment, bhat_pdf, failure_prob_shadow
 
 __version__ = "0.1.0"
+
+# The Monte Carlo layer is the only user of numpy; its names load it on first use.
+_MONTECARLO_NAMES = ("ProbEstimate", "TrialProtocol", "estimate", "sample_realization",
+                     "wilson_interval", "worker_pool")
+
+
+def __getattr__(name):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALPHA",

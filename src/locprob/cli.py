@@ -11,9 +11,15 @@ comment records the semantic configuration (worker count and output path
 are execution details and deliberately excluded), and row order follows
 grid order regardless of any parallelism.
 
+A sweep config may hold only the fields its mode reads.  Only a simulating
+command imports the Monte Carlo layer, and with it numpy, and it does so
+while checking its config; the analytic, shadow and threshold commands run
+on the standard library alone.
+
 Exit codes: 0 success, 1 invalid configuration (checked at the sweep
-boundary, before any row), 2 numerical non-convergence or a failed figure
-self-check.  Any other error is an internal fault and ends in a traceback.
+boundary, before any row) or an unwritable output file, 2 numerical
+non-convergence or a failed figure self-check.  Any other error is an
+internal fault and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ import json
 import math
 import sys
 from itertools import product
-
-import numpy as np
 
 from . import __version__
 from .analytic import (
@@ -39,15 +43,23 @@ from .analytic import (
     threshold_b_star_numeric,
 )
 from .model import bhat_distribution, make_network, make_shadow_model
-from .montecarlo import TrialProtocol, estimate, worker_pool
 from .numerics import NonConvergenceError
 from .shadowing import ALTERNATING_SUM_MAX_N, METHODS, MOMENT_APPROX_MAX_N, failure_prob_shadow
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig6", "fig_shadow")
-SWEEP_MODES = ("analytic", "simulate", "shadow", "threshold", "figure")
 
 _PROTOCOLS = {"center": "center_node", "all": "all_nl_nodes"}
 _SHADOW_FIELDS = ("p0_dbm", "gamma_dbm", "d0", "n_p", "sigma_s", "R")
+_RUN_FIELDS = ("trials", "seed", "workers")
+# the fields each sweep mode reads besides 'mode' and 'variant'; any other is a config error
+_MODE_FIELDS = {
+    "analytic": ("n", "k", "a", "b", "method"),
+    "simulate": ("n", "k", "a", "b", "protocol", "shadow_draw", *_RUN_FIELDS, *_SHADOW_FIELDS),
+    "shadow": ("n", "k", "a", "b_o", "method", *_SHADOW_FIELDS),
+    "threshold": ("n", "b", "a"),
+    "figure": ("figure", *_RUN_FIELDS),
+}
+SWEEP_MODES = tuple(_MODE_FIELDS)
 # the largest n at which each series form of the shadow bound holds
 _SHADOW_MAX_N = {"alternating_sum": ALTERNATING_SUM_MAX_N, "moment_approx": MOMENT_APPROX_MAX_N}
 # flags that override the sweep config's field of the same name
@@ -79,14 +91,26 @@ def _write_table(out_path, config, header, rows, quiet):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output file: {exc}") from exc
         if not quiet:
             print(f"wrote {len(rows)} rows to {out_path}", file=sys.stderr)
 
 
 def _cell_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
+    from numpy.random import SeedSequence
+
+    return int(SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
+
+
+def estimate(net, b, protocol, **options):
+    """`montecarlo.estimate`, imported at the first call so that only simulating loads numpy."""
+    from . import montecarlo
+
+    return montecarlo.estimate(net, b, protocol, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +206,10 @@ def _figure(name, variant, trials, seed, workers):
     if name == "fig2":  # a* alone; a threshold sweep would add a bisection per row
         return ["n", "b", "a_star"], [{"n": 300, "b": b, "a_star": threshold_a_star(300, b)}
                                       for b in (0.085 + 0.005 * i for i in range(159))]
-    header, rows = run_sweep({**_FIGURE_SWEEPS[name], "variant": variant, "trials": trials,
-                              "seed": seed, "workers": workers})
+    sweep = {**_FIGURE_SWEEPS[name], "variant": variant}
+    if sweep["mode"] == "simulate":
+        sweep.update(trials=trials, seed=seed, workers=workers)
+    header, rows = run_sweep(sweep)
 
     def closed_p_loc(row, ratio):
         return failure_prob_closed(make_network(row["n"], row["k"]), row[ratio], variant).p_loc
@@ -330,6 +356,8 @@ def _simulate_config(config):
         why = ("expected 'per_node' or 'per_link'" if shadowed
                else f"needs the shadowing parameters {', '.join(_SHADOW_FIELDS)}")
         raise CliError(f"invalid value for field 'shadow_draw': {draw!r} ({why})")
+    from .montecarlo import TrialProtocol  # a simulate command loads numpy here, before any row
+
     protocol = TrialProtocol(probe=_PROTOCOLS[protocol_name], shadow_draw=draw)
     # a shadowed b is the true ratio b_o, which must be positive
     if shadowed:
@@ -356,6 +384,9 @@ def run_sweep(config: dict):
     mode = config.get("mode")
     if mode not in SWEEP_MODES:
         raise CliError(f"invalid value for field 'mode': {mode!r} (expected one of {SWEEP_MODES})")
+    unread = [field for field in config if field not in ("mode", "variant", *_MODE_FIELDS[mode])]
+    if unread:
+        raise CliError(f"unknown field {unread[0]!r} for {mode} mode")
     variant = config.get("variant", "corrected")
     if variant not in VARIANTS:
         raise CliError(f"invalid value for field 'variant': {variant!r}")
@@ -368,6 +399,8 @@ def run_sweep(config: dict):
 
     if mode == "threshold":
         # a* needs n >= 5, b* needs n >= 10
+        if "b" in config and "a" in config:
+            raise CliError("give either field 'b' or field 'a', not both")
         if "b" in config:
             n_values = _n_values(config, 5)
             b_values = _require(config, "b", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
@@ -383,6 +416,8 @@ def run_sweep(config: dict):
     if mode == "simulate":
         trials, seed, workers = _run_settings(config)
         nets, protocol, model, b_values = _simulate_config(config)
+        from .montecarlo import worker_pool
+
         with worker_pool(workers) as pool:
             rows = [_simulate_row(net, b, protocol, model, trials, _cell_seed(seed, i), pool)
                     for i, (net, b) in enumerate(product(nets, b_values))]
@@ -449,10 +484,12 @@ def _cmd_sweep(args):
         value = getattr(args, flag)
         if value is not None:
             config[flag] = value
+    out = config.pop("out", None)  # read here, not by the sweep; --out overrides it
+    if out is not None and not isinstance(out, str):  # open() would take an int as a descriptor
+        raise CliError(f"invalid value for field 'out': {out!r} (must be a file path)")
     header, rows = run_sweep(config)
-    out = args.out if args.out is not None else config.get("out")
-    emitted = {k: v for k, v in config.items() if k not in ("out", "workers")}
-    _write_table(out, emitted, header, rows, args.quiet)
+    emitted = {k: v for k, v in config.items() if k != "workers"}
+    _write_table(out if args.out is None else args.out, emitted, header, rows, args.quiet)
     return 0
 
 
@@ -482,6 +519,8 @@ def _cmd_estimate(args):
     elif args.shadow_draw is not None:
         config["shadow_draw"] = args.shadow_draw  # rejected: nothing to draw without shadowing
     [net], protocol, model, [b] = _simulate_config(config)
+    from .montecarlo import worker_pool
+
     # the master seed itself drives the one cell, as the printed seed says
     with worker_pool(workers) as pool:
         row = _simulate_row(net, b, protocol, model, trials, seed, pool)

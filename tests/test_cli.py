@@ -394,7 +394,8 @@ _SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s
 _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFIG}
 
 
-# field None: a combination of shadowing parameters the model rejects
+# field None: a combination of shadowing parameters the model rejects; a field with a
+# space in it is the whole message (a field the mode does not read, or a conflict)
 @pytest.mark.parametrize("argv, config, field", [
     (["estimate", "--n", "50", "--k", "10", "--b", "1.5"], None, "b"),
     (["estimate", "--n", "50", "--k", "10", "--b", "0", *_SHADOW_FLAGS], None, "b"),
@@ -423,13 +424,26 @@ _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFI
     (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "R": float("inf")}, "R"),
     (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "p0_dbm": -1e6}, None),
     (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "p0_dbm": 1e6}, None),
+    (["sweep", "{cfg}"],
+     {"mode": "simulate", "n": 50, "a": 0.5, "b": 0.2, "trails": 3, "protocl": "all", "seed": 1},
+     "unknown field 'trails' for simulate mode"),
+    (["sweep", "{cfg}"], {"mode": "threshold", "n": 300, "b": 0.15, "a": 0.5},
+     "give either field 'b' or field 'a', not both"),
+    (["sweep", "{cfg}", "--trials", "5"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2},
+     "unknown field 'trials' for analytic mode"),
+    (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "b": 0.2}, "unknown field 'b' for shadow mode"),
+    (["sweep", "{cfg}"], {"mode": "figure", "figure": "fig1", "protocol": "all"},
+     "unknown field 'protocol' for figure mode"),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": 1}, "out"),
 ], ids=["estimate_b", "estimate_shadowed_b", "simulate_shadowed_b", "threshold_a_star_n",
         "threshold_b_star_n", "threshold_sweep_n", "approx_small_domain", "alternating_sum_n",
         "moment_approx_n", "unshadowed_draw", "bogus_draw", "estimate_unshadowed_draw",
         "estimate_all_without_blind", "simulate_all_without_blind", "protocol_list",
         "estimate_nan_sigma_s",
         "shadow_nan_p0", "shadow_inf_R", "shadow_b_hat_max_underflow",
-        "shadow_b_hat_max_overflow"])
+        "shadow_b_hat_max_overflow", "simulate_unread_fields", "threshold_b_and_a",
+        "analytic_unread_flag", "shadow_unread_b", "figure_unread_protocol",
+        "sweep_out_descriptor"])
 def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, config, field):
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed before the config was checked")
@@ -441,10 +455,29 @@ def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, co
     cfg.write_text(json.dumps(config))
     assert run_cli(*[arg.format(cfg=cfg) for arg in argv], "--out", str(out), "--quiet") == 1
     err = capsys.readouterr().err
-    expected = "invalid shadowing parameters" if field is None else f"invalid value for field '{field}'"
+    if field is None:
+        expected = "invalid shadowing parameters"
+    elif " " in field:
+        expected = field
+    else:
+        expected = f"invalid value for field '{field}'"
     assert err.startswith(f"error: {expected}")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["figure", "fig1", "--out", "{out}"], None),
+    (["estimate", "--n", "50", "--k", "10", "--b", "0.2", "--trials", "10", "--out", "{out}"], None),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{out}"}),
+], ids=["figure", "estimate", "sweep_config_out"])
+def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, argv, config):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "missing" / "o.csv"
+    cfg.write_text(json.dumps(config).replace("{out}", str(out)))
+    assert run_cli(*[arg.format(cfg=cfg, out=out) for arg in argv], "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output file: [Errno 2] No such file or directory: '{out}'")
+    assert "Traceback" not in err
 
 
 def test_a_library_fault_is_not_a_config_error(monkeypatch):
