@@ -8,8 +8,8 @@ together with the parameter thresholds where the behaviour flips, and ships
 a seeded Monte Carlo simulator that independently validates every closed
 form.
 
-Importing the package does not import numpy: the analytic, shadowing and
-numerics layers use only the standard library.  The Monte Carlo names
+Importing the package does not import numpy: the analytic and shadowing
+layers use only the standard library.  The Monte Carlo names
 (`estimate`, `worker_pool`, `TrialProtocol`, ...) import `locprob.montecarlo`,
 and with it numpy, on first use.
 """
@@ -32,19 +32,10 @@ from .model import (
     NetworkParams,
     ShadowModel,
     bhat_distribution,
-    make_bhat_distribution,
     make_network,
     make_shadow_model,
 )
-from .numerics import (
-    NonConvergenceError,
-    QuadratureSpec,
-    find_sign_change,
-    integrate,
-    normal_lower_tail,
-    second_derivative_fd,
-)
-from .shadowing import METHODS, bhat_moment, bhat_pdf, failure_prob_shadow
+from .shadowing import METHODS, NonConvergenceError, bhat_moment, bhat_pdf, failure_prob_shadow
 
 __version__ = "0.1.0"
 
@@ -70,7 +61,6 @@ __all__ = [
     "NetworkParams",
     "NonConvergenceError",
     "ProbEstimate",
-    "QuadratureSpec",
     "ShadowModel",
     "TrialProtocol",
     "bhat_distribution",
@@ -81,15 +71,10 @@ __all__ = [
     "failure_prob_closed",
     "failure_prob_shadow",
     "failure_prob_sum",
-    "find_sign_change",
-    "integrate",
     "iterative_failure_floor",
-    "make_bhat_distribution",
     "make_network",
     "make_shadow_model",
-    "normal_lower_tail",
     "sample_realization",
-    "second_derivative_fd",
     "threshold_a_star",
     "threshold_a_star_numeric",
     "threshold_b_star",

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 from .model import NetworkParams
-from .numerics import find_sign_change, second_derivative_fd
 
 #: Bracket-coefficient variants for the closed form.  "corrected" uses the
 #: b^4 coefficient (n-2)(n-3)/2 that matches the term-by-term series exactly;
@@ -223,6 +222,35 @@ def iterative_failure_floor(n: int, b: float) -> float:
     return math.fsum(terms)
 
 
+def _curvature(g, x: float) -> float:
+    """Central second difference (g(x+h) - 2 g(x) + g(x-h)) / h^2 with h = _FD_STEP."""
+    return (g(x + _FD_STEP) - 2.0 * g(x) + g(x - _FD_STEP)) / (_FD_STEP * _FD_STEP)
+
+
+def find_sign_change(f, lo: float, hi: float) -> float:
+    """Bisection root of f on [lo, hi] to _ROOT_TOL; ValueError for an empty or one-signed bracket."""
+    if not lo < hi:
+        raise ValueError(f"require lo < hi, got [{lo}, {hi}]")
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3g}, f(hi)={fhi:.3g}")
+    while hi - lo > _ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def threshold_a_star_numeric(n: int, b: float, variant: str = "corrected") -> float | None:
     """Root of the finite-difference second derivative of p_f in a.
 
@@ -238,12 +266,12 @@ def threshold_a_star_numeric(n: int, b: float, variant: str = "corrected") -> fl
         raise ValueError(f"no threshold inside (0, 1) for n={n}, b={b}")
 
     def curvature(a: float) -> float:
-        return second_derivative_fd(lambda x: _closed_value(n, x, b, variant), a, _FD_STEP)
+        return _curvature(lambda x: _closed_value(n, x, b, variant), a)
 
     lo = max(_FD_STEP, a_star - _A_BRACKET)
     hi = min(1.0 - _FD_STEP, a_star + _A_BRACKET)
     try:
-        return find_sign_change(curvature, lo, hi, _ROOT_TOL)
+        return find_sign_change(curvature, lo, hi)
     except ValueError:
         return None
 
@@ -261,12 +289,12 @@ def threshold_b_star_numeric(n: int, a: float, variant: str = "corrected") -> fl
     center = threshold_b_star(n, a, form="exact")
 
     def curvature(b: float) -> float:
-        return second_derivative_fd(lambda x: _closed_value(n, a, x, variant), b, _FD_STEP)
+        return _curvature(lambda x: _closed_value(n, a, x, variant), b)
 
     lo, hi = max(_FD_STEP, 0.5 * center), 1.8 * center
     if hi <= 1.0 - _FD_STEP:
-        return find_sign_change(curvature, lo, hi, _ROOT_TOL)
+        return find_sign_change(curvature, lo, hi)
     try:
-        return find_sign_change(curvature, lo, 1.0 - _FD_STEP, _ROOT_TOL)
+        return find_sign_change(curvature, lo, 1.0 - _FD_STEP)
     except ValueError:
         return None

@@ -16,17 +16,19 @@ command imports the Monte Carlo layer, and with it numpy, and it does so
 while checking its config; the analytic, shadow and threshold commands run
 on the standard library alone.
 
-Exit codes: 0 success, 1 invalid configuration (checked at the sweep
-boundary, before any row) or an unwritable output file, 2 numerical
-non-convergence or a failed figure self-check.  Any other error is an
-internal fault and ends in a traceback.
+Exit codes: 0 success, 1 invalid configuration or an output file in a
+missing directory (both caught before any row) or another unwritable output
+file, 2 numerical non-convergence or a failed figure self-check.  Any other
+error is an internal fault and ends in a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from itertools import product
 
@@ -43,8 +45,8 @@ from .analytic import (
     threshold_b_star_numeric,
 )
 from .model import bhat_distribution, make_network, make_shadow_model
-from .numerics import NonConvergenceError
-from .shadowing import ALTERNATING_SUM_MAX_N, METHODS, MOMENT_APPROX_MAX_N, failure_prob_shadow
+from .shadowing import (ALTERNATING_SUM_MAX_N, METHODS, MOMENT_APPROX_MAX_N, NonConvergenceError,
+                        failure_prob_shadow)
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig6", "fig_shadow")
 
@@ -98,6 +100,13 @@ def _write_table(out_path, config, header, rows, quiet):
             raise CliError(f"cannot write output file: {exc}") from exc
         if not quiet:
             print(f"wrote {len(rows)} rows to {out_path}", file=sys.stderr)
+
+
+def _check_out(out_path):
+    """Fail an output file in a missing directory before any row is computed."""
+    if out_path is not None and not os.path.isdir(os.path.dirname(out_path) or "."):
+        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
+        raise CliError(f"cannot write output file: {missing}")
 
 
 def _cell_seed(seed: int, index: int) -> int:
@@ -487,9 +496,11 @@ def _cmd_sweep(args):
     out = config.pop("out", None)  # read here, not by the sweep; --out overrides it
     if out is not None and not isinstance(out, str):  # open() would take an int as a descriptor
         raise CliError(f"invalid value for field 'out': {out!r} (must be a file path)")
+    out = out if args.out is None else args.out
+    _check_out(out)
     header, rows = run_sweep(config)
     emitted = {k: v for k, v in config.items() if k != "workers"}
-    _write_table(out if args.out is None else args.out, emitted, header, rows, args.quiet)
+    _write_table(out, emitted, header, rows, args.quiet)
     return 0
 
 
@@ -594,6 +605,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import normal_lower_tail
-
 # decibel scale constant: 10 / ln(10)
 ALPHA = 10.0 / math.log(10.0)
+
+
+def normal_lower_tail(z: float) -> float:
+    """Standard normal CDF P(Z <= z)."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -124,13 +127,6 @@ def make_shadow_model(
         d_hat_max=d_hat_max,
         b_hat_max=b_hat_max,
     )
-
-
-def make_bhat_distribution(model: ShadowModel, d: float) -> BhatDistribution:
-    """Distribution of the estimated coverage ratio for true coverage radius d."""
-    if not d > 0.0:
-        raise ValueError(f"coverage radius d must be positive, got {d}")
-    return bhat_distribution(d / model.R, model.sigma1, model.b_hat_max)
 
 
 def bhat_distribution(b_o: float, sigma1: float, b_hat_max: float) -> BhatDistribution:

@@ -166,13 +166,12 @@ def _fading_draws(protocol, shadow, rng, probes, anchors):
 
 
 def _check_shadow_args(protocol, shadow, b):
-    if protocol.shadow_draw != "none":
-        if shadow is None:
-            raise ValueError(f"shadow_draw={protocol.shadow_draw!r} requires shadow parameters")
-        if not math.isclose(shadow.b_o, b, rel_tol=1e-12):
-            raise ValueError(
-                f"shadow.b_o = {shadow.b_o} does not match the coverage ratio b = {b}"
-            )
+    """Shadow parameters come exactly with a fading draw, and at the coverage ratio b."""
+    if (shadow is None) != (protocol.shadow_draw == "none"):
+        needs = "requires" if shadow is None else "takes no"
+        raise ValueError(f"shadow_draw={protocol.shadow_draw!r} {needs} shadow parameters")
+    if shadow is not None and not math.isclose(shadow.b_o, b, rel_tol=1e-12):
+        raise ValueError(f"shadow.b_o = {shadow.b_o} does not match the coverage ratio b = {b}")
 
 
 def _grid_pairs(px, py, ax, ay, reach):

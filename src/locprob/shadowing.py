@@ -3,9 +3,10 @@
 The estimated coverage ratio is a mixed random variable: log-normal around
 the true ratio on (0, b_hat_max], plus a point mass at zero for the
 below-threshold event.  The unconditioned failure bound integrates the
-fixed-coverage bound against that mixture; an alternating binomial series
-over the mixture's even moments and a closed-form log-normal moment
-approximation are provided as cross-checks on their stated validity ranges.
+fixed-coverage bound against that mixture by adaptive Simpson quadrature;
+an alternating binomial series over the mixture's even moments and a
+closed-form log-normal moment approximation are provided as cross-checks on
+their stated validity ranges.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 import math
 
 from .analytic import FailureProbResult, _bracket, _check_variant, _closed_value
-from .model import ALPHA, BhatDistribution, NetworkParams
-from .numerics import QuadratureSpec, integrate, normal_lower_tail
+from .model import ALPHA, BhatDistribution, NetworkParams, normal_lower_tail
 
 METHODS = ("integrate_conditional", "alternating_sum", "moment_approx")
 
@@ -26,6 +26,49 @@ MOMENT_APPROX_MAX_N = 10
 _EPS_SCALE = 1e-12  # lower integration cutoff, relative to b_o
 _PEAK_SPAN = 10  # density split points at b_o * 10^(m sigma1 / 10), |m| <= span
 _TWO_ALPHA_SQ = 2.0 * ALPHA * ALPHA  # ~= 37.72, computed rather than quoted
+_MAX_DEPTH = 60  # bisections before the quadrature gives up
+
+
+class NonConvergenceError(RuntimeError):
+    """The adaptive quadrature exhausted its refinement budget."""
+
+
+def integrate(f, lo: float, hi: float, abs_tol: float) -> float:
+    """Integrate f over [lo, hi] with adaptive Simpson refinement.
+
+    Each interval is accepted once the Richardson error estimate
+    |S(two halves) - S(whole)| / 15 drops below its share of the absolute
+    tolerance; otherwise the interval is bisected, halving the tolerance.
+    A NonConvergenceError is raised if _MAX_DEPTH bisections are not
+    enough -- a non-converged value is never returned silently.
+    """
+    if not lo < hi:
+        raise ValueError(f"require lo < hi, got [{lo}, {hi}]")
+    flo, fhi = f(lo), f(hi)
+    mid = 0.5 * (lo + hi)
+    fmid = f(mid)
+    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    return _refine(f, lo, flo, hi, fhi, mid, fmid, whole, abs_tol, _MAX_DEPTH)
+
+
+def _refine(f, lo, flo, hi, fhi, mid, fmid, whole, tol, depth):
+    lmid = 0.5 * (lo + mid)
+    rmid = 0.5 * (mid + hi)
+    flmid = f(lmid)
+    frmid = f(rmid)
+    left = (mid - lo) / 6.0 * (flo + 4.0 * flmid + fmid)
+    right = (hi - mid) / 6.0 * (fmid + 4.0 * frmid + fhi)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    if depth <= 0:
+        raise NonConvergenceError(
+            f"quadrature did not converge on [{lo}, {hi}] "
+            f"(residual {abs(delta):.3g}, tolerance {tol:.3g})"
+        )
+    return _refine(f, lo, flo, mid, fmid, lmid, flmid, left, 0.5 * tol, depth - 1) + _refine(
+        f, mid, fmid, hi, fhi, rmid, frmid, right, 0.5 * tol, depth - 1
+    )
 
 
 def _density_terms(dist: BhatDistribution) -> tuple[float, float, float, float]:
@@ -79,8 +122,8 @@ def _split_points(dist: BhatDistribution) -> list[float]:
 def _integrate_mixed(dist: BhatDistribution, f, abs_tol: float) -> float:
     """Integral of f over the continuous support, split around the density peak."""
     points = _split_points(dist)
-    spec = QuadratureSpec(abs_tol=abs_tol / (len(points) - 1))
-    return math.fsum(integrate(f, lo, hi, spec) for lo, hi in zip(points, points[1:]))
+    piece_tol = abs_tol / (len(points) - 1)
+    return math.fsum(integrate(f, lo, hi, piece_tol) for lo, hi in zip(points, points[1:]))
 
 
 def bhat_moment(dist: BhatDistribution, order: int) -> float:

@@ -14,9 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from locprob.analytic import _few_anchor_mass
-from locprob.numerics import QuadratureSpec, integrate, normal_lower_tail
-from locprob.model import ALPHA
-from locprob.shadowing import _split_points
+from locprob.model import ALPHA, normal_lower_tail
+from locprob.shadowing import _split_points, integrate
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -127,9 +126,9 @@ def pdf_reference(dist, bhat: float) -> float:
 def _mixed_integral_reference(dist, g, abs_tol: float) -> float:
     """Integral of g(x) * pdf_reference(dist, x) piece by piece over the split points."""
     points = _split_points(dist)
-    spec = QuadratureSpec(abs_tol=abs_tol / (len(points) - 1))
+    piece_tol = abs_tol / (len(points) - 1)
     pieces = [
-        integrate(lambda x: g(x) * pdf_reference(dist, x), lo, hi, spec)
+        integrate(lambda x: g(x) * pdf_reference(dist, x), lo, hi, piece_tol)
         for lo, hi in zip(points, points[1:])
     ]
     return math.fsum(pieces)

@@ -21,8 +21,7 @@ from locprob.analytic import (
 from locprob.cli import main, run_sweep
 from locprob.model import bhat_distribution, make_network, make_shadow_model
 from locprob.montecarlo import ProbEstimate, estimate
-from locprob.numerics import QuadratureSpec, integrate
-from locprob.shadowing import bhat_pdf, failure_prob_shadow
+from locprob.shadowing import bhat_pdf, failure_prob_shadow, integrate
 from oracles import exact_binomial_cdf
 
 ROOT_HALF = math.sqrt(0.5)
@@ -139,7 +138,7 @@ def test_criterion_07_mixed_pdf_normalization():
             lambda x: bhat_pdf(dist, x),
             1e-12 * b_o,
             b_hat_max,
-            QuadratureSpec(abs_tol=1e-11),
+            1e-11,
         )
         worst = max(worst, abs(dist.zero_mass + mass - 1.0))
     assert worst <= 1e-9
@@ -216,7 +215,7 @@ def test_criterion_10_vanishing_fading_limit():
 
 @pytest.fixture(scope="module")
 def fig6_rows():
-    _, rows = run_sweep({"mode": "figure", "figure": "fig6", "trials": 1000, "seed": 0})
+    _, rows = run_sweep({"mode": "figure", "figure": "fig6", "trials": 1000, "seed": 0, "workers": 2})
     return rows
 
 

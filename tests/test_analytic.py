@@ -19,7 +19,6 @@ from locprob.analytic import (
     threshold_b_star_numeric,
 )
 from locprob.model import NetworkParams, make_network
-from locprob.numerics import second_derivative_fd
 from oracles import (
     closed_value_reference,
     exact_binomial_cdf,
@@ -229,7 +228,7 @@ class TestThresholdOnCoverage:
         assert threshold_b_star_numeric(20, 0.9, variant) is None
 
     def test_missing_sign_change_in_an_unclipped_bracket_raises(self, monkeypatch):
-        monkeypatch.setattr(analytic, "second_derivative_fd", lambda f, x, h: 1.0)
+        monkeypatch.setattr(analytic, "_curvature", lambda g, x: 1.0)
         assert threshold_b_star_numeric(20, 0.9) is None
         with pytest.raises(ValueError, match="no sign change"):
             threshold_b_star_numeric(300, 0.5)
@@ -266,7 +265,7 @@ def test_second_difference_sign_flips_at_threshold():
 
     n, b = 300, 0.15
     a_star = threshold_a_star(n, b)
-    g = lambda a: second_derivative_fd(lambda t: _closed_value(n, t, b, "corrected"), a, 1e-4)
+    g = lambda a: analytic._curvature(lambda t: _closed_value(n, t, b, "corrected"), a)
     assert g(a_star - 0.05) * g(a_star + 0.05) < 0.0
 
 

@@ -468,10 +468,16 @@ def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, co
 
 @pytest.mark.parametrize("argv, config", [
     (["figure", "fig1", "--out", "{out}"], None),
+    (["figure", "fig6", "--out", "{out}"], None),
     (["estimate", "--n", "50", "--k", "10", "--b", "0.2", "--trials", "10", "--out", "{out}"], None),
     (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{out}"}),
-], ids=["figure", "estimate", "sweep_config_out"])
-def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, argv, config):
+], ids=["figure", "figure_fig6", "estimate", "sweep_config_out"])
+def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, monkeypatch, argv, config):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed before the output path was checked")
+
+    for name in ("estimate", "failure_prob_closed"):
+        monkeypatch.setattr(cli, name, no_rows)
     cfg, out = tmp_path / "cfg.json", tmp_path / "missing" / "o.csv"
     cfg.write_text(json.dumps(config).replace("{out}", str(out)))
     assert run_cli(*[arg.format(cfg=cfg, out=out) for arg in argv], "--quiet") == 1

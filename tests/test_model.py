@@ -7,7 +7,6 @@ import pytest
 from locprob.model import (
     ALPHA,
     bhat_distribution,
-    make_bhat_distribution,
     make_network,
     make_shadow_model,
 )
@@ -114,16 +113,11 @@ class TestBhatDistribution:
 
     def test_from_model_and_coverage_radius(self):
         model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
-        dist = make_bhat_distribution(model, 8.0)
+        dist = bhat_distribution(8.0 / model.R, model.sigma1, model.b_hat_max)
         assert dist.b_o == pytest.approx(0.2, rel=1e-15)
         assert dist.sigma1 == model.sigma1
         assert dist.b_hat_max == model.b_hat_max
         assert dist.mu == pytest.approx(10.0 * math.log10(0.2), rel=1e-14)
-
-    def test_rejects_non_positive_radius(self):
-        model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
-        with pytest.raises(ValueError):
-            make_bhat_distribution(model, 0.0)
 
     def test_degenerate_point_mass(self):
         inside = bhat_distribution(0.2, 0.0, 0.48)

@@ -111,6 +111,8 @@ class TestRunTrial:
         dist = bhat_distribution(0.2, 1.0, 0.48)
         with pytest.raises(ValueError, match="does not match"):
             estimate(net, 0.3, protocol, shadow=dist)
+        with pytest.raises(ValueError, match="shadow_draw"):
+            estimate(net, 0.2, TrialProtocol(), shadow=dist)
 
     def test_protocol_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,14 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locprob.analytic import VARIANTS, failure_prob_closed
+from locprob.cli import main
 from locprob.model import NetworkParams, bhat_distribution, make_network, make_shadow_model
-from locprob.numerics import QuadratureSpec, integrate
 from locprob.shadowing import (
     _lognormal_moment,
     _series,
     bhat_moment,
     bhat_pdf,
     failure_prob_shadow,
+    integrate,
 )
 from oracles import (
     alternating_series_reference,
@@ -53,16 +55,14 @@ class TestPdf:
     @pytest.mark.parametrize("b_o,sigma1", [(0.2, 3.43), (0.05, 1.0), (0.4, 5.5)])
     def test_total_probability(self, b_o, sigma1):
         dist = bhat_distribution(b_o, sigma1, 0.48)
-        mass = integrate(
-            lambda x: bhat_pdf(dist, x), 1e-12 * b_o, 0.48, QuadratureSpec(1e-11)
-        )
+        mass = integrate(lambda x: bhat_pdf(dist, x), 1e-12 * b_o, 0.48, 1e-11)
         assert dist.zero_mass + mass == pytest.approx(1.0, abs=1e-9)
 
     def test_median_of_untruncated_ratio(self):
         # with the truncation point far above b_o, half the continuous mass
         # lies at or below b_o (the decibel perturbation is symmetric)
         dist = bhat_distribution(1e-3, 2.0, 0.99)
-        below = integrate(lambda x: bhat_pdf(dist, x), 1e-15, 1e-3, QuadratureSpec(1e-11))
+        below = integrate(lambda x: bhat_pdf(dist, x), 1e-15, 1e-3, 1e-11)
         assert below == pytest.approx(0.5, abs=1e-6)
 
 
@@ -273,3 +273,33 @@ class TestFastPathsMatchReference:
         assert _series(_network(n, a), variant, moment) == alternating_series_reference(
             n, a, variant, moment
         )
+
+
+# n = 50, k = 10, b_o = 0.2 under the reference propagation constants
+_SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, "p0_dbm": 0.0, "gamma_dbm": -80.0,
+                 "d0": 0.1, "n_p": 3.5, "sigma_s": 12.0, "R": 40.0}
+
+
+def _known_failure(raises, reason):
+    return pytest.mark.xfail(strict=True, raises=raises, reason=reason)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"sigma_s": 1e-300},
+                 marks=_known_failure(ZeroDivisionError, "ALPHA / (scale * x) divides by zero")),
+    pytest.param({"sigma_s": 1e6}, marks=_known_failure(OverflowError, "_split_points overflows")),
+    pytest.param({"sigma_s": 1000.0},
+                 marks=_known_failure(AssertionError, "the quadrature does not converge: exit 2")),
+    pytest.param({"b_o": 1e-300},
+                 marks=_known_failure(AssertionError, "the integrand is nan near zero: exit 2")),
+    pytest.param({"k": 0, "b_o": 1.0},
+                 marks=_known_failure(AssertionError, "quadrature error puts p_f above 1")),
+], ids=["sigma_s_1e-300", "sigma_s_1e6", "sigma_s_1000", "b_o_1e-300", "k0_b_o_1"])
+def test_shadow_sweep_gives_a_probability(tmp_path, change):
+    # known failures of the shadow bound's adaptive quadrature; strict, so a fix shows as XPASS
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps({**_SHADOW_SWEEP, **change}))
+    assert main(["sweep", str(cfg), "--out", str(out), "--quiet"]) == 0
+    header, row = out.read_text(encoding="utf-8").splitlines()[1:]
+    p_loc = float(dict(zip(header.split(","), row.split(",")))["p_loc"])
+    assert 0.0 <= p_loc <= 1.0
