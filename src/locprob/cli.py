@@ -16,10 +16,11 @@ command imports the Monte Carlo layer, and with it numpy, and it does so
 while checking its config; the analytic, shadow and threshold commands run
 on the standard library alone.
 
-Exit codes: 0 success, 1 invalid configuration or an output file in a
-missing directory (both caught before any row) or another unwritable output
-file, 2 numerical non-convergence or a failed figure self-check.  Any other
-error is an internal fault and ends in a traceback.
+Exit codes: 0 success; 1 invalid configuration or an unwritable output path
+(a config, and a path that is a directory or lies in a missing or unwritable
+one, fail before any row); 2 numerical non-convergence, or a figure that fails
+a caption claim, under the `figure` verb and a `figure` sweep alike.  Any
+other error is an internal fault and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -103,10 +104,15 @@ def _write_table(out_path, config, header, rows, quiet):
 
 
 def _check_out(out_path):
-    """Fail an output file in a missing directory before any row is computed."""
-    if out_path is not None and not os.path.isdir(os.path.dirname(out_path) or "."):
-        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
-        raise CliError(f"cannot write output file: {missing}")
+    """Fail an output path that open() would reject as a directory or for its directory."""
+    if out_path is None:
+        return
+    folder = os.path.dirname(out_path) or "."
+    for failed, code in ((os.path.isdir(out_path), errno.EISDIR),
+                         (not os.path.isdir(folder), errno.ENOENT),
+                         (not os.access(folder, os.W_OK), errno.EACCES)):
+        if failed:
+            raise CliError(f"cannot write output file: {OSError(code, os.strerror(code), out_path)}")
 
 
 def _cell_seed(seed: int, index: int) -> int:
@@ -236,72 +242,49 @@ def _figure(name, variant, trials, seed, workers):
     return header, rows
 
 
-def _non_increasing(values):
-    return all(y <= x for x, y in zip(values, values[1:]))
-
-
-def _non_decreasing(values):
-    return all(y >= x for x, y in zip(values, values[1:]))
+# The caption claims of each figure, on its deterministic (theory) columns only;
+# Monte Carlo columns are left to the statistical tests.  A claim is (series
+# column or None for one series, x column, y column, sign): within each series,
+# y never falls (+1) or never rises (-1) as x grows.
+_CLAIMS = {
+    "fig1": (("b", "a", "p_loc", -1), ("a", "b", "p_loc", +1)),
+    "fig2": ((None, "b", "a_star", +1),),
+    "fig3": (("b", "a", "p_loc", -1), ("a", "b", "p_loc", +1)),
+    "fig4": ((None, "a", "b_star_exact", +1),),
+    "fig6": (("n", "a", "p_loc_theory", -1),),
+    "fig_shadow": (("k", "b_o", "p_loc_noshadow", +1),),
+}
 
 
 def check_figure(name, rows) -> list[str]:
-    """Post-emission self-test of the caption-level monotonicity claims.
-
-    Only deterministic (theory) columns are checked; Monte Carlo columns are
-    left to the statistical tests.
-    """
+    """Post-emission self-test of a figure's caption claims (`_CLAIMS`)."""
     problems = []
-    if name in ("fig1", "fig3"):
-        by_b, by_a = {}, {}
+    for series, x, y, sign in _CLAIMS[name]:
+        groups = {}
         for row in rows:
-            by_b.setdefault(row["b"], []).append((row["a"], row["p_loc"]))
-            by_a.setdefault(row["a"], []).append((row["b"], row["p_loc"]))
-        for b, pts in by_b.items():
-            if not _non_increasing([p for _, p in sorted(pts)]):
-                problems.append(f"{name}: p_loc not non-increasing in a at b={b:.6g}")
-        for a, pts in by_a.items():
-            if not _non_decreasing([p for _, p in sorted(pts)]):
-                problems.append(f"{name}: p_loc not non-decreasing in b at a={a:.6g}")
-    elif name == "fig2":
-        if not _non_decreasing([row["a_star"] for row in rows]):
-            problems.append("fig2: a_star not non-decreasing in b")
-    elif name == "fig4":
-        if not _non_decreasing([row["b_star_exact"] for row in rows]):
-            problems.append("fig4: b_star not non-decreasing in a")
-    elif name == "fig6":
-        by_n = {}
-        for row in rows:
-            by_n.setdefault(row["n"], []).append((row["a"], row["p_loc_theory"]))
-        for n, pts in by_n.items():
-            if not _non_increasing([p for _, p in sorted(pts)]):
-                problems.append(f"fig6: theory p_loc not non-increasing in a at n={n}")
-    elif name == "fig_shadow":
-        by_k = {}
-        for row in rows:
-            by_k.setdefault(row["k"], []).append(
-                (row["b_o"], row["p_loc_noshadow"], row["p_loc_shadow"])
-            )
-        for k, pts in by_k.items():
-            pts.sort()
-            if not _non_decreasing([p for _, p, _ in pts]):
-                problems.append(f"fig_shadow: unshadowed p_loc not non-decreasing (k={k})")
-            diffs = [ps - pn for _, pn, ps in pts]
-            if not (diffs[0] > 0.0 > diffs[-1]):
-                problems.append(f"fig_shadow: no gain-to-loss crossing across b_o (k={k})")
+            groups.setdefault(row.get(series), []).append(row)  # row.get(None) is None
+        for key, group in groups.items():
+            group.sort(key=lambda row: row[x])
+            where = "" if series is None else f" at {series}={key:.6g}"
+            # comparisons, not a signed difference, so that a nan fails the claim
+            values = [sign * row[y] for row in group]
+            if not all(later >= earlier for earlier, later in zip(values, values[1:])):
+                problems.append(f"{name}: {y} not non-{'de' if sign > 0 else 'in'}creasing in {x}{where}")
+            if name == "fig_shadow":  # fading gains coverage at small b_o and loses it at large
+                diffs = [row["p_loc_shadow"] - row["p_loc_noshadow"] for row in group]
+                if not diffs[0] > 0.0 > diffs[-1]:
+                    problems.append(f"fig_shadow: no gain-to-loss crossing across b_o{where}")
     return problems
 
 
 # ---------------------------------------------------------------------------
 # sweep configs
 
-def _listify(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
-
-
 def _require(config, field, types, check=None, describe=""):
     if field not in config:
         raise CliError(f"missing required field '{field}'")
-    values = _listify(config[field])
+    values = config[field]
+    values = list(values) if isinstance(values, (list, tuple)) else [values]
     if not values:
         raise CliError(f"empty grid: field '{field}' has no values")
     for v in values:
@@ -316,8 +299,9 @@ def _n_values(config, low=4):
 
 def _networks_from(config):
     n_values = _n_values(config)
-    if "k" in config and "a" in config:
-        raise CliError("give either field 'k' or field 'a', not both")
+    if ("k" in config) == ("a" in config):
+        raise CliError("give either field 'k' or field 'a', not both" if "k" in config
+                       else "missing required field 'k' or 'a'")
     nets = []
     if "k" in config:
         k_values = _require(config, "k", int, lambda v: v >= 0, "(must be a non-negative integer)")
@@ -408,19 +392,17 @@ def run_sweep(config: dict):
 
     if mode == "threshold":
         # a* needs n >= 5, b* needs n >= 10
-        if "b" in config and "a" in config:
-            raise CliError("give either field 'b' or field 'a', not both")
+        if ("b" in config) == ("a" in config):
+            raise CliError("give either field 'b' or field 'a', not both" if "b" in config
+                           else "missing required field 'b' or 'a' for threshold mode")
         if "b" in config:
             n_values = _n_values(config, 5)
             b_values = _require(config, "b", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
             return _A_STAR_HEADER, [_a_star_row(n, float(b), variant)
                                     for n, b in product(n_values, b_values)]
-        if "a" in config:
-            n_values = _n_values(config, 10)
-            a_values = _require(config, "a", (int, float), lambda v: 0.0 <= v < 1.0, "(must lie in [0, 1))")
-            return _B_STAR_HEADER, [_b_star_row(n, float(a), variant)
-                                    for n, a in product(n_values, a_values)]
-        raise CliError("missing required field 'b' or 'a' for threshold mode")
+        n_values = _n_values(config, 10)
+        a_values = _require(config, "a", (int, float), lambda v: 0.0 <= v < 1.0, "(must lie in [0, 1))")
+        return _B_STAR_HEADER, [_b_star_row(n, float(a), variant) for n, a in product(n_values, a_values)]
 
     if mode == "simulate":
         trials, seed, workers = _run_settings(config)
@@ -464,19 +446,25 @@ def run_sweep(config: dict):
 # ---------------------------------------------------------------------------
 # verbs
 
+def _run_and_write(config, emitted, out, quiet) -> int:
+    """Run a sweep config, write its table and self-check a figure; the exit code."""
+    header, rows = run_sweep(config)
+    _write_table(out, emitted, header, rows, quiet)
+    if config["mode"] != "figure":
+        return 0
+    problems = check_figure(config["figure"], rows)
+    for p in problems:
+        print(f"self-check FAILED: {p}", file=sys.stderr)
+    if not (problems or quiet):
+        print(f"self-check ok: {config['figure']}", file=sys.stderr)
+    return 2 if problems else 0
+
+
 def _cmd_figure(args):
     config = {"figure": args.name, "trials": args.trials, "seed": args.seed,
               "variant": args.variant}
-    header, rows = run_sweep({**config, "mode": "figure", "workers": args.workers})
-    _write_table(args.out, config, header, rows, args.quiet)
-    problems = check_figure(args.name, rows)
-    if problems:
-        for p in problems:
-            print(f"self-check FAILED: {p}", file=sys.stderr)
-        return 2
-    if not args.quiet:
-        print(f"self-check ok: {args.name}", file=sys.stderr)
-    return 0
+    return _run_and_write({**config, "mode": "figure", "workers": args.workers}, config,
+                          args.out, args.quiet)
 
 
 def _cmd_sweep(args):
@@ -489,46 +477,37 @@ def _cmd_sweep(args):
         raise CliError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise CliError("config must be a JSON object")
-    for flag in _SWEEP_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            config[flag] = value
+    config.update(_given(args, *_SWEEP_FLAGS))
     out = config.pop("out", None)  # read here, not by the sweep; --out overrides it
     if out is not None and not isinstance(out, str):  # open() would take an int as a descriptor
         raise CliError(f"invalid value for field 'out': {out!r} (must be a file path)")
     out = out if args.out is None else args.out
     _check_out(out)
-    header, rows = run_sweep(config)
     emitted = {k: v for k, v in config.items() if k != "workers"}
-    _write_table(out, emitted, header, rows, args.quiet)
-    return 0
+    return _run_and_write(config, emitted, out, args.quiet)
+
+
+def _given(args, *fields):
+    """The flags among `fields` given on the command line, by field name."""
+    return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
 
 
 def _cmd_threshold(args):
-    if (args.b is None) == (args.a is None):
-        raise CliError("give exactly one of --b (threshold on a) or --a (threshold on b)")
-    axis = "b" if args.b is not None else "a"
-    config = {"mode": "threshold", "n": args.n, axis: getattr(args, axis), "variant": args.variant}
-    header, rows = run_sweep(config)
-    _write_table(args.out, config, header, rows, args.quiet)
-    return 0
+    config = {"mode": "threshold", "n": args.n, **_given(args, "b", "a"), "variant": args.variant}
+    return _run_and_write(config, config, args.out, args.quiet)
 
 
 def _cmd_estimate(args):
     trials, seed, workers = _run_settings(vars(args))
-    if (args.k is None) == (args.a is None):
-        raise CliError("give exactly one of --k or --a")
-    axis = "k" if args.k is not None else "a"
-    config = {"mode": "simulate", "n": args.n, axis: getattr(args, axis), "b": args.b,
+    config = {"mode": "simulate", "n": args.n, **_given(args, "k", "a"), "b": args.b,
               "trials": trials, "seed": seed, "protocol": args.protocol}
-    shadow = {f: getattr(args, f) for f in _SHADOW_FIELDS}
-    missing = [f for f, v in shadow.items() if v is None]
-    if len(missing) < len(shadow):
+    shadow = _given(args, *_SHADOW_FIELDS, "shadow_draw")
+    missing = [f for f in _SHADOW_FIELDS if f not in shadow]
+    if len(missing) < len(_SHADOW_FIELDS):
         if missing:
             raise CliError(f"shadowed estimate needs --{missing[0].replace('_', '-')}")
-        config.update(shadow, shadow_draw=args.shadow_draw or "per_node")
-    elif args.shadow_draw is not None:
-        config["shadow_draw"] = args.shadow_draw  # rejected: nothing to draw without shadowing
+        shadow.setdefault("shadow_draw", "per_node")
+    config.update(shadow)  # a draw without shadowing is left for the sweep to reject
     [net], protocol, model, [b] = _simulate_config(config)
     from .montecarlo import worker_pool
 

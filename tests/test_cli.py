@@ -5,7 +5,7 @@ import multiprocessing
 import pytest
 
 from locprob import cli, montecarlo
-from locprob.cli import _build_parser, check_figure, main, run_sweep
+from locprob.cli import FIGURES, _build_parser, check_figure, main, run_sweep
 
 
 def run_cli(*argv):
@@ -18,6 +18,16 @@ def read_rows(path):
     header = lines[1].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
     return header, rows
+
+
+def _unequal_pair(rows, series, y):
+    """Indices of the lowest and highest y in the first series whose y values differ."""
+    for key in dict.fromkeys(row.get(series) for row in rows):
+        members = [i for i, row in enumerate(rows) if row.get(series) == key]
+        low, high = (pick(members, key=lambda i: rows[i][y]) for pick in (min, max))
+        if rows[low][y] != rows[high][y]:
+            return low, high
+    raise AssertionError(f"every series of {y} is constant")
 
 
 class TestFigureTables:
@@ -95,6 +105,46 @@ class TestFigureTables:
         assert run_cli("sweep", str(cfg), "--out", str(out), "--quiet") == 0
         _, rows = read_rows(out)
         assert len(rows) == 20
+
+    @pytest.mark.parametrize("name", FIGURES)
+    @pytest.mark.parametrize("variant", ["corrected", "paper"])
+    def test_a_figure_sweep_self_checks_like_the_figure_verb(self, tmp_path, capsys, name, variant):
+        # the paper's coefficients bend fig3's and fig_shadow's closed-form curves
+        expected = 2 if variant == "paper" and name in ("fig3", "fig_shadow") else 0
+        trials = {"trials": 1} if name == "fig6" else {}
+        cfg, verb, sweep = tmp_path / "cfg.json", tmp_path / "verb.csv", tmp_path / "sweep.csv"
+        cfg.write_text(json.dumps({"mode": "figure", "figure": name, "variant": variant, **trials}))
+        flags = [arg for field, value in trials.items() for arg in (f"--{field}", str(value))]
+        assert run_cli("figure", name, "--variant", variant, *flags, "--out", str(verb)) == expected
+        verb_err = capsys.readouterr().err
+        assert run_cli("sweep", str(cfg), "--out", str(sweep)) == expected
+        sweep_err = capsys.readouterr().err
+        checks = [line for line in verb_err.splitlines() if line.startswith("self-check")]
+        assert checks == [line for line in sweep_err.splitlines() if line.startswith("self-check")]
+        assert checks and all(("FAILED" in line) == bool(expected) for line in checks)
+        assert verb.read_bytes().split(b"\n", 1)[1] == sweep.read_bytes().split(b"\n", 1)[1]
+
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_every_caption_claim_fires(self, name):
+        _, rows = run_sweep({"mode": "figure", "figure": name, "trials": 1})
+        assert not check_figure(name, rows)
+        assert cli._CLAIMS[name], f"{name} checks no claim"
+
+        def broken(index, column, value):
+            copy = [dict(row) for row in rows]
+            copy[index][column] = value
+            return copy
+
+        for series, x, y, sign in cli._CLAIMS[name]:
+            low, high = _unequal_pair(rows, series, y)
+            swapped = broken(low, y, rows[high][y])
+            swapped[high][y] = rows[low][y]
+            for table in (swapped, broken(low, y, float("nan"))):
+                problems = check_figure(name, table)
+                assert any(p.startswith(f"{name}: {y} not non-") for p in problems), (series, x, y)
+        if name == "fig_shadow":  # the one claim that is not monotonicity
+            flat = [{**row, "p_loc_shadow": row["p_loc_noshadow"]} for row in rows]
+            assert any("no gain-to-loss crossing" in p for p in check_figure(name, flat))
 
     def test_default_trials_follow_the_reference_protocol(self):
         args = _build_parser().parse_args(["figure", "fig6"])
@@ -201,8 +251,10 @@ class TestThresholdVerb:
 
     def test_requires_exactly_one_axis(self, capsys):
         assert run_cli("threshold", "--n", "300", "--quiet") == 1
+        assert "error: missing required field 'b' or 'a'" in capsys.readouterr().err
         assert run_cli("threshold", "--n", "300", "--b", "0.1", "--a", "0.5",
                        "--quiet") == 1
+        assert "error: give either field 'b' or field 'a', not both" in capsys.readouterr().err
 
 
 class TestEstimateVerb:
@@ -238,10 +290,12 @@ class TestEstimateVerb:
                        "--sigma-s", "12", "--quiet") == 1
         assert "--" in capsys.readouterr().err
 
-    def test_requires_one_of_k_or_a(self):
+    def test_requires_one_of_k_or_a(self, capsys):
         assert run_cli("estimate", "--n", "50", "--b", "0.2", "--quiet") == 1
+        assert "error: missing required field 'k' or 'a'" in capsys.readouterr().err
         assert run_cli("estimate", "--n", "50", "--k", "5", "--a", "0.5",
                        "--b", "0.2", "--quiet") == 1
+        assert "error: give either field 'k' or field 'a', not both" in capsys.readouterr().err
 
     def test_bad_flag_is_a_config_error(self):
         assert run_cli("estimate", "--n", "50", "--k", "10") == 1  # missing --b
@@ -471,18 +525,27 @@ def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, co
     (["figure", "fig6", "--out", "{out}"], None),
     (["estimate", "--n", "50", "--k", "10", "--b", "0.2", "--trials", "10", "--out", "{out}"], None),
     (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{out}"}),
-], ids=["figure", "figure_fig6", "estimate", "sweep_config_out"])
+    (["figure", "fig1", "--out", "{dir}"], None),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{dir}"}),
+], ids=["figure", "figure_fig6", "estimate", "sweep_config_out", "figure_out_directory",
+        "sweep_config_out_directory"])
 def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, monkeypatch, argv, config):
+    # "{out}" lies in a missing directory, "{dir}" is an existing directory
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed before the output path was checked")
 
     for name in ("estimate", "failure_prob_closed"):
         monkeypatch.setattr(cli, name, no_rows)
-    cfg, out = tmp_path / "cfg.json", tmp_path / "missing" / "o.csv"
-    cfg.write_text(json.dumps(config).replace("{out}", str(out)))
-    assert run_cli(*[arg.format(cfg=cfg, out=out) for arg in argv], "--quiet") == 1
+    cfg, out, folder = tmp_path / "cfg.json", tmp_path / "missing" / "o.csv", tmp_path / "existing"
+    folder.mkdir()
+    cfg.write_text(json.dumps(config).replace("{out}", str(out)).replace("{dir}", str(folder)))
+    assert run_cli(*[arg.format(cfg=cfg, out=out, dir=folder) for arg in argv], "--quiet") == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write output file: [Errno 2] No such file or directory: '{out}'")
+    if "{dir}" in json.dumps([argv, config]):
+        expected = f"[Errno 21] Is a directory: '{folder}'"
+    else:
+        expected = f"[Errno 2] No such file or directory: '{out}'"
+    assert err.startswith(f"error: cannot write output file: {expected}")
     assert "Traceback" not in err
 
 
