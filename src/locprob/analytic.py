@@ -179,15 +179,16 @@ def threshold_a_star(n: int, b: float) -> float | None:
         raise ValueError(f"need n >= 5, got {n}")
     if not 0.0 < b <= 1.0:
         raise ValueError(f"coverage ratio b must lie in (0, 1], got {b}")
-    a_star = 1.0 - 1.0 / (b * b * (0.5 * n - 1.0))
-    return a_star if a_star > 0.0 else None
+    load = b * b * (0.5 * n - 1.0)  # a* > 0 exactly when load > 1; b^2 may underflow to 0
+    return 1.0 - 1.0 / load if load > 1.0 else None
 
 
-def threshold_b_star(n: int, a: float, form: str = "exact") -> float:
+def threshold_b_star(n: int, a: float, form: str = "exact") -> float | None:
     """Transition threshold on the coverage ratio for a fixed blind fraction.
 
     form="exact" evaluates the full closed expression; form="large_n" uses
-    the simplification b* ~= sqrt((1 + sqrt(1.75)) / ((1-a) n)).
+    the simplification b* ~= sqrt((1 + sqrt(1.75)) / ((1-a) n)).  Returns
+    None past b = 1, outside the domain (both forms at n = 20, a = 0.9).
     """
     if n < 10:
         raise ValueError(f"need n >= 10, got {n}")
@@ -196,13 +197,15 @@ def threshold_b_star(n: int, a: float, form: str = "exact") -> float:
             raise ValueError("no threshold: no anchor nodes (a = 1)")
         raise ValueError(f"blind fraction a must lie in [0, 1), got {a}")
     if form == "large_n":
-        return math.sqrt((1.0 + math.sqrt(1.75)) / ((1.0 - a) * n))
-    if form != "exact":
+        b_star = math.sqrt((1.0 + math.sqrt(1.75)) / ((1.0 - a) * n))
+    elif form == "exact":
+        lead = 4.0 * n * n - n - 15.0
+        cubic = 2.0 * n**3 - 8.0 * n * n + 10.5 * n - 4.5
+        inner = 1.0 + math.sqrt(1.0 + 6.0 * (n - 9.0) * cubic / (lead * lead))
+        b_star = math.sqrt(lead / (2.0 * (1.0 - a) * cubic) * inner)
+    else:
         raise ValueError(f"unknown form {form!r}, expected 'exact' or 'large_n'")
-    lead = 4.0 * n * n - n - 15.0
-    cubic = 2.0 * n**3 - 8.0 * n * n + 10.5 * n - 4.5
-    inner = 1.0 + math.sqrt(1.0 + 6.0 * (n - 9.0) * cubic / (lead * lead))
-    return math.sqrt(lead / (2.0 * (1.0 - a) * cubic) * inner)
+    return b_star if b_star <= 1.0 else None
 
 
 def iterative_failure_floor(n: int, b: float) -> float:
@@ -210,16 +213,13 @@ def iterative_failure_floor(n: int, b: float) -> float:
 
     Even when every other node serves as an anchor, a node fails whenever
     fewer than three of the n - 1 others fall in coverage; this is the
-    binomial(n - 1, b^2) CDF at 2.
+    binomial(n - 1, b^2) CDF at 2, which the corrected closed form at a = 0
+    is exactly.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     _check_ratio(b)
-    b2 = b * b
-    terms = [
-        math.comb(n - 1, j) * b2**j * (1.0 - b2) ** (n - 1 - j) for j in range(3)
-    ]
-    return math.fsum(terms)
+    return _closed_value(n, 0.0, b, "corrected")
 
 
 def _curvature(g, x: float) -> float:
@@ -251,29 +251,30 @@ def find_sign_change(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _curvature_root(g, lo: float, hi: float) -> float | None:
+    """Root of g's central second difference on [lo, hi] clipped _FD_STEP inside (0, 1), or None."""
+    lo, hi = max(_FD_STEP, lo), min(1.0 - _FD_STEP, hi)
+    try:
+        return find_sign_change(lambda x: _curvature(g, x), lo, hi)
+    except ValueError:
+        return None
+
+
 def threshold_a_star_numeric(n: int, b: float, variant: str = "corrected") -> float | None:
     """Root of the finite-difference second derivative of p_f in a.
 
     Independent verification of threshold_a_star: bisects the central
     second difference to _ROOT_TOL within _A_BRACKET of the closed-form
-    value, clipped to the domain.  None means that bracket holds no sign
-    change (n = 52, b = 0.2 gives a* ~ 2e-16; the "paper" root at n = 60,
-    b = 0.655 lies far from a*).
+    value.  None when there is no closed-form a* or that bracket holds no
+    sign change (n = 52, b = 0.2 gives a* ~ 2e-16; the "paper" root at
+    n = 60, b = 0.655 lies far from a*).
     """
     _check_variant(variant)
     a_star = threshold_a_star(n, b)
     if a_star is None:
-        raise ValueError(f"no threshold inside (0, 1) for n={n}, b={b}")
-
-    def curvature(a: float) -> float:
-        return _curvature(lambda x: _closed_value(n, x, b, variant), a)
-
-    lo = max(_FD_STEP, a_star - _A_BRACKET)
-    hi = min(1.0 - _FD_STEP, a_star + _A_BRACKET)
-    try:
-        return find_sign_change(curvature, lo, hi)
-    except ValueError:
         return None
+    return _curvature_root(lambda x: _closed_value(n, x, b, variant),
+                           a_star - _A_BRACKET, a_star + _A_BRACKET)
 
 
 def threshold_b_star_numeric(n: int, a: float, variant: str = "corrected") -> float | None:
@@ -281,20 +282,11 @@ def threshold_b_star_numeric(n: int, a: float, variant: str = "corrected") -> fl
 
     Reported alongside threshold_b_star so their gap can be recorded; the
     closed expression and the numeric root are not asserted equal.  The
-    bracket spans 0.5 to 1.8 times the closed-form b*, clipped below b = 1;
-    None means the clipped bracket holds no sign change, so the root lies
-    past the domain (at n = 20, a = 0.9 it is near b = 1.17).
+    bracket spans 0.5 to 1.8 times the closed-form b*.  None when there is
+    no closed-form b* in (0, 1] or the bracket holds no sign change.
     """
     _check_variant(variant)
     center = threshold_b_star(n, a, form="exact")
-
-    def curvature(b: float) -> float:
-        return _curvature(lambda x: _closed_value(n, a, x, variant), b)
-
-    lo, hi = max(_FD_STEP, 0.5 * center), 1.8 * center
-    if hi <= 1.0 - _FD_STEP:
-        return find_sign_change(curvature, lo, hi)
-    try:
-        return find_sign_change(curvature, lo, 1.0 - _FD_STEP)
-    except ValueError:
+    if center is None:
         return None
+    return _curvature_root(lambda x: _closed_value(n, a, x, variant), 0.5 * center, 1.8 * center)

@@ -19,8 +19,8 @@ on the standard library alone.
 Exit codes: 0 success; 1 invalid configuration or an unwritable output path
 (a config, and a path that is a directory or lies in a missing or unwritable
 one, fail before any row); 2 numerical non-convergence, or a figure that fails
-a caption claim, under the `figure` verb and a `figure` sweep alike.  Any
-other error is an internal fault and ends in a traceback.
+a caption claim, under the `figure` verb and a `figure` sweep alike; 3 an
+internal fault (any other error), after its traceback.
 """
 
 from __future__ import annotations
@@ -115,12 +115,6 @@ def _check_out(out_path):
             raise CliError(f"cannot write output file: {OSError(code, os.strerror(code), out_path)}")
 
 
-def _cell_seed(seed: int, index: int) -> int:
-    from numpy.random import SeedSequence
-
-    return int(SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
-
-
 def estimate(net, b, protocol, **options):
     """`montecarlo.estimate`, imported at the first call so that only simulating loads numpy."""
     from . import montecarlo
@@ -154,7 +148,7 @@ def _analytic_row(net, b, method, variant):
 
 def _a_star_row(n, b, variant):
     a_star = threshold_a_star(n, b)
-    fd = threshold_a_star_numeric(n, b, variant) if a_star is not None else None
+    fd = threshold_a_star_numeric(n, b, variant)
     return {"n": n, "b": b, "a_star": a_star, "a_star_fd": fd,
             "gap": None if fd is None else a_star - fd}
 
@@ -407,7 +401,7 @@ def run_sweep(config: dict):
     if mode == "simulate":
         trials, seed, workers = _run_settings(config)
         nets, protocol, model, b_values = _simulate_config(config)
-        from .montecarlo import worker_pool
+        from .montecarlo import _cell_seed, worker_pool
 
         with worker_pool(workers) as pool:
             rows = [_simulate_row(net, b, protocol, model, trials, _cell_seed(seed, i), pool)
@@ -592,6 +586,11 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # an internal fault, not bad input
+        import traceback  # only a fault loads it
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

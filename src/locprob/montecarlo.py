@@ -46,12 +46,14 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _check_ratio
 from .model import BhatDistribution, NetworkParams
 
 PROBE_CHOICES = ("center_node", "all_nl_nodes")
@@ -184,8 +186,7 @@ def _grid_pairs(px, py, ax, ay, reach):
     that true under rounding of the cell index; the 0.5/sqrt(K) floor caps a
     grid at 16 K cells when reach is tiny.  Each realization has its own band
     of rows with an empty row above and below, so blocks never mix them.
-    Returns the flat probe index (grouped by probe), each anchor's position in
-    cell order, and that order.
+    Returns the flat probe and anchor index of each pair, grouped by probe.
     """
     m, k = ax.shape
     side = max(reach * (1.0 + 1e-9), 0.5 / math.sqrt(max(k, 1)))
@@ -208,7 +209,7 @@ def _grid_pairs(px, py, ax, ay, reach):
     length = start[rows + np.minimum(col + 1, cells - 1)[:, None] + 1].ravel() - lo
     owner = np.repeat(np.arange(row.size).repeat(3), length)
     pos = np.arange(owner.size) + np.repeat(lo - np.cumsum(length) + length, length)
-    return owner, pos, order
+    return owner, order[pos]
 
 
 def _count_in_range(realizations, draws, b, protocol, shadow):
@@ -227,24 +228,25 @@ def _count_in_range(realizations, draws, b, protocol, shadow):
     px, py = x[~flags].reshape(m, -1), y[~flags].reshape(m, -1)
     ax, ay = x[flags].reshape(m, -1), y[flags].reshape(m, -1)
     if protocol.shadow_draw == "none":
-        reach = b
-    elif protocol.shadow_draw == "per_node":
-        eff = _effective_ratios(b, shadow, np.stack(draws)).ravel()
-        reach = float(np.max(eff, initial=0.0))
-    else:
-        # b_hat_max bounds every effective ratio before any is computed
-        reach = shadow.b_hat_max
-    owner, pos, order = _grid_pairs(px, py, ax, ay, reach)
-    if protocol.shadow_draw == "none":
+        owner, anchor = _grid_pairs(px, py, ax, ay, b)
         limit = b
     elif protocol.shadow_draw == "per_node":
+        eff = _effective_ratios(b, shadow, np.stack(draws)).ravel()
+        owner, anchor = _grid_pairs(px, py, ax, ay, float(np.max(eff, initial=0.0)))
         limit = eff[owner]
     else:
-        limit = _effective_ratios(b, shadow, draws[0][owner, order[pos]])
-    dx = px.ravel()[owner] - ax.ravel()[order][pos]
-    dy = py.ravel()[owner] - ay.ravel()[order][pos]
+        # b_hat_max bounds every effective ratio before any is computed
+        owner, anchor = _grid_pairs(px, py, ax, ay, shadow.b_hat_max)
+        limit = _effective_ratios(b, shadow, draws[0][owner, anchor])
+    dx = px.ravel()[owner] - ax.ravel()[anchor]
+    dy = py.ravel()[owner] - ay.ravel()[anchor]
     hit = owner[dx * dx + dy * dy <= limit * limit]
     return np.bincount(hit, minlength=px.size).reshape(px.shape)
+
+
+def _cell_seed(seed: int, index: int) -> int:
+    """Master seed of a sweep's cell `index`, spawned from the sweep's seed."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -321,7 +323,8 @@ def worker_pool(workers: int):
     if workers == 1:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # at most one process per CPU: a fork-started pool starts them all at its first submit
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         yield pool
 
 
@@ -345,8 +348,7 @@ def estimate(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"coverage ratio b must lie in [0, 1], got {b}")
+    _check_ratio(b)
     _check_shadow_args(protocol, shadow, b)
     if protocol.probe == "all_nl_nodes" and net.k == net.n:
         raise ValueError("all_nl_nodes protocol needs at least one blind node (k < n)")

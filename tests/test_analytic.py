@@ -172,8 +172,7 @@ class TestThresholdOnBlindFraction:
         assert abs(root - a_star) <= 1e-3
 
     def test_numeric_root_rejects_missing_threshold(self):
-        with pytest.raises(ValueError, match="no threshold"):
-            threshold_a_star_numeric(300, 0.05)
+        assert threshold_a_star_numeric(300, 0.05) is None
 
     @pytest.mark.parametrize("n, b, variant", [(52, 0.2, "corrected"), (60, 0.655, "paper")])
     def test_numeric_root_outside_the_bracket_is_none(self, n, b, variant):
@@ -222,16 +221,15 @@ class TestThresholdOnCoverage:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_numeric_root_past_the_domain_is_none(self, variant):
-        # the closed form gives b* = 1.14 here: the bracket is clipped below
-        # b = 1 and the curvature keeps one sign on it
-        assert threshold_b_star(20, 0.9) > 1.0
+        # both closed forms give b* past b = 1 here (exact 1.14, large_n 1.08)
+        assert threshold_b_star(20, 0.9) is None
+        assert threshold_b_star(20, 0.9, form="large_n") is None
         assert threshold_b_star_numeric(20, 0.9, variant) is None
 
-    def test_missing_sign_change_in_an_unclipped_bracket_raises(self, monkeypatch):
+    def test_missing_sign_change_in_an_unclipped_bracket_is_none(self, monkeypatch):
+        # 1.8 b* = 0.22 lies inside the domain, so only a flat curvature reaches this case
         monkeypatch.setattr(analytic, "_curvature", lambda g, x: 1.0)
-        assert threshold_b_star_numeric(20, 0.9) is None
-        with pytest.raises(ValueError, match="no sign change"):
-            threshold_b_star_numeric(300, 0.5)
+        assert threshold_b_star_numeric(300, 0.5) is None
 
 
 class TestIterativeFloor:
@@ -250,6 +248,9 @@ class TestIterativeFloor:
         want = float(exact_binomial_cdf(2, n - 1, b * b))
         assert iterative_failure_floor(n, b) == pytest.approx(want, rel=1e-12)
 
+    def test_is_the_corrected_closed_form_at_no_blind_nodes(self):
+        assert iterative_failure_floor(300, 0.15) == _closed_value(300, 0.0, 0.15, "corrected")
+
     def test_floor_dominated_by_failure_bound(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
@@ -267,6 +268,23 @@ def test_second_difference_sign_flips_at_threshold():
     a_star = threshold_a_star(n, b)
     g = lambda a: analytic._curvature(lambda t: _closed_value(n, t, b, "corrected"), a)
     assert g(a_star - 0.05) * g(a_star + 0.05) < 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(10, 3000),
+    a=st.floats(0.0, 1.0, exclude_max=True),
+    b=st.floats(0.0, 1.0, exclude_min=True),
+    variant=st.sampled_from(VARIANTS),
+)
+@example(n=20, a=0.9, b=0.5, variant="corrected")
+@example(n=52, b=0.2, a=0.0, variant="corrected")
+@example(n=60, b=0.655, a=0.0, variant="paper")
+def test_every_threshold_lies_in_the_domain_or_is_none(n, a, b, variant):
+    values = [threshold_a_star(n, b), threshold_b_star(n, a, form="exact"),
+              threshold_b_star(n, a, form="large_n"), threshold_a_star_numeric(n, b, variant),
+              threshold_b_star_numeric(n, a, variant)]
+    assert all(v is None or 0.0 < v <= 1.0 for v in values), values
 
 
 _blind_fractions = st.one_of(

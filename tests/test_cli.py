@@ -428,13 +428,20 @@ _SHADOW_FLAGS = ["--sigma-s", "12", "--n-p", "3.5", "--gamma-dbm", "-80", "--p0-
      "n,k,a,b,p_f,p_loc,method,variant\n"
      "50,40,0.2,0.3,0.305278625823,0.694721374177,sum,\n"
      "50,10,0.8,0.3,0.941719082917,0.058280917083,sum,\n"),
+    (["sweep", "{cfg}"],
+     {"mode": "analytic", "method": "approx_small", "n": 300, "a": [0.2, 0.8], "b": [0.05]},
+     '# locprob 0.1.0 config={"a":[0.2,0.8],"b":[0.05],"method":"approx_small",'
+     '"mode":"analytic","n":300}\n'
+     "n,k,a,b,p_f,p_loc,method,variant\n"
+     "300,240,0.2,0.05,0.647164,0.352836,approx_small,\n"
+     "300,60,0.8,0.05,0.97794775,0.02205225,approx_small,\n"),
     (["threshold", "--n", "300", "--a", "0.5"],
      None,
      '# locprob 0.1.0 config={"a":0.5,"mode":"threshold","n":300,"variant":"corrected"}\n'
      "n,a,b_star_exact,b_star_large_n,b_star_fd,gap_exact_fd\n"
      "300,0.5,0.124904992723,0.124442105831,0.129423569393,-0.0045185766706\n"),
 ], ids=["estimate_a", "estimate_k_all", "estimate_per_link", "simulate_sweep", "analytic_sum",
-        "threshold_a"])
+        "approx_small", "threshold_a"])
 def test_table_bytes(tmp_path, capsys, argv, config, expected):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -489,6 +496,20 @@ _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFI
     (["sweep", "{cfg}"], {"mode": "figure", "figure": "fig1", "protocol": "all"},
      "unknown field 'protocol' for figure mode"),
     (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": 1}, "out"),
+    (["sweep", "{cfg}"], {"mode": "analytic", "a": 0.5, "b": 0.2}, "missing required field 'n'"),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": [60, 50], "k": 55, "b": 0.2}, "k"),
+    (["sweep", "{cfg}"],
+     {"mode": "simulate", "n": 50, "k": 10, "b": 0.2,
+      **{f: v for f, v in _SHADOW_CONFIG.items() if f != "d0"}},
+     "missing required field 'd0' (shadowing parameters)"),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "variant": "exact"},
+     "variant"),
+    (["sweep", "{cfg}"], {"mode": "figure", "figure": "fig5"}, "figure"),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "method": "series"},
+     "method"),
+    (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "method": "closed"}, "method"),
+    (["sweep", "{cfg}"], [{"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2}],
+     "config must be a JSON object"),
 ], ids=["estimate_b", "estimate_shadowed_b", "simulate_shadowed_b", "threshold_a_star_n",
         "threshold_b_star_n", "threshold_sweep_n", "approx_small_domain", "alternating_sum_n",
         "moment_approx_n", "unshadowed_draw", "bogus_draw", "estimate_unshadowed_draw",
@@ -497,7 +518,8 @@ _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFI
         "shadow_nan_p0", "shadow_inf_R", "shadow_b_hat_max_underflow",
         "shadow_b_hat_max_overflow", "simulate_unread_fields", "threshold_b_and_a",
         "analytic_unread_flag", "shadow_unread_b", "figure_unread_protocol",
-        "sweep_out_descriptor"])
+        "sweep_out_descriptor", "missing_n", "sweep_k_above_n", "partial_shadowing",
+        "bad_variant", "unknown_figure", "analytic_method", "shadow_method", "config_not_object"])
 def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, config, field):
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed before the config was checked")
@@ -549,13 +571,16 @@ def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
-def test_a_library_fault_is_not_a_config_error(monkeypatch):
+def test_a_library_fault_is_not_a_config_error(capsys, monkeypatch):
     def fault(*args, **kwargs):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(cli, "failure_prob_closed", fault)
-    with pytest.raises(ValueError, match="internal fault"):
-        run_cli("figure", "fig1", "--quiet")
+    assert run_cli("figure", "fig1", "--quiet") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.rstrip().endswith("ValueError: internal fault")
+    assert not any(line.startswith("error:") for line in err.splitlines())
 
 
 def test_a_star_root_outside_its_bracket_leaves_its_columns_empty(capsys):
@@ -570,5 +595,5 @@ def test_b_star_root_past_the_domain_leaves_its_columns_empty(capsys):
     assert run_cli("threshold", "--n", "20", "--a", "0.9") == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
         "n,a,b_star_exact,b_star_large_n,b_star_fd,gap_exact_fd",
-        "20,0.9,1.14055428344,1.0777002495,,",
+        "20,0.9,,,,",
     ]

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ class TestEstimate:
             estimate(net, 1.5)
         with pytest.raises(ValueError, match="blind"):
             estimate(make_network(20, 20), 0.2, TrialProtocol(probe="all_nl_nodes"))
+
+    def test_worker_pool_holds_at_most_one_process_per_cpu(self, monkeypatch):
+        # a stub pool records its size and starts no process
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        with worker_pool(10**6) as pool:
+            assert isinstance(pool, RecordingPool)
+        assert asked == [os.cpu_count() or 1]
 
 
 def _scattered(n, k, seed):
