@@ -36,6 +36,7 @@ from itertools import product
 from . import __version__
 from .analytic import (
     VARIANTS,
+    _row_invariants,
     _small_coverage_load,
     failure_prob_approx_small,
     failure_prob_closed,
@@ -366,6 +367,7 @@ def _run_settings(config):
     return settings
 
 
+@_row_invariants()  # each row invariant is computed once per table
 def run_sweep(config: dict):
     """Header and rows for a JSON-configured sweep (grid in declaration order)."""
     mode = config.get("mode")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .analytic import FailureProbResult, _bracket, _check_variant, _closed_value
+from .analytic import FailureProbResult, _bracket, _check_variant, _closed_value, _invariant
 from .model import ALPHA, BhatDistribution, NetworkParams, normal_lower_tail
 
 METHODS = ("integrate_conditional", "alternating_sum", "moment_approx")
@@ -121,7 +121,7 @@ def _split_points(dist: BhatDistribution) -> list[float]:
 
 def _integrate_mixed(dist: BhatDistribution, f, abs_tol: float) -> float:
     """Integral of f over the continuous support, split around the density peak."""
-    points = _split_points(dist)
+    points = _invariant(("split", dist), lambda: _split_points(dist))
     piece_tol = abs_tol / (len(points) - 1)
     return math.fsum(integrate(f, lo, hi, piece_tol) for lo, hi in zip(points, points[1:]))
 
@@ -130,7 +130,7 @@ def bhat_moment(dist: BhatDistribution, order: int) -> float:
     """E[ratio^order] for even order, by quadrature over the mixed distribution.
 
     The point mass at zero contributes only at order 0, where the total mass
-    is 1 exactly.
+    is 1 exactly.  One table integrates each (dist, order) once (_invariant).
     """
     if order < 0 or order % 2 != 0:
         raise ValueError(f"order must be a non-negative even integer, got {order}")
@@ -147,7 +147,7 @@ def bhat_moment(dist: BhatDistribution, order: int) -> float:
         z = 10.0 * log10(x) - mu
         return x**order * (ALPHA / (scale * x) * exp(-z * z / two_var))
 
-    return _integrate_mixed(dist, f, 1e-12)
+    return _invariant(("moment", dist, order), lambda: _integrate_mixed(dist, f, 1e-12))
 
 
 def failure_prob_shadow(

@@ -15,7 +15,7 @@ import numpy as np
 
 from locprob.analytic import _few_anchor_mass
 from locprob.model import ALPHA, normal_lower_tail
-from locprob.shadowing import _split_points, integrate
+from locprob.shadowing import _split_points, bhat_moment, integrate
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -50,6 +50,21 @@ def independent_failure_bound(n: int, a: float, b: float) -> Fraction:
     for j in range(3):
         total += math.comb(n - 1, j) * s**j * (1 - s) ** (n - 1 - j)
     return total
+
+
+def per_link_center_failure(n: int, a: float, dist) -> float:
+    """Centre-probe failure bound when every link draws its own fading value.
+
+    Each of the n - 1 other nodes helps independently: it is an anchor with
+    probability 1 - a, and its area-uniform squared radius falls inside its
+    own link's squared ratio with probability E[ratio^2] (the ratio never
+    exceeds b_hat_max < 1).  So the helper count is binomial(n - 1, s) with
+    s = (1 - a) E[ratio^2], and failure is its CDF at 2: the corrected closed
+    form at that s.  (A per-node draw shares one ratio across all links, so
+    its bound is the mixture integral instead.)
+    """
+    s = (1.0 - a) * bhat_moment(dist, 2)
+    return (1.0 - s) ** (n - 3) * (1.0 + (n - 3) * s + 0.5 * (n - 2) * (n - 3) * s * s)
 
 
 def sample_truncated_ratio(

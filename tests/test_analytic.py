@@ -148,6 +148,17 @@ class TestApproxSmall:
         with pytest.raises(ValueError, match="outside validity domain"):
             failure_prob_approx_small(net, 0.5)
 
+    def test_gap_to_the_series_is_recorded(self):
+        # 1 - ((n-3) s)^2 is not the series' small-s expansion, whose p_loc starts at
+        # ((n-1) s)^3 / 6; the gap is recorded here, equality deliberately not asserted
+        net = make_network(300, 240)  # a = 0.2
+        assert failure_prob_approx_small(net, 0.05).p_loc == pytest.approx(0.352836, rel=1e-12)
+        assert failure_prob_sum(net, 0.05).p_loc == pytest.approx(0.0227802, rel=1e-5)
+        s = 0.8 * 0.001**2
+        assert failure_prob_sum(net, 0.001).p_loc == pytest.approx((299 * s) ** 3 / 6, rel=1e-3)
+        # still inside the accepted domain, (1-a) b^2 < 2/n, p_loc passes 1 once (n-3) s > 1
+        assert 0.8 * 0.07**2 < 2 / 300 and failure_prob_approx_small(net, 0.07).p_loc > 1.0
+
 
 class TestThresholdOnBlindFraction:
     def test_reference_value(self):
@@ -311,6 +322,28 @@ def test_failure_prob_sum_matches_every_term_series(n, a, b):
     assume(0.0 < b * b < 1.0)
     net = NetworkParams(n=n, k=round(n * (1.0 - a)), a=a)
     assert failure_prob_sum(net, b).p_f == failure_series_reference(n, a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_rows_sharing_a_table_equal_standalone_calls(data):
+    # one table computes each n's log-binomials and each (n, a)'s anchor masses
+    # once; a row must not depend on which rows built them, in any order
+    if data is None:  # the benchmark's n = 3000 rows, between rows of a smaller n
+        rows = [(n, a, b) for n in (300, 3000) for a in (0.2, 0.5, 0.8) for b in (0.03, 0.3, 0.999)]
+        order = list(range(0, len(rows), 2)) + list(range(1, len(rows), 2))
+    else:
+        sizes = data.draw(st.lists(st.integers(4, 3000), min_size=2, max_size=2, unique=True))
+        ratios = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-160]), st.floats(0.0, 1.0))
+        rows = data.draw(st.lists(st.tuples(st.sampled_from(sizes), st.sampled_from([0.0, 0.5, 1.0]),
+                                            ratios), min_size=2, max_size=6))
+        order = data.draw(st.permutations(range(len(rows))))
+    nets = [NetworkParams(n=n, k=round(n * (1.0 - a)), a=a) for n, a, _ in rows]
+    standalone = [failure_prob_sum(net, b) for net, (_, _, b) in zip(nets, rows)]
+    with analytic._row_invariants():
+        shared = {i: failure_prob_sum(nets[i], rows[i][2]) for i in order}
+    assert [shared[i] for i in range(len(rows))] == standalone
 
 
 @settings(max_examples=300, deadline=None)

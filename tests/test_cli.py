@@ -383,8 +383,12 @@ _SHADOW_FLAGS = ["--sigma-s", "12", "--n-p", "3.5", "--gamma-dbm", "-80", "--p0-
                  "--d0", "0.1", "--R", "40"]
 
 
+_SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s": 12, "R": 40}
+
+
 # Tables recorded when each verb still built its own rows; a change in the
-# shared row builders or in estimate's seeding shows here.
+# shared row builders or in estimate's seeding shows here.  The alternating_sum
+# and n = 3000 sum rows share their row invariants within the table.
 @pytest.mark.parametrize("argv, config, expected", [
     (["estimate", "--n", "300", "--a", "0.2", "--b", "0.099", "--trials", "1000", "--seed", "1"],
      None,
@@ -435,21 +439,41 @@ _SHADOW_FLAGS = ["--sigma-s", "12", "--n-p", "3.5", "--gamma-dbm", "-80", "--p0-
      "n,k,a,b,p_f,p_loc,method,variant\n"
      "300,240,0.2,0.05,0.647164,0.352836,approx_small,\n"
      "300,60,0.8,0.05,0.97794775,0.02205225,approx_small,\n"),
+    (["sweep", "{cfg}"],
+     {"mode": "shadow", "method": "alternating_sum", "n": 20, "a": [0.2, 0.8], "b_o": [0.1, 0.3],
+      **_SHADOW_CONFIG},
+     '# locprob 0.1.0 config={"R":40,"a":[0.2,0.8],"b_o":[0.1,0.3],"d0":0.1,"gamma_dbm":-80,'
+     '"method":"alternating_sum","mode":"shadow","n":20,"n_p":3.5,"p0_dbm":0,"sigma_s":12}\n'
+     "n,k,a,b_o,sigma1,b_hat_max,zero_mass,p_f,p_loc,method,variant\n"
+     "20,16,0.2,0.1,3.42857142857,0.482674432221,0.0230764812287,0.970796499997,0.0292035000031,"
+     "alternating_sum,corrected\n"
+     "20,16,0.2,0.3,3.42857142857,0.482674432221,0.273457937182,0.896043778451,0.103956221549,"
+     "alternating_sum,corrected\n"
+     "20,4,0.8,0.1,3.42857142857,0.482674432221,0.0230764812287,0.998781491926,0.00121850807431,"
+     "alternating_sum,corrected\n"
+     "20,4,0.8,0.3,3.42857142857,0.482674432221,0.273457937182,0.995016218827,0.00498378117337,"
+     "alternating_sum,corrected\n"),
+    (["sweep", "{cfg}"],
+     {"mode": "analytic", "method": "sum", "n": 3000, "a": [0.2, 0.8], "b": [0.03, 0.05]},
+     '# locprob 0.1.0 config={"a":[0.2,0.8],"b":[0.03,0.05],"method":"sum","mode":"analytic",'
+     '"n":3000}\n'
+     "n,k,a,b,p_f,p_loc,method,variant\n"
+     "3000,2400,0.2,0.03,0.633636107211,0.366363892789,sum,\n"
+     "3000,2400,0.2,0.05,0.0618794750764,0.938120524924,sum,\n"
+     "3000,600,0.8,0.03,0.982423454905,0.0175765450955,sum,\n"
+     "3000,600,0.8,0.05,0.809003753148,0.190996246852,sum,\n"),
     (["threshold", "--n", "300", "--a", "0.5"],
      None,
      '# locprob 0.1.0 config={"a":0.5,"mode":"threshold","n":300,"variant":"corrected"}\n'
      "n,a,b_star_exact,b_star_large_n,b_star_fd,gap_exact_fd\n"
      "300,0.5,0.124904992723,0.124442105831,0.129423569393,-0.0045185766706\n"),
 ], ids=["estimate_a", "estimate_k_all", "estimate_per_link", "simulate_sweep", "analytic_sum",
-        "approx_small", "threshold_a"])
+        "approx_small", "shadow_alternating_sum", "analytic_sum_n3000", "threshold_a"])
 def test_table_bytes(tmp_path, capsys, argv, config, expected):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert run_cli(*[arg.format(cfg=cfg) for arg in argv]) == 0
     assert capsys.readouterr().out == expected
-
-
-_SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s": 12, "R": 40}
 
 
 _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFIG}

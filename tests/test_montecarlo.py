@@ -1,11 +1,12 @@
 import math
 import os
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_anchor_counts
+from oracles import brute_force_anchor_counts, per_link_center_failure
 
 from locprob import montecarlo
 from locprob.analytic import failure_prob_sum
@@ -192,6 +193,29 @@ class TestEstimate:
         )
         want = failure_prob_shadow(net, dist).p_loc
         assert abs(sim.p_hat - want) <= 3.0 * wilson_se(sim)
+
+    def test_fading_draws_match_their_theories(self):
+        # per_link against the exact centre theory, per_node against the mixture
+        # integral, with b_o on both sides of b_hat_max = 0.483 (at 0.6 the zero
+        # mass, 0.61, dominates).  Eight comparisons: a family-wise false-alarm
+        # rate of 1e-3, split evenly (Bonferroni), bounds each two-sided |z| by 3.84.
+        # Each comparison has a seed of its own; comparisons that shared one seed
+        # gave z values all of one sign.
+        bound = NormalDist().inv_cdf(1.0 - 1e-3 / 8 / 2)
+        model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
+        cells = [(n, k, trials, b_o, draw) for n, k, trials in ((50, 40, 100_000), (300, 60, 40_000))
+                 for b_o in (0.2, 0.6) for draw in ("per_link", "per_node")]
+        for seed, (n, k, trials, b_o, draw) in enumerate(cells, start=7100):
+            net = make_network(n, k)
+            dist = bhat_distribution(b_o, model.sigma1, model.b_hat_max)
+            sim = estimate(net, b_o, TrialProtocol(shadow_draw=draw), shadow=dist,
+                           trials=trials, seed=seed)
+            if draw == "per_link":
+                want = 1.0 - per_link_center_failure(n, net.a, dist)
+            else:
+                want = failure_prob_shadow(net, dist).p_loc
+            z = (sim.p_hat - want) / math.sqrt(want * (1.0 - want) / sim.trials)
+            assert abs(z) < bound, (n, b_o, draw, z)
 
     def test_validation(self):
         net = make_network(20, 10)

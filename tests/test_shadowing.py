@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from locprob import analytic, shadowing
 from locprob.analytic import VARIANTS, failure_prob_closed
 from locprob.cli import main
 from locprob.model import NetworkParams, bhat_distribution, make_network, make_shadow_model
@@ -273,6 +275,50 @@ class TestFastPathsMatchReference:
         assert _series(_network(n, a), variant, moment) == alternating_series_reference(
             n, a, variant, moment
         )
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_alternating_rows_sharing_a_table_equal_standalone_calls(field_model, data):
+    # one table integrates each distribution's moments once; a row must not depend
+    # on which rows integrated them, in any order
+    ratios = data.draw(st.lists(st.floats(0.01, 0.9), min_size=1, max_size=2, unique=True))
+    rows = data.draw(st.lists(st.tuples(st.integers(4, 30), st.floats(0.0, 1.0),
+                                        st.sampled_from(ratios), st.sampled_from(VARIANTS)),
+                              min_size=2, max_size=6))
+    order = data.draw(st.permutations(range(len(rows))))
+
+    def row(i):  # a distribution of its own per row, as the CLI builds one
+        n, a, b_o, variant = rows[i]
+        dist = bhat_distribution(b_o, field_model.sigma1, field_model.b_hat_max)
+        return failure_prob_shadow(_network(n, a), dist, "alternating_sum", variant)
+
+    standalone = [row(i) for i in range(len(rows))]
+    with analytic._row_invariants():
+        shared = {i: row(i) for i in order}
+    assert [shared[i] for i in range(len(rows))] == standalone
+
+
+def test_no_shared_moment_outlives_its_table(tmp_path, monkeypatch, field_model):
+    # two identical sweeps integrate alike: the second finds no moment left by the first
+    calls = []
+    integrate = shadowing.integrate
+    monkeypatch.setattr(shadowing, "integrate", lambda *args: calls.append(1) or integrate(*args))
+    config = {**_SHADOW_SWEEP, "n": [12, 20], "k": [3, 9], "b_o": [0.1, 0.3],
+              "method": "alternating_sum"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "o.csv"), "--quiet"]) == 0
+        counts.append(len(calls))
+    calls.clear()  # the same rows outside any table: every row integrates its own moments
+    for n, k, b_o in itertools.product(config["n"], config["k"], config["b_o"]):
+        dist = bhat_distribution(b_o, field_model.sigma1, field_model.b_hat_max)
+        failure_prob_shadow(make_network(n, k), dist, "alternating_sum")
+    assert counts[0] == counts[1] < len(calls), (counts, len(calls))
+    assert analytic._invariants.get(None) is None
 
 
 # n = 50, k = 10, b_o = 0.2 under the reference propagation constants
