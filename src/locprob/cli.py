@@ -17,10 +17,10 @@ while checking its config; the analytic, shadow and threshold commands run
 on the standard library alone.
 
 Exit codes: 0 success; 1 invalid configuration or an unwritable output path
-(a config, and a path that is a directory or lies in a missing or unwritable
-one, fail before any row); 2 numerical non-convergence, or a figure that fails
-a caption claim, under the `figure` verb and a `figure` sweep alike; 3 an
-internal fault (any other error), after its traceback.
+(a config, and a path that is empty, holds a NUL, is a directory or lies in a
+missing or unwritable one, fail before any row); 2 numerical non-convergence,
+or a figure that fails a caption claim, under the `figure` verb and a `figure`
+sweep alike; 3 an internal fault (any other error), after its traceback.
 """
 
 from __future__ import annotations
@@ -105,15 +105,18 @@ def _write_table(out_path, config, header, rows, quiet):
 
 
 def _check_out(out_path):
-    """Fail an output path that open() would reject as a directory or for its directory."""
+    """Fail an output path that open() would reject: empty, with a NUL, a directory, or for its directory."""
     if out_path is None:
         return
     folder = os.path.dirname(out_path) or "."
-    for failed, code in ((os.path.isdir(out_path), errno.EISDIR),
-                         (not os.path.isdir(folder), errno.ENOENT),
-                         (not os.access(folder, os.W_OK), errno.EACCES)):
-        if failed:
-            raise CliError(f"cannot write output file: {OSError(code, os.strerror(code), out_path)}")
+    # the first fault open() would meet; a NUL is caught before os.access, which raises on it
+    code = (errno.ENOENT if not out_path
+            else errno.EINVAL if "\0" in out_path
+            else errno.EISDIR if os.path.isdir(out_path)
+            else errno.ENOENT if not os.path.isdir(folder)
+            else errno.EACCES if not os.access(folder, os.W_OK) else None)
+    if code:
+        raise CliError(f"cannot write output file: {OSError(code, os.strerror(code), out_path)}")
 
 
 def estimate(net, b, protocol, **options):
@@ -178,14 +181,14 @@ def _simulate_header(model):
 
 
 def _simulate_row(net, b, protocol, model, trials, seed, pool):
-    """One Monte Carlo cell; with a shadow model b is the true ratio b_o."""
+    """One Monte Carlo cell; with a shadow model b is the true ratio b_o, and the row keeps its draw."""
     dist = bhat_distribution(b, model.sigma1, model.b_hat_max) if model else None
     sim = estimate(net, b, protocol, shadow=dist, trials=trials, seed=seed, pool=pool)
     row = {"n": net.n, "k": net.k, "a": net.a, "b": b, "p_f": 1.0 - sim.p_hat,
            "p_loc": sim.p_hat, "trials": sim.trials, "successes": sim.successes,
            "ci_low": sim.ci_low, "ci_high": sim.ci_high, "realizations": sim.realizations,
            "seed": sim.seed, "protocol": protocol.probe}
-    return {**row, **_fading(dist)} if dist else row
+    return {**row, **_fading(dist), "shadow_draw": protocol.shadow_draw} if dist else row
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +278,12 @@ def check_figure(name, rows) -> list[str]:
 # ---------------------------------------------------------------------------
 # sweep configs
 
-def _require(config, field, types, check=None, describe=""):
+def _number(v, types, check) -> bool:
+    """Whether v is a number of `types` (a bool is not) that passes `check`."""
+    return isinstance(v, types) and not isinstance(v, bool) and check(v)
+
+
+def _require(config, field, types, check, describe):
     if field not in config:
         raise CliError(f"missing required field '{field}'")
     values = config[field]
@@ -283,55 +291,70 @@ def _require(config, field, types, check=None, describe=""):
     if not values:
         raise CliError(f"empty grid: field '{field}' has no values")
     for v in values:
-        if not isinstance(v, types) or isinstance(v, bool) or (check and not check(v)):
-            raise CliError(f"invalid value for field '{field}': {v!r} {describe}".rstrip())
+        if not _number(v, types, check):
+            raise CliError(f"invalid value for field '{field}': {v!r} {describe}")
     return values
 
 
+def _unit(config, field, ends="[]"):
+    """The grid of `field` as floats in the unit interval, open at an end marked '(' or ')'."""
+    low, high = ends
+    values = _require(config, field, (int, float),
+                      lambda v: (v > 0 if low == "(" else v >= 0) and (v < 1 if high == ")" else v <= 1),
+                      f"(must lie in {low}0, 1{high})")
+    return [float(v) for v in values]
+
+
+def _choice(config, field, allowed, default=None, why=None):
+    """The value of `field`, one of the tuple `allowed`, so that a list or an object fails too."""
+    value = config.get(field, default)
+    if value not in allowed:
+        why = why or f"expected one of {', '.join(map(repr, allowed))}"
+        raise CliError(f"invalid value for field '{field}': {value!r} ({why})")
+    return value
+
+
+def _either(config, one, other, where=""):
+    """Whether the config gives field `one` rather than `other`; it must give exactly one."""
+    if (one in config) == (other in config):
+        raise CliError(f"give either field '{one}' or field '{other}', not both" if one in config
+                       else f"missing required field '{one}' or '{other}'{where}")
+    return one in config
+
+
 def _n_values(config, low=4):
-    return _require(config, "n", int, lambda v: v >= low, f"(must be an integer >= {low})")
+    _require(config, "n", int, lambda v: v >= low, f"(must be an integer >= {low})")
+    # the largest n exact as a float; the closed forms and thresholds stay finite up to it
+    return _require(config, "n", int, lambda v: v <= 2 ** 53, "(must be at most 2**53)")
 
 
 def _networks_from(config):
     n_values = _n_values(config)
-    if ("k" in config) == ("a" in config):
-        raise CliError("give either field 'k' or field 'a', not both" if "k" in config
-                       else "missing required field 'k' or 'a'")
-    nets = []
-    if "k" in config:
-        k_values = _require(config, "k", int, lambda v: v >= 0, "(must be a non-negative integer)")
-        for n, k in product(n_values, k_values):
-            if k > n:
-                raise CliError(f"invalid value for field 'k': {k} (exceeds n={n})")
-            nets.append(make_network(n, k))
-    else:
-        a_values = _require(config, "a", (int, float), lambda v: 0.0 <= v <= 1.0, "(must lie in [0, 1])")
-        # the integer anchor count closest to the requested blind fraction
-        nets.extend(make_network(n, round(n * (1.0 - float(a)))) for n, a in product(n_values, a_values))
-    return nets
+    if _either(config, "k", "a"):
+        smallest = min(n_values)  # every k meets every n in the grid
+        k_values = _require(config, "k", int, lambda v: 0 <= v <= smallest,
+                            f"(must be an integer from 0 to the smallest n, {smallest})")
+        return [make_network(n, k) for n, k in product(n_values, k_values)]
+    # the integer anchor count closest to the requested blind fraction
+    return [make_network(n, round(n * (1.0 - a))) for n, a in product(n_values, _unit(config, "a"))]
 
 
 def _shadow_model_from(config):
     missing = [f for f in _SHADOW_FIELDS if f not in config]
     if missing:
         raise CliError(f"missing required field '{missing[0]}' (shadowing parameters)")
-    vals = {}
     for f in _SHADOW_FIELDS:
-        v = config[f]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise CliError(f"invalid value for field '{f}': {v!r} (must be a finite number)")
-        vals[f] = float(v)
+        if not _number(config[f], (int, float), math.isfinite):
+            raise CliError(f"invalid value for field '{f}': {config[f]!r} (must be a finite number)")
     try:
-        return make_shadow_model(**vals)
+        return make_shadow_model(**{f: float(config[f]) for f in _SHADOW_FIELDS})
     except ValueError as exc:
         raise CliError(f"invalid shadowing parameters: {exc}") from exc
 
 
 def _simulate_config(config):
     """Validated (networks, protocol, shadow model or None, b values) of a simulate config."""
-    protocol_name = config.get("protocol", "center")
-    if protocol_name not in tuple(_PROTOCOLS):  # an unhashable value is a config error too
-        raise CliError(f"invalid value for field 'protocol': {protocol_name!r} (expected 'center' or 'all')")
+    protocol_name = _choice(config, "protocol", tuple(_PROTOCOLS), "center")
     nets = _networks_from(config)
     blindless = [net for net in nets if net.k == net.n] if protocol_name == "all" else []
     if blindless:
@@ -339,20 +362,14 @@ def _simulate_config(config):
                        f"n={blindless[0].n}, k={blindless[0].k} leaves no blind node for protocol 'all'")
     shadowed = any(f in config for f in _SHADOW_FIELDS)
     model = _shadow_model_from(config) if shadowed else None
-    draw = config.get("shadow_draw", "per_node" if shadowed else "none")
-    if draw not in (("per_node", "per_link") if shadowed else ("none",)):
-        why = ("expected 'per_node' or 'per_link'" if shadowed
-               else f"needs the shadowing parameters {', '.join(_SHADOW_FIELDS)}")
-        raise CliError(f"invalid value for field 'shadow_draw': {draw!r} ({why})")
+    draws = ("per_node", "per_link") if shadowed else ("none",)
+    draw = _choice(config, "shadow_draw", draws, draws[0],
+                   None if shadowed else f"needs the shadowing parameters {', '.join(_SHADOW_FIELDS)}")
     from .montecarlo import TrialProtocol  # a simulate command loads numpy here, before any row
 
     protocol = TrialProtocol(probe=_PROTOCOLS[protocol_name], shadow_draw=draw)
     # a shadowed b is the true ratio b_o, which must be positive
-    if shadowed:
-        b_values = _require(config, "b", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
-    else:
-        b_values = _require(config, "b", (int, float), lambda v: 0.0 <= v <= 1.0, "(must lie in [0, 1])")
-    return nets, protocol, model, [float(b) for b in b_values]
+    return nets, protocol, model, _unit(config, "b", "(]" if shadowed else "[]")
 
 
 def _run_settings(config):
@@ -360,64 +377,57 @@ def _run_settings(config):
     settings = []
     for field, default, low in (("trials", 1000, 1), ("seed", 0, 0), ("workers", 1, 1)):
         v = config.get(field, default)
-        if not isinstance(v, int) or isinstance(v, bool) or v < low:
+        if not _number(v, int, lambda v: v >= low):
             kind = "positive" if low else "non-negative"
             raise CliError(f"invalid value for field '{field}': {v!r} (must be a {kind} integer)")
         settings.append(v)
     return settings
 
 
+def _simulate(config, cell_seed):
+    """Header and rows of a simulate config; cell i is seeded with cell_seed(seed, i)."""
+    trials, seed, workers = _run_settings(config)
+    nets, protocol, model, b_values = _simulate_config(config)
+    from .montecarlo import worker_pool
+
+    with worker_pool(workers) as pool:
+        rows = [_simulate_row(net, b, protocol, model, trials, cell_seed(seed, i), pool)
+                for i, (net, b) in enumerate(product(nets, b_values))]
+    return _simulate_header(model), rows
+
+
 @_row_invariants()  # each row invariant is computed once per table
 def run_sweep(config: dict):
     """Header and rows for a JSON-configured sweep (grid in declaration order)."""
-    mode = config.get("mode")
-    if mode not in SWEEP_MODES:
-        raise CliError(f"invalid value for field 'mode': {mode!r} (expected one of {SWEEP_MODES})")
+    mode = _choice(config, "mode", SWEEP_MODES)
     unread = [field for field in config if field not in ("mode", "variant", *_MODE_FIELDS[mode])]
     if unread:
         raise CliError(f"unknown field {unread[0]!r} for {mode} mode")
-    variant = config.get("variant", "corrected")
-    if variant not in VARIANTS:
-        raise CliError(f"invalid value for field 'variant': {variant!r}")
+    variant = _choice(config, "variant", VARIANTS, "corrected")
 
     if mode == "figure":
-        name = config.get("figure")
-        if name not in FIGURES:
-            raise CliError(f"invalid value for field 'figure': {name!r} (expected one of {FIGURES})")
-        return _figure(name, variant, *_run_settings(config))
+        return _figure(_choice(config, "figure", FIGURES), variant, *_run_settings(config))
 
     if mode == "threshold":
         # a* needs n >= 5, b* needs n >= 10
-        if ("b" in config) == ("a" in config):
-            raise CliError("give either field 'b' or field 'a', not both" if "b" in config
-                           else "missing required field 'b' or 'a' for threshold mode")
-        if "b" in config:
+        if _either(config, "b", "a", " for threshold mode"):
             n_values = _n_values(config, 5)
-            b_values = _require(config, "b", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
-            return _A_STAR_HEADER, [_a_star_row(n, float(b), variant)
-                                    for n, b in product(n_values, b_values)]
+            return _A_STAR_HEADER, [_a_star_row(n, b, variant)
+                                    for n, b in product(n_values, _unit(config, "b", "(]"))]
         n_values = _n_values(config, 10)
-        a_values = _require(config, "a", (int, float), lambda v: 0.0 <= v < 1.0, "(must lie in [0, 1))")
-        return _B_STAR_HEADER, [_b_star_row(n, float(a), variant) for n, a in product(n_values, a_values)]
+        return _B_STAR_HEADER, [_b_star_row(n, a, variant)
+                                for n, a in product(n_values, _unit(config, "a", "[)"))]
 
     if mode == "simulate":
-        trials, seed, workers = _run_settings(config)
-        nets, protocol, model, b_values = _simulate_config(config)
-        from .montecarlo import _cell_seed, worker_pool
+        from .montecarlo import _cell_seed
 
-        with worker_pool(workers) as pool:
-            rows = [_simulate_row(net, b, protocol, model, trials, _cell_seed(seed, i), pool)
-                    for i, (net, b) in enumerate(product(nets, b_values))]
-        return _simulate_header(model), rows
+        return _simulate(config, _cell_seed)
 
     nets = _networks_from(config)
 
     if mode == "analytic":
-        method = config.get("method", "closed")
-        if method not in ("closed", "sum", "approx_small"):
-            raise CliError(f"invalid value for field 'method': {method!r}")
-        b_values = _require(config, "b", (int, float), lambda v: 0.0 <= v <= 1.0, "(must lie in [0, 1])")
-        cells = [(net, float(b)) for net, b in product(nets, b_values)]
+        method = _choice(config, "method", ("closed", "sum", "approx_small"), "closed")
+        cells = list(product(nets, _unit(config, "b")))
         if method == "approx_small":
             for net, b in cells:
                 s, limit = _small_coverage_load(net.n, net.a, b)
@@ -427,16 +437,13 @@ def run_sweep(config: dict):
         return _ANALYTIC_HEADER, [_analytic_row(net, b, method, variant) for net, b in cells]
 
     # mode == "shadow"
-    method = config.get("method", "integrate_conditional")
-    if method not in METHODS:
-        raise CliError(f"invalid value for field 'method': {method!r} (expected one of {METHODS})")
+    method = _choice(config, "method", METHODS, "integrate_conditional")
     if method in _SHADOW_MAX_N:
         limit = _SHADOW_MAX_N[method]
         _require(config, "n", int, lambda v: v <= limit, f"({method} needs n <= {limit})")
     model = _shadow_model_from(config)
-    b_values = _require(config, "b_o", (int, float), lambda v: 0.0 < v <= 1.0, "(must lie in (0, 1])")
-    return _SHADOW_HEADER, [_shadow_row(net, float(b_o), model, method, variant)
-                            for net, b_o in product(nets, b_values)]
+    return _SHADOW_HEADER, [_shadow_row(net, b_o, model, method, variant)
+                            for net, b_o in product(nets, _unit(config, "b_o", "(]"))]
 
 
 # ---------------------------------------------------------------------------
@@ -494,24 +501,15 @@ def _cmd_threshold(args):
 
 
 def _cmd_estimate(args):
-    trials, seed, workers = _run_settings(vars(args))
     config = {"mode": "simulate", "n": args.n, **_given(args, "k", "a"), "b": args.b,
-              "trials": trials, "seed": seed, "protocol": args.protocol}
-    shadow = _given(args, *_SHADOW_FIELDS, "shadow_draw")
-    missing = [f for f in _SHADOW_FIELDS if f not in shadow]
-    if len(missing) < len(_SHADOW_FIELDS):
-        if missing:
-            raise CliError(f"shadowed estimate needs --{missing[0].replace('_', '-')}")
-        shadow.setdefault("shadow_draw", "per_node")
-    config.update(shadow)  # a draw without shadowing is left for the sweep to reject
-    [net], protocol, model, [b] = _simulate_config(config)
-    from .montecarlo import worker_pool
-
+              "trials": args.trials, "seed": args.seed, "protocol": args.protocol,
+              **_given(args, *_SHADOW_FIELDS, "shadow_draw")}
     # the master seed itself drives the one cell, as the printed seed says
-    with worker_pool(workers) as pool:
-        row = _simulate_row(net, b, protocol, model, trials, seed, pool)
-    config = {**{f: v for f, v in config.items() if f != "a"}, "k": net.k}  # record the anchor count
-    _write_table(args.out, config, _simulate_header(model), [row], args.quiet)
+    header, [row] = _simulate({**config, "workers": args.workers}, lambda seed, index: seed)
+    # record the anchor count, and the fading draw when shadowed
+    emitted = {f: v for f, v in config.items() if f != "a"}
+    emitted.update({f: row[f] for f in ("k", "shadow_draw") if f in row})
+    _write_table(args.out, emitted, header, [row], args.quiet)
     return 0
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import multiprocessing
 
 import pytest
@@ -288,7 +289,7 @@ class TestEstimateVerb:
     def test_partial_shadow_flags_are_rejected(self, capsys):
         assert run_cli("estimate", "--n", "50", "--k", "10", "--b", "0.2",
                        "--sigma-s", "12", "--quiet") == 1
-        assert "--" in capsys.readouterr().err
+        assert "error: missing required field 'p0_dbm' (shadowing parameters)" in capsys.readouterr().err
 
     def test_requires_one_of_k_or_a(self, capsys):
         assert run_cli("estimate", "--n", "50", "--b", "0.2", "--quiet") == 1
@@ -413,6 +414,23 @@ _SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s
      "realizations,seed,protocol\n"
      "50,10,0.8,0.2,3.42857142857,0.482674432221,0.132213734503,0.994,0.006,500,3,"
      "0.00204259627196,0.0174902521041,500,2,center_node\n"),
+    (["estimate", "--n", "50", "--k", "10", "--b", "0.2", *_SHADOW_FLAGS, "--trials", "300",
+      "--seed", "4"],
+     None,
+     '# locprob 0.1.0 config={"R":40.0,"b":0.2,"d0":0.1,"gamma_dbm":-80.0,"k":10,'
+     '"mode":"simulate","n":50,"n_p":3.5,"p0_dbm":0.0,"protocol":"center","seed":4,'
+     '"shadow_draw":"per_node","sigma_s":12.0,"trials":300}\n'
+     "n,k,a,b,sigma1,b_hat_max,zero_mass,p_f,p_loc,trials,successes,ci_low,ci_high,"
+     "realizations,seed,protocol\n"
+     "50,10,0.8,0.2,3.42857142857,0.482674432221,0.132213734503,0.95,0.05,300,15,"
+     "0.0305316406293,0.0808470334727,300,4,center_node\n"),
+    (["estimate", "--n", "60", "--a", "0.5", "--b", "0.3", "--trials", "200", "--seed", "5",
+      "--workers", "2"],
+     None,
+     '# locprob 0.1.0 config={"b":0.3,"k":30,"mode":"simulate","n":60,"protocol":"center",'
+     '"seed":5,"trials":200}\n'
+     "n,k,a,b,p_f,p_loc,trials,successes,ci_low,ci_high,realizations,seed,protocol\n"
+     "60,30,0.5,0.3,0.51,0.49,200,98,0.421562783312,0.558814123215,200,5,center_node\n"),
     (["sweep", "{cfg}", "--seed", "9", "--trials", "200"],
      {"mode": "simulate", "n": [50, 80], "k": [10], "b": [0.2, 0.3]},
      '# locprob 0.1.0 config={"b":[0.2,0.3],"k":[10],"mode":"simulate","n":[50,80],'
@@ -467,7 +485,8 @@ _SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s
      '# locprob 0.1.0 config={"a":0.5,"mode":"threshold","n":300,"variant":"corrected"}\n'
      "n,a,b_star_exact,b_star_large_n,b_star_fd,gap_exact_fd\n"
      "300,0.5,0.124904992723,0.124442105831,0.129423569393,-0.0045185766706\n"),
-], ids=["estimate_a", "estimate_k_all", "estimate_per_link", "simulate_sweep", "analytic_sum",
+], ids=["estimate_a", "estimate_k_all", "estimate_per_link", "estimate_default_draw",
+        "estimate_a_workers", "simulate_sweep", "analytic_sum",
         "approx_small", "shadow_alternating_sum", "analytic_sum_n3000", "threshold_a"])
 def test_table_bytes(tmp_path, capsys, argv, config, expected):
     cfg = tmp_path / "cfg.json"
@@ -477,6 +496,27 @@ def test_table_bytes(tmp_path, capsys, argv, config, expected):
 
 
 _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFIG}
+
+# each enumerated field: (its name, a config that reads it, its allowed values)
+_CHOICE_FIELDS = [
+    ("mode", {"n": 50, "a": 0.5, "b": 0.2},
+     ("analytic", "simulate", "shadow", "threshold", "figure")),
+    ("variant", {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2}, ("corrected", "paper")),
+    ("figure", {"mode": "figure"}, FIGURES),
+    ("protocol", {"mode": "simulate", "n": 50, "k": 10, "b": 0.2}, ("center", "all")),
+    ("shadow_draw", {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, **_SHADOW_CONFIG},
+     ("per_node", "per_link")),
+    ("method", {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2}, ("closed", "sum", "approx_small")),
+    ("method", _SHADOW_SWEEP, ("integrate_conditional", "alternating_sum", "moment_approx")),
+]
+_CHOICE_CASES = [
+    (["sweep", "{cfg}"], {**config, field: bad},
+     f"invalid value for field '{field}': {bad!r} (expected one of {', '.join(map(repr, allowed))})")
+    for field, config, allowed in _CHOICE_FIELDS
+    for bad in ("bogus", [allowed[0]], {allowed[0]: 1})
+]
+_CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{field}_{kind}"
+               for field, config, _ in _CHOICE_FIELDS for kind in ("string", "list", "object")]
 
 
 # field None: a combination of shadowing parameters the model rejects; a field with a
@@ -534,6 +574,12 @@ _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFI
     (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "method": "closed"}, "method"),
     (["sweep", "{cfg}"], [{"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2}],
      "config must be a JSON object"),
+    (["threshold", "--n", str(2 ** 53 + 1), "--b", "0.5"], None,
+     f"invalid value for field 'n': {2 ** 53 + 1} (must be at most 2**53)"),
+    (["threshold", "--n", str(10 ** 400), "--a", "0.5"], None, "n"),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 10 ** 200, "a": 0.5, "b": 0.2}, "n"),
+    (["estimate", "--n", str(2 ** 53 + 1), "--k", "10", "--b", "0.2"], None, "n"),
+    *_CHOICE_CASES,
 ], ids=["estimate_b", "estimate_shadowed_b", "simulate_shadowed_b", "threshold_a_star_n",
         "threshold_b_star_n", "threshold_sweep_n", "approx_small_domain", "alternating_sum_n",
         "moment_approx_n", "unshadowed_draw", "bogus_draw", "estimate_unshadowed_draw",
@@ -543,7 +589,9 @@ _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFI
         "shadow_b_hat_max_overflow", "simulate_unread_fields", "threshold_b_and_a",
         "analytic_unread_flag", "shadow_unread_b", "figure_unread_protocol",
         "sweep_out_descriptor", "missing_n", "sweep_k_above_n", "partial_shadowing",
-        "bad_variant", "unknown_figure", "analytic_method", "shadow_method", "config_not_object"])
+        "bad_variant", "unknown_figure", "analytic_method", "shadow_method", "config_not_object",
+        "threshold_n_above_cap", "threshold_huge_n", "analytic_huge_n", "estimate_n_above_cap",
+        *_CHOICE_IDS])
 def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, config, field):
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed before the config was checked")
@@ -562,37 +610,72 @@ def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, co
     else:
         expected = f"invalid value for field '{field}'"
     assert err.startswith(f"error: {expected}")
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["figure", "fig1", "--out", "{out}"], None),
-    (["figure", "fig6", "--out", "{out}"], None),
-    (["estimate", "--n", "50", "--k", "10", "--b", "0.2", "--trials", "10", "--out", "{out}"], None),
-    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{out}"}),
-    (["figure", "fig1", "--out", "{dir}"], None),
-    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{dir}"}),
+_NO_DIR = "[Errno 2] No such file or directory: "
+
+
+@pytest.mark.parametrize("argv, config, expected", [
+    (["figure", "fig1", "--out", "{out}"], None, _NO_DIR + "'{out}'"),
+    (["figure", "fig6", "--out", "{out}"], None, _NO_DIR + "'{out}'"),
+    (["estimate", "--n", "50", "--k", "10", "--b", "0.2", "--trials", "10", "--out", "{out}"], None,
+     _NO_DIR + "'{out}'"),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{out}"},
+     _NO_DIR + "'{out}'"),
+    (["figure", "fig1", "--out", "{dir}"], None, "[Errno 21] Is a directory: '{dir}'"),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{dir}"},
+     "[Errno 21] Is a directory: '{dir}'"),
+    (["figure", "fig1", "--out", ""], None, _NO_DIR + "''"),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": ""}, _NO_DIR + "''"),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{dir}/o\0.csv"},
+     "[Errno 22] Invalid argument: "),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{dir}\0/o.csv"},
+     "[Errno 22] Invalid argument: "),
+    (["figure", "fig1", "--out", "{locked}"], None, "[Errno 13] Permission denied: '{locked}'"),
 ], ids=["figure", "figure_fig6", "estimate", "sweep_config_out", "figure_out_directory",
-        "sweep_config_out_directory"])
-def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, monkeypatch, argv, config):
-    # "{out}" lies in a missing directory, "{dir}" is an existing directory
+        "sweep_config_out_directory", "figure_empty_out", "sweep_config_empty_out",
+        "sweep_config_nul_in_name", "sweep_config_nul_in_directory", "figure_out_unwritable"])
+def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, monkeypatch, argv, config,
+                                                  expected):
+    # "{out}" lies in a missing directory, "{dir}" is an existing directory, and
+    # "{locked}" lies in a directory that os.access reports as unwritable
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed before the output path was checked")
 
     for name in ("estimate", "failure_prob_closed"):
         monkeypatch.setattr(cli, name, no_rows)
-    cfg, out, folder = tmp_path / "cfg.json", tmp_path / "missing" / "o.csv", tmp_path / "existing"
+    cfg, folder, locked = tmp_path / "cfg.json", tmp_path / "existing", tmp_path / "locked"
+    paths = {"out": tmp_path / "missing" / "o.csv", "dir": folder, "locked": locked / "o.csv"}
     folder.mkdir()
-    cfg.write_text(json.dumps(config).replace("{out}", str(out)).replace("{dir}", str(folder)))
-    assert run_cli(*[arg.format(cfg=cfg, out=out, dir=folder) for arg in argv], "--quiet") == 1
+    locked.mkdir()
+    access = cli.os.access
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(locked) and access(path, mode))
+    cfg.write_text(json.dumps(config).replace("{out}", str(paths["out"])).replace("{dir}", str(folder)))
+    assert run_cli(*[arg.format(cfg=cfg, **paths) for arg in argv], "--quiet") == 1
     err = capsys.readouterr().err
-    if "{dir}" in json.dumps([argv, config]):
-        expected = f"[Errno 21] Is a directory: '{folder}'"
-    else:
-        expected = f"[Errno 2] No such file or directory: '{out}'"
-    assert err.startswith(f"error: cannot write output file: {expected}")
+    assert err.startswith(f"error: cannot write output file: {expected.format(**paths)}")
     assert "Traceback" not in err
+    assert not any(folder.iterdir()) and not any(locked.iterdir())
+
+
+def test_n_at_the_cap_gives_finite_closed_forms_and_thresholds(tmp_path, capsys):
+    # never a sum or a simulation at this size: the series allocates n floats
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "analytic", "n": 2 ** 53, "a": [0.2, 0.8], "b": [0.1, 0.5]}))
+    runs = [["sweep", str(cfg)], ["threshold", "--n", str(2 ** 53), "--b", "0.5"],
+            ["threshold", "--n", str(2 ** 53), "--a", "0.5"]]
+    for argv in runs:
+        assert run_cli(*argv) == 0
+        header, *rows = capsys.readouterr().out.splitlines()[1:]
+        for row in rows:
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert cells["n"] == str(2 ** 53)
+            # an empty cell is a root outside its bracket, never a nan
+            values = [float(v) for h, v in cells.items() if v and h not in ("n", "k", "method", "variant")]
+            assert values and all(math.isfinite(v) for v in values), (argv, row)
 
 
 def test_a_library_fault_is_not_a_config_error(capsys, monkeypatch):
