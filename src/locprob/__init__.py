@@ -20,7 +20,6 @@ from .analytic import (
     failure_prob_approx_small,
     failure_prob_closed,
     failure_prob_sum,
-    iterative_failure_floor,
     threshold_a_star,
     threshold_a_star_numeric,
     threshold_b_star,
@@ -35,7 +34,7 @@ from .model import (
     make_network,
     make_shadow_model,
 )
-from .shadowing import METHODS, NonConvergenceError, bhat_moment, bhat_pdf, failure_prob_shadow
+from .shadowing import METHODS, NonConvergenceError, bhat_moment, failure_prob_shadow
 
 __version__ = "0.1.0"
 
@@ -65,13 +64,11 @@ __all__ = [
     "TrialProtocol",
     "bhat_distribution",
     "bhat_moment",
-    "bhat_pdf",
     "estimate",
     "failure_prob_approx_small",
     "failure_prob_closed",
     "failure_prob_shadow",
     "failure_prob_sum",
-    "iterative_failure_floor",
     "make_network",
     "make_shadow_model",
     "sample_realization",

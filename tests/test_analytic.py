@@ -12,7 +12,6 @@ from locprob.analytic import (
     failure_prob_approx_small,
     failure_prob_closed,
     failure_prob_sum,
-    iterative_failure_floor,
     threshold_a_star,
     threshold_a_star_numeric,
     threshold_b_star,
@@ -156,8 +155,22 @@ class TestApproxSmall:
         assert failure_prob_sum(net, 0.05).p_loc == pytest.approx(0.0227802, rel=1e-5)
         s = 0.8 * 0.001**2
         assert failure_prob_sum(net, 0.001).p_loc == pytest.approx((299 * s) ** 3 / 6, rel=1e-3)
-        # still inside the accepted domain, (1-a) b^2 < 2/n, p_loc passes 1 once (n-3) s > 1
-        assert 0.8 * 0.07**2 < 2 / 300 and failure_prob_approx_small(net, 0.07).p_loc > 1.0
+        # (1-a) b^2 < 2/n holds here, but (n-3) s = 1.16 > 1 would print p_loc 1.355
+        assert 0.8 * 0.07**2 < 2 / 300
+        with pytest.raises(ValueError, match=r"\(n-3\) \(1-a\) b\^2 <= 1"):
+            failure_prob_approx_small(net, 0.07)
+
+    @given(n=st.integers(4, 10**6), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+    @example(n=300, a=0.2, b=0.07)
+    @example(n=4, a=0.0, b=1.0)
+    def test_accepted_inputs_are_probabilities(self, n, a, b):
+        net = NetworkParams(n=n, k=round(n * (1.0 - a)), a=a)
+        if analytic._approx_small_domain(n, a, b) is not None:
+            with pytest.raises(ValueError, match="outside validity domain"):
+                failure_prob_approx_small(net, b)
+            return
+        res = failure_prob_approx_small(net, b)
+        assert 0.0 <= res.p_f <= 1.0 and 0.0 <= res.p_loc <= 1.0
 
 
 class TestThresholdOnBlindFraction:
@@ -185,11 +198,20 @@ class TestThresholdOnBlindFraction:
     def test_numeric_root_rejects_missing_threshold(self):
         assert threshold_a_star_numeric(300, 0.05) is None
 
-    @pytest.mark.parametrize("n, b, variant", [(52, 0.2, "corrected"), (60, 0.655, "paper")])
+    @pytest.mark.parametrize("n, b, variant", [(52, 0.2, "corrected"), (60, 0.655, "paper"),
+                                               (100_000, 0.5, "corrected"),
+                                               (10_000_000, 0.5, "corrected"),
+                                               (2**53, 0.5, "corrected")])
     def test_numeric_root_outside_the_bracket_is_none(self, n, b, variant):
-        # a* ~ 2e-16 at the domain's edge; the paper variant's root far from a* ~ 0.92
+        # a* ~ 2e-16 at the domain's edge; the paper variant's root far from a* ~ 0.92;
+        # at large n the curvature underflows to exactly 0.0 at the bracket's lower end,
+        # which is no sign change (it once came back as the root, a gap of exactly 0.08)
         assert threshold_a_star(n, b) is not None
         assert threshold_a_star_numeric(n, b, variant) is None
+
+    def test_root_where_the_curvature_stays_finite(self):
+        gap = threshold_a_star(3000, 0.5) - threshold_a_star_numeric(3000, 0.5)
+        assert gap == pytest.approx(7.94218698363e-07, rel=1e-9)
 
 
 class TestThresholdOnCoverage:
@@ -243,24 +265,26 @@ class TestThresholdOnCoverage:
         assert threshold_b_star_numeric(300, 0.5) is None
 
 
+def _floor(n, b):
+    """Failure floor under unlimited relabelling: the closed form with every node an anchor."""
+    return failure_prob_closed(make_network(n, n), b).p_f
+
+
 class TestIterativeFloor:
     def test_zero_coverage(self):
-        assert iterative_failure_floor(300, 0.0) == 1.0
+        assert _floor(300, 0.0) == 1.0
 
     def test_full_coverage(self):
-        assert iterative_failure_floor(10, 1.0) == 0.0
+        assert _floor(10, 1.0) == 0.0
 
     def test_hand_enumeration(self):
         # binomial(3, 1/2) CDF at 2 = (1 + 3 + 3) / 8
-        assert iterative_failure_floor(4, ROOT_HALF) == pytest.approx(0.875, abs=1e-12)
+        assert _floor(4, ROOT_HALF) == pytest.approx(0.875, abs=1e-12)
 
     @pytest.mark.parametrize("n,b", [(12, 0.3), (25, 0.55), (30, 0.1)])
     def test_exact_rational_oracle(self, n, b):
         want = float(exact_binomial_cdf(2, n - 1, b * b))
-        assert iterative_failure_floor(n, b) == pytest.approx(want, rel=1e-12)
-
-    def test_is_the_corrected_closed_form_at_no_blind_nodes(self):
-        assert iterative_failure_floor(300, 0.15) == _closed_value(300, 0.0, 0.15, "corrected")
+        assert _floor(n, b) == pytest.approx(want, rel=1e-12)
 
     def test_floor_dominated_by_failure_bound(self):
         rng = np.random.default_rng(11)
@@ -268,7 +292,7 @@ class TestIterativeFloor:
             n = int(rng.integers(4, 1500))
             net = make_network(n, int(rng.integers(0, n + 1)))
             b = float(rng.random())
-            assert failure_prob_sum(net, b).p_f >= iterative_failure_floor(n, b) - 1e-12
+            assert failure_prob_sum(net, b).p_f >= _floor(n, b) - 1e-12
 
 
 def test_second_difference_sign_flips_at_threshold():

@@ -530,6 +530,8 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
     (["sweep", "{cfg}"], {"mode": "threshold", "n": [300, 9], "a": 0.5}, "n"),
     (["sweep", "{cfg}"],
      {"mode": "analytic", "method": "approx_small", "n": 300, "a": [0.2], "b": [0.5]}, "b"),
+    (["sweep", "{cfg}"],
+     {"mode": "analytic", "method": "approx_small", "n": 300, "a": [0.2], "b": [0.05, 0.07]}, "b"),
     (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "method": "alternating_sum"}, "n"),
     (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "n": 20, "method": "moment_approx"}, "n"),
     (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, "shadow_draw": "per_node"},
@@ -581,8 +583,9 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
     (["estimate", "--n", str(2 ** 53 + 1), "--k", "10", "--b", "0.2"], None, "n"),
     *_CHOICE_CASES,
 ], ids=["estimate_b", "estimate_shadowed_b", "simulate_shadowed_b", "threshold_a_star_n",
-        "threshold_b_star_n", "threshold_sweep_n", "approx_small_domain", "alternating_sum_n",
-        "moment_approx_n", "unshadowed_draw", "bogus_draw", "estimate_unshadowed_draw",
+        "threshold_b_star_n", "threshold_sweep_n", "approx_small_domain",
+        "approx_small_p_loc_above_one", "alternating_sum_n", "moment_approx_n", "unshadowed_draw",
+        "bogus_draw", "estimate_unshadowed_draw",
         "estimate_all_without_blind", "simulate_all_without_blind", "protocol_list",
         "estimate_nan_sigma_s",
         "shadow_nan_p0", "shadow_inf_R", "shadow_b_hat_max_underflow",

@@ -107,6 +107,12 @@ class TestFiniteDifferences:
         with pytest.raises(ValueError, match="no sign change"):
             find_sign_change(lambda x: 1.0 + x * x, -1.0, 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 0.0)], ids=["zero_at_lo", "zero_at_hi"])
+    def test_exact_zero_at_an_end_is_no_sign_change(self, lo, hi):
+        # an underflowed curvature reads exactly 0.0; the bracket end is not returned as a root
+        with pytest.raises(ValueError, match="no sign change"):
+            find_sign_change(lambda x: x, lo, hi)
+
 
 def test_quadrature_matches_gaussian_tail_difference():
     # cross-kernel consistency: integrating the density between two points

@@ -15,7 +15,6 @@ from locprob.shadowing import (
     _lognormal_moment,
     _series,
     bhat_moment,
-    bhat_pdf,
     failure_prob_shadow,
     integrate,
 )
@@ -35,36 +34,28 @@ def field_model():
 
 
 class TestPdf:
+    """The reference density, which every fast path in TestFastPathsMatchReference is held to."""
+
     def test_zero_beyond_truncation(self, field_model):
         dist = bhat_distribution(0.2, field_model.sigma1, field_model.b_hat_max)
-        assert bhat_pdf(dist, field_model.b_hat_max * 1.0001) == 0.0
-        assert bhat_pdf(dist, 0.9) == 0.0
+        assert pdf_reference(dist, field_model.b_hat_max * 1.0001) == 0.0
+        assert pdf_reference(dist, 0.9) == 0.0
 
     def test_zero_at_origin(self, field_model):
         dist = bhat_distribution(0.2, field_model.sigma1, field_model.b_hat_max)
-        assert bhat_pdf(dist, 0.0) == 0.0
-
-    def test_rejects_negative_argument(self, field_model):
-        dist = bhat_distribution(0.2, field_model.sigma1, field_model.b_hat_max)
-        with pytest.raises(ValueError):
-            bhat_pdf(dist, -0.1)
-
-    def test_degenerate_has_no_density(self):
-        dist = bhat_distribution(0.2, 0.0, 0.48)
-        with pytest.raises(ValueError, match="degenerate"):
-            bhat_pdf(dist, 0.2)
+        assert pdf_reference(dist, 0.0) == 0.0
 
     @pytest.mark.parametrize("b_o,sigma1", [(0.2, 3.43), (0.05, 1.0), (0.4, 5.5)])
     def test_total_probability(self, b_o, sigma1):
         dist = bhat_distribution(b_o, sigma1, 0.48)
-        mass = integrate(lambda x: bhat_pdf(dist, x), 1e-12 * b_o, 0.48, 1e-11)
+        mass = integrate(lambda x: pdf_reference(dist, x), 1e-12 * b_o, 0.48, 1e-11)
         assert dist.zero_mass + mass == pytest.approx(1.0, abs=1e-9)
 
     def test_median_of_untruncated_ratio(self):
         # with the truncation point far above b_o, half the continuous mass
         # lies at or below b_o (the decibel perturbation is symmetric)
         dist = bhat_distribution(1e-3, 2.0, 0.99)
-        below = integrate(lambda x: bhat_pdf(dist, x), 1e-15, 1e-3, 1e-11)
+        below = integrate(lambda x: pdf_reference(dist, x), 1e-15, 1e-3, 1e-11)
         assert below == pytest.approx(0.5, abs=1e-6)
 
 
@@ -255,11 +246,6 @@ class TestFastPathsMatchReference:
     @example(dist=bhat_distribution(0.9, 3.43, 0.483), order=2)
     def test_bhat_moment(self, dist, order):
         assert bhat_moment(dist, order) == moment_reference(dist, order)
-
-    @settings(max_examples=200, deadline=None)
-    @given(dist=_distributions, x=st.one_of(st.just(0.0), st.floats(1e-300, 1.0)))
-    def test_bhat_pdf(self, dist, x):
-        assert bhat_pdf(dist, x) == pdf_reference(dist, x)
 
     @settings(max_examples=200, deadline=None)
     @given(
