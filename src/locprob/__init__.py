@@ -10,8 +10,8 @@ form.
 
 Importing the package does not import numpy: the analytic and shadowing
 layers use only the standard library.  The Monte Carlo names
-(`estimate`, `worker_pool`, `TrialProtocol`, ...) import `locprob.montecarlo`,
-and with it numpy, on first use.
+(`estimate`, `worker_pool`, ...) import `locprob.montecarlo`, and with it
+numpy, on first use; `TrialProtocol`, the cell they simulate, does not.
 """
 
 from .analytic import (
@@ -30,6 +30,7 @@ from .model import (
     BhatDistribution,
     NetworkParams,
     ShadowModel,
+    TrialProtocol,
     bhat_distribution,
     make_network,
     make_shadow_model,
@@ -39,8 +40,7 @@ from .shadowing import METHODS, NonConvergenceError, bhat_moment, failure_prob_s
 __version__ = "0.1.0"
 
 # The Monte Carlo layer is the only user of numpy; its names load it on first use.
-_MONTECARLO_NAMES = ("ProbEstimate", "TrialProtocol", "estimate", "sample_realization",
-                     "wilson_interval", "worker_pool")
+_MONTECARLO_NAMES = ("ProbEstimate", "estimate", "sample_realization", "wilson_interval", "worker_pool")
 
 
 def __getattr__(name):

@@ -11,10 +11,11 @@ comment records the semantic configuration (worker count and output path
 are execution details and deliberately excluded), and row order follows
 grid order regardless of any parallelism.
 
-A sweep config may hold only the fields its mode reads.  Only a simulating
-command imports the Monte Carlo layer, and with it numpy, and it does so
-while checking its config; the analytic, shadow and threshold commands run
-on the standard library alone.
+A sweep config may hold only the fields its mode reads (a simulate sweep
+reads no 'variant'); a simulate config becomes one `TrialProtocol`.  Only a
+simulating command imports the Monte Carlo layer, and with it numpy, after
+its config is checked; the analytic, shadow and threshold commands run on
+the standard library alone.
 
 Exit codes: 0 success; 1 invalid configuration or an unwritable output path
 (a config, and a path that is empty, holds a NUL, is a directory or lies in a
@@ -46,21 +47,22 @@ from .analytic import (
     threshold_b_star,
     threshold_b_star_numeric,
 )
-from .model import bhat_distribution, make_network, make_shadow_model
+from .model import (PROBE_CHOICES, SHADOW_CHOICES, TrialProtocol, bhat_distribution, make_network,
+                    make_shadow_model)
 from .shadowing import METHODS, SERIES_MAX_N, NonConvergenceError, failure_prob_shadow
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig6", "fig_shadow")
 
-_PROTOCOLS = {"center": "center_node", "all": "all_nl_nodes"}
+_PROTOCOLS = dict(zip(("center", "all"), PROBE_CHOICES))
 _SHADOW_FIELDS = ("p0_dbm", "gamma_dbm", "d0", "n_p", "sigma_s", "R")
 _RUN_FIELDS = ("trials", "seed", "workers")
-# the fields each sweep mode reads besides 'mode' and 'variant'; any other is a config error
+# the fields each sweep mode reads besides 'mode'; any other is a config error
 _MODE_FIELDS = {
-    "analytic": ("n", "k", "a", "b", "method"),
+    "analytic": ("n", "k", "a", "b", "method", "variant"),
     "simulate": ("n", "k", "a", "b", "protocol", "shadow_draw", *_RUN_FIELDS, *_SHADOW_FIELDS),
-    "shadow": ("n", "k", "a", "b_o", "method", *_SHADOW_FIELDS),
-    "threshold": ("n", "b", "a"),
-    "figure": ("figure", *_RUN_FIELDS),
+    "shadow": ("n", "k", "a", "b_o", "method", "variant", *_SHADOW_FIELDS),
+    "threshold": ("n", "b", "a", "variant"),
+    "figure": ("figure", "variant", *_RUN_FIELDS),
 }
 SWEEP_MODES = tuple(_MODE_FIELDS)
 # flags that override the sweep config's field of the same name
@@ -173,19 +175,17 @@ def _shadow_row(net, b_o, model, method, variant):
             "p_loc": res.p_loc, "method": res.method, "variant": res.variant}
 
 
-def _simulate_header(model):
-    return _SIMULATE_HEADER[:4] + (_FADING_COLUMNS if model else []) + _SIMULATE_HEADER[4:]
-
-
-def _simulate_row(net, b, protocol, model, trials, seed, pool):
-    """One Monte Carlo cell; with a shadow model b is the true ratio b_o, and the row keeps its draw."""
-    dist = bhat_distribution(b, model.sigma1, model.b_hat_max) if model else None
-    sim = estimate(net, b, protocol, shadow=dist, trials=trials, seed=seed, pool=pool)
+def _simulate_row(net, b, protocol, trials, seed, pool):
+    """One Monte Carlo cell; with a fading model b is the true ratio b_o, and the row keeps its draw."""
+    sim = estimate(net, b, protocol, trials=trials, seed=seed, pool=pool)
     row = {"n": net.n, "k": net.k, "a": net.a, "b": b, "p_f": 1.0 - sim.p_hat,
            "p_loc": sim.p_hat, "trials": sim.trials, "successes": sim.successes,
            "ci_low": sim.ci_low, "ci_high": sim.ci_high, "realizations": sim.realizations,
-           "seed": sim.seed, "protocol": protocol.probe}
-    return {**row, **_fading(dist), "shadow_draw": protocol.shadow_draw} if dist else row
+           "seed": seed, "protocol": protocol.probe}
+    if protocol.fading is None:
+        return row
+    dist = bhat_distribution(b, protocol.fading.sigma1, protocol.fading.b_hat_max)
+    return {**row, **_fading(dist), "shadow_draw": protocol.shadow_draw}
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +216,11 @@ def _figure(name, variant, trials, seed, workers):
     if name == "fig2":  # a* alone; a threshold sweep would add a bisection per row
         return ["n", "b", "a_star"], [{"n": 300, "b": b, "a_star": threshold_a_star(300, b)}
                                       for b in (0.085 + 0.005 * i for i in range(159))]
-    sweep = {**_FIGURE_SWEEPS[name], "variant": variant}
-    if sweep["mode"] == "simulate":
+    sweep = dict(_FIGURE_SWEEPS[name])
+    if sweep["mode"] == "simulate":  # fig6 reads variant for its theory column alone
         sweep.update(trials=trials, seed=seed, workers=workers)
+    else:
+        sweep["variant"] = variant
     header, rows = run_sweep(sweep)
 
     def closed_p_loc(row, ratio):
@@ -350,7 +352,7 @@ def _shadow_model_from(config):
 
 
 def _simulate_config(config):
-    """Validated (networks, protocol, shadow model or None, b values) of a simulate config."""
+    """Validated (networks, protocol, b values) of a simulate config."""
     protocol_name = _choice(config, "protocol", tuple(_PROTOCOLS), "center")
     nets = _networks_from(config)
     blindless = [net for net in nets if net.k == net.n] if protocol_name == "all" else []
@@ -359,14 +361,12 @@ def _simulate_config(config):
                        f"n={blindless[0].n}, k={blindless[0].k} leaves no blind node for protocol 'all'")
     shadowed = any(f in config for f in _SHADOW_FIELDS)
     model = _shadow_model_from(config) if shadowed else None
-    draws = ("per_node", "per_link") if shadowed else ("none",)
+    draws = SHADOW_CHOICES[1:] if shadowed else SHADOW_CHOICES[:1]
     draw = _choice(config, "shadow_draw", draws, draws[0],
                    None if shadowed else f"needs the shadowing parameters {', '.join(_SHADOW_FIELDS)}")
-    from .montecarlo import TrialProtocol  # a simulate command loads numpy here, before any row
-
-    protocol = TrialProtocol(probe=_PROTOCOLS[protocol_name], shadow_draw=draw)
+    protocol = TrialProtocol(_PROTOCOLS[protocol_name], draw, model)
     # a shadowed b is the true ratio b_o, which must be positive
-    return nets, protocol, model, _unit(config, "b", "(]" if shadowed else "[]")
+    return nets, protocol, _unit(config, "b", "(]" if shadowed else "[]")
 
 
 def _run_settings(config):
@@ -384,20 +384,21 @@ def _run_settings(config):
 def _simulate(config, cell_seed):
     """Header and rows of a simulate config; cell i is seeded with cell_seed(seed, i)."""
     trials, seed, workers = _run_settings(config)
-    nets, protocol, model, b_values = _simulate_config(config)
-    from .montecarlo import worker_pool
+    nets, protocol, b_values = _simulate_config(config)
+    from .montecarlo import worker_pool  # a simulate command loads numpy here, before any row
 
     with worker_pool(workers) as pool:
-        rows = [_simulate_row(net, b, protocol, model, trials, cell_seed(seed, i), pool)
+        rows = [_simulate_row(net, b, protocol, trials, cell_seed(seed, i), pool)
                 for i, (net, b) in enumerate(product(nets, b_values))]
-    return _simulate_header(model), rows
+    fading = _FADING_COLUMNS if protocol.fading else []
+    return _SIMULATE_HEADER[:4] + fading + _SIMULATE_HEADER[4:], rows
 
 
 @_row_invariants()  # each row invariant is computed once per table
 def run_sweep(config: dict):
     """Header and rows for a JSON-configured sweep (grid in declaration order)."""
     mode = _choice(config, "mode", SWEEP_MODES)
-    unread = [field for field in config if field not in ("mode", "variant", *_MODE_FIELDS[mode])]
+    unread = [field for field in config if field not in ("mode", *_MODE_FIELDS[mode])]
     if unread:
         raise CliError(f"unknown field {unread[0]!r} for {mode} mode")
     variant = _choice(config, "variant", VARIANTS, "corrected")
@@ -564,7 +565,7 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--b", type=float, required=True, help="coverage ratio (b_o when shadowed)")
     for field in _SHADOW_FIELDS:
         p_est.add_argument(f"--{field.replace('_', '-')}", type=float, default=None)
-    p_est.add_argument("--shadow-draw", choices=("per_node", "per_link"), default=None,
+    p_est.add_argument("--shadow-draw", choices=SHADOW_CHOICES[1:], default=None,
                        help="fading-draw granularity when shadowed (default per_node)")
     p_est.set_defaults(func=_cmd_estimate)
     return parser

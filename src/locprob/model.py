@@ -67,7 +67,31 @@ class BhatDistribution:
     b_hat_max: float
     zero_mass: float
     mu: float
-    degenerate: bool = False
+
+
+PROBE_CHOICES = ("center_node", "all_nl_nodes")
+SHADOW_CHOICES = ("none", "per_node", "per_link")
+
+
+@dataclass(frozen=True)
+class TrialProtocol:
+    """One simulated cell's probe selection, fading-draw granularity and fading model.
+
+    The fading draws read the model's sigma1 and b_hat_max; a protocol has a
+    model exactly when it draws fading (shadow_draw is not "none").
+    """
+
+    probe: str = "center_node"
+    shadow_draw: str = "none"
+    fading: ShadowModel | None = None
+
+    def __post_init__(self) -> None:
+        for field, allowed in (("probe", PROBE_CHOICES), ("shadow_draw", SHADOW_CHOICES)):
+            if getattr(self, field) not in allowed:
+                raise ValueError(f"{field} must be one of {allowed}, got {getattr(self, field)!r}")
+        if (self.fading is None) != (self.shadow_draw == "none"):
+            needs = "requires a" if self.fading is None else "takes no"
+            raise ValueError(f"shadow_draw={self.shadow_draw!r} {needs} fading model")
 
 
 def make_network(n: int, k: int) -> NetworkParams:
@@ -123,7 +147,7 @@ def make_shadow_model(
         n_p=n_p,
         sigma_s=sigma_s,
         R=R,
-        sigma1=sigma_s / n_p,
+        sigma1=abs(sigma_s) / n_p,  # +0.0, a valid fading-draw scale, for sigma_s -0.0
         d_hat_max=d_hat_max,
         b_hat_max=b_hat_max,
     )
@@ -134,8 +158,8 @@ def bhat_distribution(b_o: float, sigma1: float, b_hat_max: float) -> BhatDistri
 
     zero_mass is the probability that the raw (untruncated) estimate exceeds
     b_hat_max, i.e. the lower Gaussian tail at -10*log10(b_hat_max / b_o)
-    standard units of sigma1.  sigma1 == 0 yields a flagged degenerate form:
-    a point mass at b_o when b_o <= b_hat_max, otherwise all mass at zero.
+    standard units of sigma1.  sigma1 == 0 yields the degenerate form: a
+    point mass at b_o when b_o <= b_hat_max, otherwise all mass at zero.
     """
     if not b_o > 0.0:
         raise ValueError(f"true ratio b_o must be positive, got {b_o}")
@@ -143,18 +167,9 @@ def bhat_distribution(b_o: float, sigma1: float, b_hat_max: float) -> BhatDistri
         raise ValueError(f"b_hat_max must lie in (0, 1), got {b_hat_max}")
     if sigma1 < 0.0:
         raise ValueError(f"sigma1 must be non-negative, got {sigma1}")
-    mu = 10.0 * math.log10(b_o)
     if sigma1 == 0.0:
         zero_mass = 0.0 if b_o <= b_hat_max else 1.0
-        return BhatDistribution(
-            b_o=b_o,
-            sigma1=0.0,
-            b_hat_max=b_hat_max,
-            zero_mass=zero_mass,
-            mu=mu,
-            degenerate=True,
-        )
-    zero_mass = normal_lower_tail(-10.0 * math.log10(b_hat_max / b_o) / sigma1)
-    return BhatDistribution(
-        b_o=b_o, sigma1=sigma1, b_hat_max=b_hat_max, zero_mass=zero_mass, mu=mu
-    )
+    else:
+        zero_mass = normal_lower_tail(-10.0 * math.log10(b_hat_max / b_o) / sigma1)
+    return BhatDistribution(b_o=b_o, sigma1=abs(sigma1), b_hat_max=b_hat_max,  # -0.0 as +0.0
+                            zero_mass=zero_mass, mu=10.0 * math.log10(b_o))

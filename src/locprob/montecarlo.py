@@ -16,7 +16,8 @@ transform (area-uniform placement).  Two probe protocols are implemented:
 Shadowed coverage draws one fading value per probe ("per_node", matching the
 mixed-ratio analysis: the probe's effective ratio is b * 10^(-X1/10), zeroed
 when it exceeds b_hat_max) or one per link ("per_link", a different model,
-kept behind the flag for comparison).
+kept behind the flag for comparison); the draws read the TrialProtocol's
+fading model, and b is then the true ratio b_o.
 
 The field protocol counts anchors in range on a uniform grid: anchors are
 bucketed into square cells a little wider than the largest effective radius,
@@ -54,10 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _check_ratio
-from .model import BhatDistribution, NetworkParams
-
-PROBE_CHOICES = ("center_node", "all_nl_nodes")
-SHADOW_CHOICES = ("none", "per_node", "per_link")
+from .model import NetworkParams, ShadowModel, TrialProtocol
 
 # Chunk sizes define the random-stream layout; they are pure functions of the
 # run parameters, so changing them changes the sampled numbers (not the
@@ -77,22 +75,6 @@ def _center_chunk_size(n: int) -> int:
 
 # (trial, node) pairs per block of centre trials: one block's draws stay in cache
 _CENTER_BLOCK_PAIRS = 2**15
-
-
-@dataclass(frozen=True)
-class TrialProtocol:
-    """Probe selection and fading-draw granularity for one trial."""
-
-    probe: str = "center_node"
-    shadow_draw: str = "none"
-
-    def __post_init__(self) -> None:
-        if self.probe not in PROBE_CHOICES:
-            raise ValueError(f"probe must be one of {PROBE_CHOICES}, got {self.probe!r}")
-        if self.shadow_draw not in SHADOW_CHOICES:
-            raise ValueError(
-                f"shadow_draw must be one of {SHADOW_CHOICES}, got {self.shadow_draw!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -118,7 +100,6 @@ class ProbEstimate:
     p_hat: float
     ci_low: float
     ci_high: float
-    seed: int
     realizations: int
 
 
@@ -151,29 +132,18 @@ def sample_realization(rng: np.random.Generator, net: NetworkParams) -> Realizat
     return Realization(radii=radii, angles=angles, l_flags=l_flags)
 
 
-def _effective_ratios(
-    b: float, shadow: BhatDistribution, draws: np.ndarray
-) -> np.ndarray:
+def _effective_ratios(b: float, fading: ShadowModel, draws: np.ndarray) -> np.ndarray:
     """Per-draw effective coverage ratio b * 10^(-X1/10), zeroed past b_hat_max."""
     ratio = b * 10.0 ** (-draws / 10.0)
-    return np.where(ratio <= shadow.b_hat_max, ratio, 0.0)
+    return np.where(ratio <= fading.b_hat_max, ratio, 0.0)
 
 
-def _fading_draws(protocol, shadow, rng, probes, anchors):
+def _fading_draws(protocol, rng, probes, anchors):
     """Fading draws in stream order: none, one per probe, or one per (probe, anchor) pair."""
-    if protocol.shadow_draw == "none":
+    if protocol.fading is None:
         return None
     shape = probes if protocol.shadow_draw == "per_node" else (probes, anchors)
-    return rng.normal(0.0, shadow.sigma1, shape)
-
-
-def _check_shadow_args(protocol, shadow, b):
-    """Shadow parameters come exactly with a fading draw, and at the coverage ratio b."""
-    if (shadow is None) != (protocol.shadow_draw == "none"):
-        needs = "requires" if shadow is None else "takes no"
-        raise ValueError(f"shadow_draw={protocol.shadow_draw!r} {needs} shadow parameters")
-    if shadow is not None and not math.isclose(shadow.b_o, b, rel_tol=1e-12):
-        raise ValueError(f"shadow.b_o = {shadow.b_o} does not match the coverage ratio b = {b}")
+    return rng.normal(0.0, protocol.fading.sigma1, shape)
 
 
 def _grid_pairs(px, py, ax, ay, reach):
@@ -212,7 +182,7 @@ def _grid_pairs(px, py, ax, ay, reach):
     return owner, order[pos]
 
 
-def _count_in_range(realizations, draws, b, protocol, shadow):
+def _count_in_range(realizations, draws, b, protocol):
     """Anchors within each blind probe's effective radius, shape (m, P).
 
     The m realizations share one anchor count (per_link: m = 1); draws[g] is
@@ -231,13 +201,13 @@ def _count_in_range(realizations, draws, b, protocol, shadow):
         owner, anchor = _grid_pairs(px, py, ax, ay, b)
         limit = b
     elif protocol.shadow_draw == "per_node":
-        eff = _effective_ratios(b, shadow, np.stack(draws)).ravel()
+        eff = _effective_ratios(b, protocol.fading, np.stack(draws)).ravel()
         owner, anchor = _grid_pairs(px, py, ax, ay, float(np.max(eff, initial=0.0)))
         limit = eff[owner]
     else:
         # b_hat_max bounds every effective ratio before any is computed
-        owner, anchor = _grid_pairs(px, py, ax, ay, shadow.b_hat_max)
-        limit = _effective_ratios(b, shadow, draws[0][owner, anchor])
+        owner, anchor = _grid_pairs(px, py, ax, ay, protocol.fading.b_hat_max)
+        limit = _effective_ratios(b, protocol.fading, draws[0][owner, anchor])
     dx = px.ravel()[owner] - ax.ravel()[anchor]
     dy = py.ravel()[owner] - ay.ravel()[anchor]
     hit = owner[dx * dx + dy * dy <= limit * limit]
@@ -270,8 +240,8 @@ def _center_chunk(args) -> tuple[int, int]:
     values, whose normals take a variable number of outputs, so it ends where
     whole-chunk draws would.
     """
-    seed, index, m, net, b, protocol, shadow = args
-    rng = _chunk_rng(seed, index)
+    seed, index, m, net, b, protocol = args
+    rng, fading = _chunk_rng(seed, index), protocol.fading
     n_other = net.n - 1
     radii_rng, anchor_rng = _stream_at(rng, 0), _stream_at(rng, m * n_other)
     rng.bit_generator.advance(2 * m * n_other)
@@ -281,15 +251,15 @@ def _center_chunk(args) -> tuple[int, int]:
         block = min(rows, m - start)
         sq_radii = radii_rng.random((block, n_other))
         anchor = anchor_rng.random((block, n_other)) < (net.k / net.n)
-        draws = _fading_draws(protocol, shadow, rng, block, n_other)
+        draws = _fading_draws(protocol, rng, block, n_other)
         if protocol.shadow_draw == "per_link":
             # every effective ratio is <= b_hat_max or 0, so no other pair can hit
-            bhm = shadow.b_hat_max
+            bhm = fading.b_hat_max
             row, col = np.nonzero(anchor & (sq_radii <= bhm * bhm))
-            eff = _effective_ratios(b, shadow, draws[row, col])
+            eff = _effective_ratios(b, fading, draws[row, col])
             counts = np.bincount(row[sq_radii[row, col] <= eff * eff], minlength=block)
         else:
-            eff = b if draws is None else _effective_ratios(b, shadow, draws).reshape(block, 1)
+            eff = b if draws is None else _effective_ratios(b, fading, draws).reshape(block, 1)
             anchor &= sq_radii <= eff * eff
             counts = np.count_nonzero(anchor, axis=1)
         successes += int(np.count_nonzero(counts >= 3))
@@ -302,7 +272,7 @@ def _all_nodes_chunk(args) -> tuple[int, int]:
     With fading the reach is near b_hat_max and a grid pass measures a large
     share of all pairs, so one realization per pass keeps memory flat in m.
     """
-    seed, index, m, net, b, protocol, shadow = args
+    seed, index, m, net, b, protocol = args
     rng = _chunk_rng(seed, index)
     probes = net.n - net.k
     batch = math.ceil(_FIELD_PASS_NODES / net.n) if protocol.shadow_draw == "none" else 1
@@ -311,8 +281,8 @@ def _all_nodes_chunk(args) -> tuple[int, int]:
         realizations, draws = [], []
         for _ in range(min(batch, m - done)):
             realizations.append(sample_realization(rng, net))
-            draws.append(_fading_draws(protocol, shadow, rng, probes, net.k))
-        counts = _count_in_range(realizations, draws, b, protocol, shadow)
+            draws.append(_fading_draws(protocol, rng, probes, net.k))
+        counts = _count_in_range(realizations, draws, b, protocol)
         successes += int((counts >= 3).sum())
     return successes, m * probes
 
@@ -332,7 +302,6 @@ def estimate(
     net: NetworkParams,
     b: float,
     protocol: TrialProtocol = TrialProtocol(),
-    shadow: BhatDistribution | None = None,
     trials: int = 1000,
     seed: int = 0,
     pool: ProcessPoolExecutor | None = None,
@@ -349,7 +318,6 @@ def estimate(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_ratio(b)
-    _check_shadow_args(protocol, shadow, b)
     if protocol.probe == "all_nl_nodes" and net.k == net.n:
         raise ValueError("all_nl_nodes protocol needs at least one blind node (k < n)")
 
@@ -358,7 +326,7 @@ def estimate(
     else:
         chunk_size, kernel = _ALL_NODES_CHUNK, _all_nodes_chunk
     jobs = [
-        (seed, i, min(chunk_size, trials - i * chunk_size), net, b, protocol, shadow)
+        (seed, i, min(chunk_size, trials - i * chunk_size), net, b, protocol)
         for i in range((trials + chunk_size - 1) // chunk_size)
     ]
     results = list((map if pool is None else pool.map)(kernel, jobs))
@@ -371,6 +339,5 @@ def estimate(
         p_hat=successes / probes,
         ci_low=ci_low,
         ci_high=ci_high,
-        seed=seed,
         realizations=trials,
     )

@@ -115,7 +115,7 @@ def bhat_moment(dist: BhatDistribution, order: int) -> float:
         raise ValueError(f"order must be a non-negative even integer, got {order}")
     if order == 0:
         return 1.0
-    if dist.degenerate:
+    if dist.sigma1 == 0.0:
         return dist.b_o**order if dist.b_o <= dist.b_hat_max else 0.0
     scale, two_var, mu, b_hat_max = _density_terms(dist)
     log10, exp = math.log10, math.exp
@@ -156,7 +156,7 @@ def failure_prob_shadow(
         raise ValueError(f"{method} is outside its stated validity for n = {n} > "
                          f"{SERIES_MAX_N[method]}, use integrate_conditional")
     if method == "integrate_conditional":
-        if dist.degenerate:
+        if dist.sigma1 == 0.0:
             p_f = (
                 _closed_value(n, net.a, dist.b_o, variant)
                 if dist.b_o <= dist.b_hat_max

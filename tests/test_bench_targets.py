@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from locprob import cli, make_network, montecarlo
+from locprob import TrialProtocol, cli, make_network
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,8 +39,8 @@ def test_every_trace_target_resolves(tracing):
 
 
 def test_estimate_span_describes_a_centre_call(tracing):
-    args = (make_network(50, 40), 0.2, montecarlo.TrialProtocol())
-    kwargs = {"shadow": None, "trials": 1, "seed": 3, "pool": None}
+    args = (make_network(50, 40), 0.2, TrialProtocol())
+    kwargs = {"trials": 1, "seed": 3, "pool": None}
     result = cli.estimate(*args, **kwargs)
     describe = tracing._describe_estimate(cli.estimate)
     assert describe(args, kwargs, result) == {"n": 50, "probe": "center_node", "realizations": 1}

@@ -443,6 +443,15 @@ _SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s
      "center_node\n"
      "80,10,0.875,0.3,0.915,0.085,200,17,0.0537457501775,0.131895870716,200,219603630,"
      "center_node\n"),
+    # a sigma_s of -0.0 must reach the fading draws as a scale of +0.0
+    (["sweep", "{cfg}", "--seed", "3", "--trials", "200"],
+     {"mode": "simulate", "n": 50, "k": 40, "b": 0.3, **_SHADOW_CONFIG, "sigma_s": -0.0},
+     '# locprob 0.1.0 config={"R":40,"b":0.3,"d0":0.1,"gamma_dbm":-80,"k":40,"mode":"simulate",'
+     '"n":50,"n_p":3.5,"p0_dbm":0,"seed":3,"sigma_s":-0.0,"trials":200}\n'
+     "n,k,a,b,sigma1,b_hat_max,zero_mass,p_f,p_loc,trials,successes,ci_low,ci_high,"
+     "realizations,seed,protocol\n"
+     "50,40,0.2,0.3,0,0.482674432221,0,0.32,0.68,200,136,0.612481015659,0.740734666845,200,"
+     "819382448,center_node\n"),
     (["sweep", "{cfg}"],
      {"mode": "analytic", "method": "sum", "n": 50, "a": [0.2, 0.8], "b": [0.3]},
      '# locprob 0.1.0 config={"a":[0.2,0.8],"b":[0.3],"method":"sum","mode":"analytic",'
@@ -486,7 +495,8 @@ _SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s
      "n,a,b_star_exact,b_star_large_n,b_star_fd,gap_exact_fd\n"
      "300,0.5,0.124904992723,0.124442105831,0.129423569393,-0.0045185766706\n"),
 ], ids=["estimate_a", "estimate_k_all", "estimate_per_link", "estimate_default_draw",
-        "estimate_a_workers", "simulate_sweep", "analytic_sum",
+        "estimate_a_workers", "simulate_sweep", "simulate_sweep_negative_zero_sigma_s",
+        "analytic_sum",
         "approx_small", "shadow_alternating_sum", "analytic_sum_n3000", "threshold_a"])
 def test_table_bytes(tmp_path, capsys, argv, config, expected):
     cfg = tmp_path / "cfg.json"
@@ -561,6 +571,10 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
     (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "b": 0.2}, "unknown field 'b' for shadow mode"),
     (["sweep", "{cfg}"], {"mode": "figure", "figure": "fig1", "protocol": "all"},
      "unknown field 'protocol' for figure mode"),
+    (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, "trials": 10,
+                          "variant": "paper"}, "unknown field 'variant' for simulate mode"),
+    (["sweep", "{cfg}", "--variant", "paper"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2},
+     "unknown field 'variant' for simulate mode"),
     (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": 1}, "out"),
     (["sweep", "{cfg}"], {"mode": "analytic", "a": 0.5, "b": 0.2}, "missing required field 'n'"),
     (["sweep", "{cfg}"], {"mode": "analytic", "n": [60, 50], "k": 55, "b": 0.2}, "k"),
@@ -591,6 +605,7 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
         "shadow_nan_p0", "shadow_inf_R", "shadow_b_hat_max_underflow",
         "shadow_b_hat_max_overflow", "simulate_unread_fields", "threshold_b_and_a",
         "analytic_unread_flag", "shadow_unread_b", "figure_unread_protocol",
+        "simulate_unread_variant", "simulate_unread_variant_flag",
         "sweep_out_descriptor", "missing_n", "sweep_k_above_n", "partial_shadowing",
         "bad_variant", "unknown_figure", "analytic_method", "shadow_method", "config_not_object",
         "threshold_n_above_cap", "threshold_huge_n", "analytic_huge_n", "estimate_n_above_cap",

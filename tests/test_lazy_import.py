@@ -35,11 +35,13 @@ def _cli(*argv: str) -> str:
 
 @pytest.mark.parametrize("code", [
     "import locprob",
+    "import locprob\nlocprob.TrialProtocol('all_nl_nodes', 'per_node', "
+    "locprob.make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0))",
     _cli("figure", "fig1"),
     _cli("figure", "fig_shadow"),
     _cli("threshold", "--n", "300", "--b", "0.15"),
     _cli("sweep", "cfg.json"),
-], ids=["import", "fig1", "fig_shadow", "threshold", "analytic_sweep"])
+], ids=["import", "trial_protocol", "fig1", "fig_shadow", "threshold", "analytic_sweep"])
 def test_analytic_commands_do_not_load_numpy(tmp_path, code):
     config = {"mode": "analytic", "method": "sum", "n": 50, "a": [0.2, 0.8], "b": [0.1, 0.3]}
     (tmp_path / "cfg.json").write_text(json.dumps(config))

@@ -6,6 +6,8 @@ import pytest
 
 from locprob.model import (
     ALPHA,
+    SHADOW_CHOICES,
+    TrialProtocol,
     bhat_distribution,
     make_network,
     make_shadow_model,
@@ -121,9 +123,15 @@ class TestBhatDistribution:
 
     def test_degenerate_point_mass(self):
         inside = bhat_distribution(0.2, 0.0, 0.48)
-        assert inside.degenerate and inside.zero_mass == 0.0
+        assert inside.sigma1 == 0.0 and inside.zero_mass == 0.0
         outside = bhat_distribution(0.6, 0.0, 0.48)
-        assert outside.degenerate and outside.zero_mass == 1.0
+        assert outside.sigma1 == 0.0 and outside.zero_mass == 1.0
+
+    def test_zero_sigma1_is_stored_as_positive_zero(self):
+        # a fading draw's scale of -0.0 is rejected by numpy's normal sampler
+        model = make_shadow_model(0.0, -80.0, 0.1, 3.5, -0.0, 40.0)
+        dist = bhat_distribution(0.2, -0.0, 0.48)
+        assert [math.copysign(1.0, v) for v in (model.sigma1, dist.sigma1)] == [1.0, 1.0]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -132,3 +140,15 @@ class TestBhatDistribution:
             bhat_distribution(0.2, -1.0, 0.48)
         with pytest.raises(ValueError):
             bhat_distribution(0.2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("shadow_draw", SHADOW_CHOICES)
+@pytest.mark.parametrize("fading", [None, make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)],
+                         ids=["no_model", "model"])
+def test_trial_protocol_has_a_fading_model_exactly_when_it_draws_fading(shadow_draw, fading):
+    if (fading is None) == (shadow_draw == "none"):
+        assert TrialProtocol("all_nl_nodes", shadow_draw, fading).fading is fading
+    else:
+        needs = "requires a" if fading is None else "takes no"
+        with pytest.raises(ValueError, match=f"shadow_draw='{shadow_draw}' {needs} fading model"):
+            TrialProtocol("all_nl_nodes", shadow_draw, fading)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from statistics import NormalDist
@@ -10,12 +11,16 @@ from oracles import brute_force_anchor_counts, per_link_center_failure
 
 from locprob import montecarlo
 from locprob.analytic import failure_prob_sum
-from locprob.model import bhat_distribution, make_network, make_shadow_model
-from locprob.montecarlo import (
+from locprob.model import (
     SHADOW_CHOICES,
+    TrialProtocol,
+    bhat_distribution,
+    make_network,
+    make_shadow_model,
+)
+from locprob.montecarlo import (
     ProbEstimate,
     Realization,
-    TrialProtocol,
     _all_nodes_chunk,
     _center_chunk,
     _chunk_rng,
@@ -27,6 +32,13 @@ from locprob.montecarlo import (
     worker_pool,
 )
 from locprob.shadowing import failure_prob_shadow
+
+_REFERENCE_FADING = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
+
+
+def _fading(sigma1, b_hat_max):
+    """A fading model with these draw parameters, the only ones the kernels read."""
+    return dataclasses.replace(_REFERENCE_FADING, sigma1=sigma1, b_hat_max=b_hat_max)
 
 
 def wilson_se(est: ProbEstimate) -> float:
@@ -106,15 +118,11 @@ class TestRunTrial:
         assert (sim.trials, sim.realizations) == (3 * 25, 3)
 
     def test_shadow_requires_matching_parameters(self):
-        net = make_network(20, 10)
-        protocol = TrialProtocol(shadow_draw="per_node")
-        with pytest.raises(ValueError, match="shadow"):
-            estimate(net, 0.2, protocol, shadow=None)
-        dist = bhat_distribution(0.2, 1.0, 0.48)
-        with pytest.raises(ValueError, match="does not match"):
-            estimate(net, 0.3, protocol, shadow=dist)
-        with pytest.raises(ValueError, match="shadow_draw"):
-            estimate(net, 0.2, TrialProtocol(), shadow=dist)
+        # a fading draw without a fading model, or a model without a draw, is no protocol
+        with pytest.raises(ValueError, match="requires a fading model"):
+            TrialProtocol(shadow_draw="per_node")
+        with pytest.raises(ValueError, match="takes no fading model"):
+            TrialProtocol(fading=_REFERENCE_FADING)
 
     def test_protocol_validation(self):
         with pytest.raises(ValueError):
@@ -124,10 +132,9 @@ class TestRunTrial:
 
     def test_per_link_runs_both_protocols(self):
         net = make_network(30, 12)
-        dist = bhat_distribution(0.25, 2.0, 0.48)
         for probe, probes in (("all_nl_nodes", 18), ("center_node", 1)):
-            protocol = TrialProtocol(probe=probe, shadow_draw="per_link")
-            sim = estimate(net, 0.25, protocol, dist, trials=50, seed=9)
+            protocol = TrialProtocol(probe, "per_link", _fading(2.0, 0.48))
+            sim = estimate(net, 0.25, protocol, trials=50, seed=9)
             assert sim.trials == 50 * probes
             assert 0 <= sim.successes <= sim.trials
 
@@ -184,12 +191,11 @@ class TestEstimate:
         assert field.p_hat < interior.p_hat
 
     def test_shadowed_center_probe_matches_mixture_integral(self):
-        model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
+        model = _REFERENCE_FADING
         net = make_network(50, 10)
         dist = bhat_distribution(0.2, model.sigma1, model.b_hat_max)
         sim = estimate(
-            net, 0.2, TrialProtocol(shadow_draw="per_node"), shadow=dist,
-            trials=100_000, seed=41,
+            net, 0.2, TrialProtocol(shadow_draw="per_node", fading=model), trials=100_000, seed=41
         )
         want = failure_prob_shadow(net, dist).p_loc
         assert abs(sim.p_hat - want) <= 3.0 * wilson_se(sim)
@@ -202,13 +208,13 @@ class TestEstimate:
         # Each comparison has a seed of its own; comparisons that shared one seed
         # gave z values all of one sign.
         bound = NormalDist().inv_cdf(1.0 - 1e-3 / 8 / 2)
-        model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
+        model = _REFERENCE_FADING
         cells = [(n, k, trials, b_o, draw) for n, k, trials in ((50, 40, 100_000), (300, 60, 40_000))
                  for b_o in (0.2, 0.6) for draw in ("per_link", "per_node")]
         for seed, (n, k, trials, b_o, draw) in enumerate(cells, start=7100):
             net = make_network(n, k)
             dist = bhat_distribution(b_o, model.sigma1, model.b_hat_max)
-            sim = estimate(net, b_o, TrialProtocol(shadow_draw=draw), shadow=dist,
+            sim = estimate(net, b_o, TrialProtocol(shadow_draw=draw, fading=model),
                            trials=trials, seed=seed)
             if draw == "per_link":
                 want = 1.0 - per_link_center_failure(n, net.a, dist)
@@ -280,12 +286,11 @@ def field_cases(draw):
         n = draw(st.integers(1, 60))
         k = min(n, draw(st.one_of(st.integers(0, 3), st.integers(0, n))))
     if kind == "scattered":
-        low = 0.0 if mode == "none" else 1e-3
-        b = draw(st.one_of(st.sampled_from([low, 1.0]), st.floats(low, 1.0)))
+        b = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
         real = _scattered(n, k, seed)
     elif kind == "ties":
         # multiples of 1/64, so anchors at distance b are exact ties
-        b = draw(st.integers(0 if mode == "none" else 1, 64)) / 64
+        b = draw(st.integers(0, 64)) / 64
         real = _on_x_axis(rng.integers(-64, 65, n) / 64, k, seed)
     else:
         x = -1.0 + rng.integers(0, int(2 / b) + 1, n) * b
@@ -305,12 +310,12 @@ def field_cases(draw):
 @example((_scattered(30, 2, 4), 0.0, "none", 0.0, 0.5), 0)
 def test_field_counts_match_brute_force(case, seed):
     real, b, mode, sigma1, b_hat_max = case
-    shadow = None if mode == "none" else bhat_distribution(b, sigma1, b_hat_max)
+    fading = None if mode == "none" else _fading(sigma1, b_hat_max)
     kernel_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    protocol = TrialProtocol(probe="all_nl_nodes", shadow_draw=mode)
+    protocol = TrialProtocol("all_nl_nodes", mode, fading)
     anchors = int(real.l_flags.sum())
-    draws = _fading_draws(protocol, shadow, kernel_rng, real.l_flags.size - anchors, anchors)
-    got = _count_in_range([real], [draws], b, protocol, shadow)[0]
+    draws = _fading_draws(protocol, kernel_rng, real.l_flags.size - anchors, anchors)
+    got = _count_in_range([real], [draws], b, protocol)[0]
     want = brute_force_anchor_counts(
         real.radii, real.angles, real.l_flags, b, mode, oracle_rng, sigma1, b_hat_max
     )
@@ -333,16 +338,12 @@ def test_field_counts_match_brute_force(case, seed):
     ],
 )
 def test_field_protocol_stream_is_frozen(n, k, b, seed, shadow_draw, successes, probes):
-    model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
-    dist = bhat_distribution(b, model.sigma1, model.b_hat_max)
+    fading = None if shadow_draw == "none" else _REFERENCE_FADING
     sim = estimate(
-        make_network(n, k), b, TrialProtocol(probe="all_nl_nodes", shadow_draw=shadow_draw),
-        shadow=None if shadow_draw == "none" else dist, trials=64, seed=seed,
+        make_network(n, k), b, TrialProtocol("all_nl_nodes", shadow_draw, fading), trials=64,
+        seed=seed,
     )
     assert (sim.successes, sim.trials) == (successes, probes)
-
-
-_REFERENCE_FADING = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 32])
@@ -354,8 +355,7 @@ def test_field_chunk_matches_per_realization_replay(monkeypatch, m, n, k, b, sha
     # b = 0 with 3000 anchors makes the cell-count floor, not b, set the cell side
     net = make_network(n, k)
     model = _REFERENCE_FADING
-    shadow = None if shadow_draw == "none" else bhat_distribution(b, model.sigma1, model.b_hat_max)
-    protocol = TrialProtocol(probe="all_nl_nodes", shadow_draw=shadow_draw)
+    protocol = TrialProtocol("all_nl_nodes", shadow_draw, None if shadow_draw == "none" else model)
     chunk_rngs = []
 
     def recorded_rng(*key):
@@ -363,7 +363,7 @@ def test_field_chunk_matches_per_realization_replay(monkeypatch, m, n, k, b, sha
         return chunk_rngs[-1]
 
     monkeypatch.setattr(montecarlo, "_chunk_rng", recorded_rng)
-    got = _all_nodes_chunk((11, 3, m, net, b, protocol, shadow))
+    got = _all_nodes_chunk((11, 3, m, net, b, protocol))
     replay = _chunk_rng(11, 3)
     successes = 0
     for _ in range(m):
@@ -395,16 +395,14 @@ def _on_grid_border(n, k, rng):
 )
 def test_batched_count_keeps_realizations_apart(n, k, b, shadow_draw):
     model = _REFERENCE_FADING
-    shadow = None if shadow_draw == "none" else bhat_distribution(b, model.sigma1, 0.9)
+    fading = None if shadow_draw == "none" else _fading(model.sigma1, 0.9)
     place = np.random.default_rng(n + k)
     reals = [_on_grid_border(n, k, place) if n < 100 else _scattered(n, k, g) for g in range(6)]
     kernel_rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
     draws = [
-        None if shadow is None else kernel_rng.normal(0.0, shadow.sigma1, n - k) for _ in reals
+        None if fading is None else kernel_rng.normal(0.0, fading.sigma1, n - k) for _ in reals
     ]
-    got = _count_in_range(
-        reals, draws, b, TrialProtocol(probe="all_nl_nodes", shadow_draw=shadow_draw), shadow
-    )
+    got = _count_in_range(reals, draws, b, TrialProtocol("all_nl_nodes", shadow_draw, fading))
     want = [
         brute_force_anchor_counts(
             r.radii, r.angles, r.l_flags, b, shadow_draw, oracle_rng, model.sigma1, 0.9
@@ -428,11 +426,10 @@ def test_batched_count_keeps_realizations_apart(n, k, b, shadow_draw):
     ],
 )
 def test_center_protocol_stream_is_frozen(n, k, b, seed, trials, shadow_draw, successes):
-    model = _REFERENCE_FADING
-    dist = bhat_distribution(b, model.sigma1, model.b_hat_max)
+    fading = None if shadow_draw == "none" else _REFERENCE_FADING
     sim = estimate(
-        make_network(n, k), b, TrialProtocol(probe="center_node", shadow_draw=shadow_draw),
-        shadow=None if shadow_draw == "none" else dist, trials=trials, seed=seed,
+        make_network(n, k), b, TrialProtocol("center_node", shadow_draw, fading), trials=trials,
+        seed=seed,
     )
     assert (sim.successes, sim.trials) == (successes, trials)
 
@@ -468,9 +465,7 @@ def _dense_center_chunk(rng, m, net, b, sigma1, b_hat_max, shadow_draw="per_link
 @example(50, 40, 0.9, 0.0, 3.0, 0.5, 3)
 def test_center_per_link_chunk_matches_dense_replay(m, n, anchors, b, sigma1, b_hat_max, seed):
     net = make_network(n, round(anchors * n))
-    # the chunk reads only sigma1 and b_hat_max; b_o must be positive
-    shadow = bhat_distribution(max(b, 1e-3), sigma1, b_hat_max)
-    protocol = TrialProtocol(probe="center_node", shadow_draw="per_link")
+    protocol = TrialProtocol("center_node", "per_link", _fading(sigma1, b_hat_max))
     chunk_rngs = []
 
     def recorded_rng(*key):
@@ -479,7 +474,7 @@ def test_center_per_link_chunk_matches_dense_replay(m, n, anchors, b, sigma1, b_
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_chunk_rng", recorded_rng)
-        got = _center_chunk((seed, 5, m, net, b, protocol, shadow))
+        got = _center_chunk((seed, 5, m, net, b, protocol))
     replay = _chunk_rng(seed, 5)
     assert got == _dense_center_chunk(replay, m, net, b, sigma1, b_hat_max)
     assert chunk_rngs[0].random() == replay.random()
@@ -511,8 +506,8 @@ def test_center_chunk_matches_dense_replay_in_every_mode(
     shadow_draw, m, n, anchors, b, sigma1, b_hat_max, seed
 ):
     net = make_network(n, round(anchors * n))
-    shadow = None if shadow_draw == "none" else bhat_distribution(max(b, 1e-3), sigma1, b_hat_max)
-    protocol = TrialProtocol(probe="center_node", shadow_draw=shadow_draw)
+    fading = None if shadow_draw == "none" else _fading(sigma1, b_hat_max)
+    protocol = TrialProtocol("center_node", shadow_draw, fading)
     chunk_rngs = []
 
     def recorded_rng(*key):
@@ -521,7 +516,7 @@ def test_center_chunk_matches_dense_replay_in_every_mode(
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_chunk_rng", recorded_rng)
-        got = _center_chunk((seed, 5, m, net, b, protocol, shadow))
+        got = _center_chunk((seed, 5, m, net, b, protocol))
     replay = _chunk_rng(seed, 5)
     assert got == _dense_center_chunk(replay, m, net, b, sigma1, b_hat_max, shadow_draw)
     # the chunk's own generator drew the fading values and ends where the dense draws end
