@@ -27,15 +27,14 @@ The squared distances use the same float operations as a full probes x anchors
 block, so counts (and CSVs) are identical to a dense count; one kernel serves
 all three fading modes.  "per_link" still draws its full probes x anchors
 block of fading values, so the random-stream layout does not depend on which
-pairs the grid measures, but turns only the measured ones into ratios; the
-centre kernel likewise computes them only for anchors within b_hat_max.
+pairs the grid measures, but turns only the measured ones into ratios.
 
-The centre kernel walks its trials in row blocks of about 2^15 (trial, node)
-pairs, so each block is drawn and counted while it sits in cache.  A chunk's
-stream holds all its radius uniforms, then all its anchor uniforms, then its
-fading draws; a float64 uniform takes exactly one PCG64 output, so each
-uniform run is read from a copy of the stream advanced to its offset and the
-blocks draw the same numbers as whole-chunk draws.
+The centre kernel also counts all three modes in one path, in row blocks of
+about 2^15 (trial, node) pairs so each block is drawn and counted while it
+sits in cache.  A chunk's stream holds all its radius uniforms, then all its
+anchor uniforms, then its fading draws; a float64 uniform takes exactly one
+PCG64 output, so each uniform run is read from a copy of the stream advanced
+to its offset and the blocks draw the same numbers as whole-chunk draws.
 
 Determinism: trials are partitioned into fixed-size chunks and chunk i draws
 from an independent stream spawned from the master seed, so results are
@@ -235,10 +234,12 @@ def _stream_at(rng: np.random.Generator, outputs: int) -> np.random.Generator:
 def _center_chunk(args) -> tuple[int, int]:
     """Vectorised centered-probe trials in row blocks; returns (successes, probes).
 
-    The m*(n-1) radius and m*(n-1) anchor uniforms are read from copies of the
-    stream at their offsets.  rng itself skips both runs and draws the fading
-    values, whose normals take a variable number of outputs, so it ends where
-    whole-chunk draws would.
+    A block keeps the flat (trial, node) index of each anchor within reach: b,
+    the trial's ratio (per_node), or b_hat_max, which bounds every per_link
+    ratio, so per_link then keeps the pairs within their own; index // (n-1)
+    is the trial.  Radius and anchor uniforms come from copies of the stream
+    at their offsets; rng skips both runs and draws the fading values (a
+    variable number of outputs), so it ends where whole-chunk draws would.
     """
     seed, index, m, net, b, protocol = args
     rng, fading = _chunk_rng(seed, index), protocol.fading
@@ -252,16 +253,15 @@ def _center_chunk(args) -> tuple[int, int]:
         sq_radii = radii_rng.random((block, n_other))
         anchor = anchor_rng.random((block, n_other)) < (net.k / net.n)
         draws = _fading_draws(protocol, rng, block, n_other)
-        if protocol.shadow_draw == "per_link":
-            # every effective ratio is <= b_hat_max or 0, so no other pair can hit
-            bhm = fading.b_hat_max
-            row, col = np.nonzero(anchor & (sq_radii <= bhm * bhm))
-            eff = _effective_ratios(b, fading, draws[row, col])
-            counts = np.bincount(row[sq_radii[row, col] <= eff * eff], minlength=block)
+        if protocol.shadow_draw == "per_node":
+            reach = _effective_ratios(b, fading, draws).reshape(block, 1)
         else:
-            eff = b if draws is None else _effective_ratios(b, fading, draws).reshape(block, 1)
-            anchor &= sq_radii <= eff * eff
-            counts = np.count_nonzero(anchor, axis=1)
+            reach = b if draws is None else fading.b_hat_max
+        pair = np.flatnonzero(anchor & (sq_radii <= reach * reach))
+        if protocol.shadow_draw == "per_link":
+            eff = _effective_ratios(b, fading, draws.ravel()[pair])
+            pair = pair[sq_radii.ravel()[pair] <= eff * eff]
+        counts = np.bincount(pair // n_other, minlength=block)
         successes += int(np.count_nonzero(counts >= 3))
     return successes, m
 

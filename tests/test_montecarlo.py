@@ -521,3 +521,40 @@ def test_center_chunk_matches_dense_replay_in_every_mode(
     assert got == _dense_center_chunk(replay, m, net, b, sigma1, b_hat_max, shadow_draw)
     # the chunk's own generator drew the fading values and ends where the dense draws end
     assert [r.bit_generator.state for r in chunk_rngs] == [replay.bit_generator.state]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(SHADOW_CHOICES),
+    st.integers(1, 200),
+    st.integers(4, 200),
+    st.floats(0.0, 1.0),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.just(0.0), st.floats(0.5, 12.0)),
+    st.floats(0.01, 0.99),
+    st.integers(0, 2**32 - 1),
+)
+# every mode with a ragged last block at 3(n-1)+1 pairs per block (three trials)
+@example("none", 200, 60, 0.5, 0.3, 0.0, 0.5, 1)
+@example("per_node", 200, 60, 0.5, 0.3, 4.0, 0.5, 2)
+@example("per_link", 200, 60, 0.5, 0.3, 4.0, 0.5, 3)
+def test_center_chunk_does_not_depend_on_block_shape(
+    shadow_draw, m, n, anchors, b, sigma1, b_hat_max, seed
+):
+    # a pair's trial is its flat index // (n-1), whatever rows a block holds
+    net = make_network(n, round(anchors * n))
+    fading = None if shadow_draw == "none" else _fading(sigma1, b_hat_max)
+    protocol = TrialProtocol("center_node", shadow_draw, fading)
+    outcomes, chunk_rngs = [], []
+
+    def recorded_rng(*key):
+        chunk_rngs.append(_chunk_rng(*key))
+        return chunk_rngs[-1]
+
+    for block_pairs in (1, n - 1, 3 * (n - 1) + 1, 2**15, 2**22):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_CENTER_BLOCK_PAIRS", block_pairs)
+            patch.setattr(montecarlo, "_chunk_rng", recorded_rng)
+            got = _center_chunk((seed, 5, m, net, b, protocol))
+        outcomes.append((got, chunk_rngs[-1].bit_generator.state))
+    assert outcomes == [outcomes[0]] * len(outcomes)
