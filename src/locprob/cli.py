@@ -5,11 +5,12 @@ table, `sweep <config.json>` runs a custom parameter grid, `threshold` and
 `estimate` answer single queries.  A figure is a named sweep config (fig2,
 a bare list of a* values, aside), `threshold` a one-cell sweep, and
 `estimate` a simulate cell drawn from the master seed rather than from a
-per-cell seed.  Every table re-runs byte-identically for the same seed:
-floats carry 12 significant digits, line endings are LF, the leading
-comment records the semantic configuration (worker count and output path
-are execution details and deliberately excluded), and row order follows
-grid order regardless of any parallelism.
+per-cell seed; each verb's flags are its mode's fields.  Every table
+re-runs byte-identically for the same seed: floats carry 12 significant
+digits, line endings are LF, the leading comment records the semantic
+configuration (worker count and output path are execution details and
+deliberately excluded), and row order follows grid order regardless of any
+parallelism.
 
 A sweep config may hold only the fields its mode reads (a simulate sweep
 reads no 'variant'); a simulate config becomes one `TrialProtocol`.  Only a
@@ -65,8 +66,10 @@ _MODE_FIELDS = {
     "figure": ("figure", "variant", *_RUN_FIELDS),
 }
 SWEEP_MODES = tuple(_MODE_FIELDS)
+# the fields with a default, used wherever a config or a verb leaves one out
+_DEFAULTS = {"trials": 1000, "seed": 0, "variant": "corrected", "workers": 1, "protocol": "center"}
 # flags that override the sweep config's field of the same name
-_SWEEP_FLAGS = ("trials", "seed", "variant", "workers", "protocol")
+_SWEEP_FLAGS = tuple(_DEFAULTS)
 
 
 class CliError(Exception):
@@ -353,7 +356,7 @@ def _shadow_model_from(config):
 
 def _simulate_config(config):
     """Validated (networks, protocol, b values) of a simulate config."""
-    protocol_name = _choice(config, "protocol", tuple(_PROTOCOLS), "center")
+    protocol_name = _choice(config, "protocol", tuple(_PROTOCOLS), _DEFAULTS["protocol"])
     nets = _networks_from(config)
     blindless = [net for net in nets if net.k == net.n] if protocol_name == "all" else []
     if blindless:
@@ -372,8 +375,8 @@ def _simulate_config(config):
 def _run_settings(config):
     """Validated (trials, seed, workers) of a Monte Carlo or figure sweep."""
     settings = []
-    for field, default, low in (("trials", 1000, 1), ("seed", 0, 0), ("workers", 1, 1)):
-        v = config.get(field, default)
+    for field, low in (("trials", 1), ("seed", 0), ("workers", 1)):
+        v = config.get(field, _DEFAULTS[field])
         if not _number(v, int, lambda v: v >= low):
             kind = "positive" if low else "non-negative"
             raise CliError(f"invalid value for field '{field}': {v!r} (must be a {kind} integer)")
@@ -401,7 +404,7 @@ def run_sweep(config: dict):
     unread = [field for field in config if field not in ("mode", *_MODE_FIELDS[mode])]
     if unread:
         raise CliError(f"unknown field {unread[0]!r} for {mode} mode")
-    variant = _choice(config, "variant", VARIANTS, "corrected")
+    variant = _choice(config, "variant", VARIANTS, _DEFAULTS["variant"])
 
     if mode == "figure":
         return _figure(_choice(config, "figure", FIGURES), variant, *_run_settings(config))
@@ -460,13 +463,6 @@ def _run_and_write(config, emitted, out, quiet) -> int:
     return 2 if problems else 0
 
 
-def _cmd_figure(args):
-    config = {"figure": args.name, "trials": args.trials, "seed": args.seed,
-              "variant": args.variant}
-    return _run_and_write({**config, "mode": "figure", "workers": args.workers}, config,
-                          args.out, args.quiet)
-
-
 def _cmd_sweep(args):
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -492,82 +488,63 @@ def _given(args, *fields):
     return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
 
 
-def _cmd_threshold(args):
-    config = {"mode": "threshold", "n": args.n, **_given(args, "b", "a"), "variant": args.variant}
-    return _run_and_write(config, config, args.out, args.quiet)
+def _cmd_mode(args):
+    """`figure` and `threshold`: the flags given are their mode's config."""
+    config = {"mode": args.mode, **_given(args, *_MODE_FIELDS[args.mode])}
+    # no table records its worker count, and a figure's names the figure rather than its mode
+    emitted = {f: v for f, v in config.items() if f != "workers" and (f, v) != ("mode", "figure")}
+    return _run_and_write(config, emitted, args.out, args.quiet)
 
 
 def _cmd_estimate(args):
-    config = {"mode": "simulate", "n": args.n, **_given(args, "k", "a"), "b": args.b,
-              "trials": args.trials, "seed": args.seed, "protocol": args.protocol,
-              **_given(args, *_SHADOW_FIELDS, "shadow_draw")}
+    config = {"mode": "simulate", **_given(args, *_MODE_FIELDS["simulate"])}
     # the master seed itself drives the one cell, as the printed seed says
-    header, [row] = _simulate({**config, "workers": args.workers}, lambda seed, index: seed)
+    header, [row] = _simulate(config, lambda seed, index: seed)
     # record the anchor count, and the fading draw when shadowed
-    emitted = {f: v for f, v in config.items() if f != "a"}
+    emitted = {f: v for f, v in config.items() if f not in ("a", "workers")}
     emitted.update({f: row[f] for f in ("k", "shadow_draw") if f in row})
     _write_table(args.out, emitted, header, [row], args.quiet)
     return 0
 
 
-def _add_common(parser: _Parser, names: tuple[str, ...], defer_to_config: bool = False) -> None:
-    """--out, --quiet and the shared value flags in `names`.
-
-    A verb registers only the flags it reads, so a flag it would ignore is
-    rejected as unrecognized (exit 1) rather than accepted silently.  With
-    defer_to_config the value defaults become None so a sweep config file
-    wins unless the flag is given explicitly.
-    """
-    dflt = (lambda v: None) if defer_to_config else (lambda v: v)
-    flags = {
-        "seed": dict(type=int, default=dflt(0), help="master seed (default 0)"),
-        "trials": dict(type=int, default=dflt(1000),
-                       help="Monte Carlo realizations per point (default 1000)"),
-        "variant": dict(choices=VARIANTS, default=dflt("corrected"),
-                        help="closed-form coefficient variant"),
-        "protocol": dict(choices=sorted(_PROTOCOLS), default=dflt("center"),
-                         help="probe protocol for simulations"),
-        "workers": dict(type=int, default=dflt(1),
-                        help="parallel workers (results are worker-count independent)"),
-    }
-    for name in names:
-        parser.add_argument(f"--{name}", **flags[name])
-    parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    parser.add_argument("--quiet", action="store_true", help="suppress status messages")
+# every value flag, by the config field it sets (a figure's name is positional)
+_FLAGS = {
+    "figure": dict(choices=FIGURES, help="the canned figure"),
+    "n": dict(type=int, help="node count"),
+    "k": dict(type=int, help="anchor count"),
+    "a": dict(type=float, help="blind fraction (in place of --k; threshold: query b*)"),
+    "b": dict(type=float, help="coverage ratio (b_o when shadowed; threshold: query a*)"),
+    "variant": dict(choices=VARIANTS, help="closed-form coefficient variant"),
+    "protocol": dict(choices=sorted(_PROTOCOLS), help="probe protocol for simulations"),
+    "shadow_draw": dict(choices=SHADOW_CHOICES[1:], help="fading draw when shadowed (default per_node)"),
+    "trials": dict(type=int, help="Monte Carlo realizations per point"),
+    "seed": dict(type=int, help="master seed"),
+    "workers": dict(type=int, help="parallel workers (results are worker-count independent)"),
+    **{field: dict(type=float, help="shadowing parameter") for field in _SHADOW_FIELDS},
+}
 
 
 def _build_parser() -> _Parser:
+    """Each verb takes the flags of its mode's fields, so a flag it would ignore is an error (exit 1)."""
     parser = _Parser(prog="locprob", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_fig = sub.add_parser("figure", help="emit a canned figure table")
-    _add_common(p_fig, ("seed", "trials", "variant", "workers"))
-    p_fig.add_argument("name", choices=FIGURES)
-    p_fig.set_defaults(func=_cmd_figure)
-
-    p_sweep = sub.add_parser("sweep", help="run a JSON-configured sweep")
-    _add_common(p_sweep, _SWEEP_FLAGS, defer_to_config=True)
-    p_sweep.add_argument("config", help="path to the JSON sweep configuration")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_thr = sub.add_parser("threshold", help="transition-threshold query")
-    _add_common(p_thr, ("variant",))
-    p_thr.add_argument("--n", type=int, required=True)
-    p_thr.add_argument("--b", type=float, default=None, help="coverage ratio (query a*)")
-    p_thr.add_argument("--a", type=float, default=None, help="blind fraction (query b*)")
-    p_thr.set_defaults(func=_cmd_threshold)
-
-    p_est = sub.add_parser("estimate", help="Monte Carlo estimate query")
-    _add_common(p_est, ("seed", "trials", "protocol", "workers"))
-    p_est.add_argument("--n", type=int, required=True)
-    p_est.add_argument("--k", type=int, default=None, help="anchor count")
-    p_est.add_argument("--a", type=float, default=None, help="blind fraction (alternative to --k)")
-    p_est.add_argument("--b", type=float, required=True, help="coverage ratio (b_o when shadowed)")
-    for field in _SHADOW_FIELDS:
-        p_est.add_argument(f"--{field.replace('_', '-')}", type=float, default=None)
-    p_est.add_argument("--shadow-draw", choices=SHADOW_CHOICES[1:], default=None,
-                       help="fading-draw granularity when shadowed (default per_node)")
-    p_est.set_defaults(func=_cmd_estimate)
+    for verb, mode, func, summary in (
+            ("figure", "figure", _cmd_mode, "emit a canned figure table"),
+            ("sweep", None, _cmd_sweep, "run a JSON-configured sweep"),
+            ("threshold", "threshold", _cmd_mode, "transition-threshold query"),
+            ("estimate", "simulate", _cmd_estimate, "Monte Carlo estimate query")):
+        p = sub.add_parser(verb, help=summary)
+        if mode is None:
+            p.add_argument("config", help="path to the JSON sweep configuration")
+        for field in _MODE_FIELDS[mode] if mode else _SWEEP_FLAGS:
+            spec = _FLAGS[field]
+            if field in _DEFAULTS:  # a sweep's flag defaults to None: its config wins unless given
+                spec = {**spec, "help": f"{spec['help']} (default {_DEFAULTS[field]})",
+                        "default": _DEFAULTS[field] if mode else None}
+            p.add_argument(field if field == "figure" else f"--{field.replace('_', '-')}", **spec)
+        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+        p.add_argument("--quiet", action="store_true", help="suppress status messages")
+        p.set_defaults(func=func, mode=mode)
     return parser
 
 

@@ -131,6 +131,7 @@ def sample_realization(rng: np.random.Generator, net: NetworkParams) -> Realizat
     return Realization(radii=radii, angles=angles, l_flags=l_flags)
 
 
+@np.errstate(over="ignore")  # a draw far below 0 dB overflows to inf, which is zeroed
 def _effective_ratios(b: float, fading: ShadowModel, draws: np.ndarray) -> np.ndarray:
     """Per-draw effective coverage ratio b * 10^(-X1/10), zeroed past b_hat_max."""
     ratio = b * 10.0 ** (-draws / 10.0)

@@ -298,8 +298,14 @@ class TestEstimateVerb:
                        "--b", "0.2", "--quiet") == 1
         assert "error: give either field 'k' or field 'a', not both" in capsys.readouterr().err
 
-    def test_bad_flag_is_a_config_error(self):
+    def test_bad_flag_is_a_config_error(self, capsys):
         assert run_cli("estimate", "--n", "50", "--k", "10") == 1  # missing --b
+        # a missing flag fails at the config boundary, by field name
+        assert capsys.readouterr().err == "error: missing required field 'b'\n"
+        assert run_cli("estimate", "--k", "10", "--b", "0.3") == 1
+        assert capsys.readouterr().err == "error: missing required field 'n'\n"
+        assert run_cli("threshold", "--b", "0.15") == 1
+        assert capsys.readouterr().err == "error: missing required field 'n'\n"
 
     def test_bad_network_names_its_field(self, capsys):
         assert run_cli("estimate", "--n", "300", "--a", "1.5", "--b", "0.1", "--quiet") == 1
@@ -378,6 +384,34 @@ def test_verbs_reject_flags_they_ignore(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(out), "--quiet") == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, fields", [
+    ("figure", cli._MODE_FIELDS["figure"]),
+    ("threshold", cli._MODE_FIELDS["threshold"]),
+    ("estimate", cli._MODE_FIELDS["simulate"]),
+    ("sweep", (*cli._SWEEP_FLAGS, "config")),
+])
+def test_each_verb_takes_the_fields_of_its_mode(verb, fields):
+    [verbs] = [action for action in _build_parser()._actions if action.dest == "verb"]
+    assert {action.dest for action in verbs.choices[verb]._actions} == {*fields, "out", "quiet", "help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig2"],
+    ["threshold", "--n", "300", "--b", "0.15"],
+    ["estimate", "--n", "50", "--k", "10", "--b", "0.3", "--trials", "20"],
+], ids=["figure", "threshold", "estimate"])
+def test_an_omitted_flag_gives_the_bytes_of_its_default(capsys, argv):
+    fields = cli._MODE_FIELDS[{"estimate": "simulate"}.get(argv[0], argv[0])]
+    explicit = [arg for field in fields if field in cli._DEFAULTS and f"--{field}" not in argv
+                for arg in (f"--{field}", str(cli._DEFAULTS[field]))]
+    assert explicit
+    tables = []
+    for args in (argv, argv + explicit):
+        assert run_cli(*args, "--quiet") == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
 
 
 _SHADOW_FLAGS = ["--sigma-s", "12", "--n-p", "3.5", "--gamma-dbm", "-80", "--p0-dbm", "0",

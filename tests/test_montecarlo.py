@@ -138,6 +138,17 @@ class TestRunTrial:
             assert sim.trials == 50 * probes
             assert 0 <= sim.successes <= sim.trials
 
+    @pytest.mark.parametrize("probe, shadow_draw", [
+        ("center_node", "per_node"), ("center_node", "per_link"), ("all_nl_nodes", "per_node"),
+    ])
+    def test_a_fading_draw_past_the_float_range_is_a_zero_ratio(self, probe, shadow_draw):
+        # at sigma_s = 1e6 dB half the draws lie below -3083 dB, where 10^(-X1/10)
+        # overflows to inf; the ratio is zeroed there without a warning (an error here)
+        model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 1e6, 40.0)
+        sim = estimate(make_network(50, 10), 0.2, TrialProtocol(probe, shadow_draw, model),
+                       trials=200, seed=4)
+        assert sim.p_hat < 0.05  # nearly every ratio is 0 or past b_hat_max
+
 
 class TestEstimate:
     def test_matches_fixed_coverage_theory(self):
