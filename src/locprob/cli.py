@@ -89,10 +89,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(out_path, config, header, rows, quiet):
+def _write_table(out_path, config, rows, quiet):
+    """Write rows under the config comment; their keys, in order, are the columns (a grid is never empty)."""
     lines = [f"# locprob {__version__} config={json.dumps(config, sort_keys=True, separators=(',', ':'))}"]
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(row.get(h)) for h in header) for row in rows)
+    lines.append(",".join(rows[0]))
+    lines.extend(",".join(map(_fmt, row.values())) for row in rows)
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -129,16 +130,8 @@ def estimate(net, b, protocol, **options):
 
 
 # ---------------------------------------------------------------------------
-# rows: one builder per table kind.  Layer functions are looked up in this
-# module's globals at call time, so per-layer tracing can wrap them here.
-
-_ANALYTIC_HEADER = ["n", "k", "a", "b", "p_f", "p_loc", "method", "variant"]
-_A_STAR_HEADER = ["n", "b", "a_star", "a_star_fd", "gap"]
-_B_STAR_HEADER = ["n", "a", "b_star_exact", "b_star_large_n", "b_star_fd", "gap_exact_fd"]
-_FADING_COLUMNS = ["sigma1", "b_hat_max", "zero_mass"]
-_SHADOW_HEADER = ["n", "k", "a", "b_o", *_FADING_COLUMNS, "p_f", "p_loc", "method", "variant"]
-_SIMULATE_HEADER = ["n", "k", "a", "b", "p_f", "p_loc", "trials", "successes",
-                    "ci_low", "ci_high", "realizations", "seed", "protocol"]
+# rows: one builder per table kind, whose keys in order are the table's columns.  Layer
+# functions are looked up in this module's globals at call time, so per-layer tracing can wrap them.
 
 
 def _analytic_row(net, b, method, variant):
@@ -179,16 +172,14 @@ def _shadow_row(net, b_o, model, method, variant):
 
 
 def _simulate_row(net, b, protocol, trials, seed, pool):
-    """One Monte Carlo cell; with a fading model b is the true ratio b_o, and the row keeps its draw."""
+    """One Monte Carlo cell; with a fading model b is the true ratio b_o, followed by its fading columns."""
     sim = estimate(net, b, protocol, trials=trials, seed=seed, pool=pool)
-    row = {"n": net.n, "k": net.k, "a": net.a, "b": b, "p_f": 1.0 - sim.p_hat,
-           "p_loc": sim.p_hat, "trials": sim.trials, "successes": sim.successes,
-           "ci_low": sim.ci_low, "ci_high": sim.ci_high, "realizations": sim.realizations,
-           "seed": seed, "protocol": protocol.probe}
-    if protocol.fading is None:
-        return row
-    dist = bhat_distribution(b, protocol.fading.sigma1, protocol.fading.b_hat_max)
-    return {**row, **_fading(dist), "shadow_draw": protocol.shadow_draw}
+    model = protocol.fading
+    fading = _fading(bhat_distribution(b, model.sigma1, model.b_hat_max)) if model else {}
+    return {"n": net.n, "k": net.k, "a": net.a, "b": b, **fading, "p_f": 1.0 - sim.p_hat,
+            "p_loc": sim.p_hat, "trials": sim.trials, "successes": sim.successes,
+            "ci_low": sim.ci_low, "ci_high": sim.ci_high, "realizations": sim.realizations,
+            "seed": seed, "protocol": protocol.probe}
 
 
 # ---------------------------------------------------------------------------
@@ -215,31 +206,34 @@ _FIGURE_SWEEPS = {
 
 
 def _figure(name, variant, trials, seed, workers):
-    """Header and rows of one figure: its sweep plus the figure's own columns."""
+    """Rows of one figure: its sweep, with the figure's own columns."""
     if name == "fig2":  # a* alone; a threshold sweep would add a bisection per row
-        return ["n", "b", "a_star"], [{"n": 300, "b": b, "a_star": threshold_a_star(300, b)}
-                                      for b in (0.085 + 0.005 * i for i in range(159))]
+        return [{"n": 300, "b": b, "a_star": threshold_a_star(300, b)}
+                for b in (0.085 + 0.005 * i for i in range(159))]
     sweep = dict(_FIGURE_SWEEPS[name])
     if sweep["mode"] == "simulate":  # fig6 reads variant for its theory column alone
         sweep.update(trials=trials, seed=seed, workers=workers)
     else:
         sweep["variant"] = variant
-    header, rows = run_sweep(sweep)
+    rows = run_sweep(sweep)
 
     def closed_p_loc(row, ratio):
         return failure_prob_closed(make_network(row["n"], row["k"]), row[ratio], variant).p_loc
 
+    def in_place_of_p(row, columns):
+        """The row with `columns` where its p_f and p_loc were."""
+        return dict(item for key, value in row.items() if key != "p_loc"
+                    for item in (columns.items() if key == "p_f" else [(key, value)]))
+
     if name == "fig1":
         rows.sort(key=lambda row: row["b"])  # one curve per coverage ratio, a ascending
     elif name == "fig6":
-        header = [*header[:4], "p_loc_theory", "p_loc_sim", *header[6:]]
-        rows = [{**row, "p_loc_sim": row["p_loc"], "p_loc_theory": closed_p_loc(row, "b")}
+        rows = [in_place_of_p(row, {"p_loc_theory": closed_p_loc(row, "b"), "p_loc_sim": row["p_loc"]})
                 for row in rows]
     elif name == "fig_shadow":
-        header = [*header[:7], "p_loc_shadow", "p_loc_noshadow", *header[9:]]
-        rows = [{**row, "p_loc_shadow": row["p_loc"], "p_loc_noshadow": closed_p_loc(row, "b_o")}
-                for row in rows]
-    return header, rows
+        rows = [in_place_of_p(row, {"p_loc_shadow": row["p_loc"],
+                                    "p_loc_noshadow": closed_p_loc(row, "b_o")}) for row in rows]
+    return rows
 
 
 # The caption claims of each figure, on its deterministic (theory) columns only;
@@ -385,21 +379,19 @@ def _run_settings(config):
 
 
 def _simulate(config, cell_seed):
-    """Header and rows of a simulate config; cell i is seeded with cell_seed(seed, i)."""
+    """The protocol and rows of a simulate config; cell i is seeded with cell_seed(seed, i)."""
     trials, seed, workers = _run_settings(config)
     nets, protocol, b_values = _simulate_config(config)
     from .montecarlo import worker_pool  # a simulate command loads numpy here, before any row
 
     with worker_pool(workers) as pool:
-        rows = [_simulate_row(net, b, protocol, trials, cell_seed(seed, i), pool)
-                for i, (net, b) in enumerate(product(nets, b_values))]
-    fading = _FADING_COLUMNS if protocol.fading else []
-    return _SIMULATE_HEADER[:4] + fading + _SIMULATE_HEADER[4:], rows
+        return protocol, [_simulate_row(net, b, protocol, trials, cell_seed(seed, i), pool)
+                          for i, (net, b) in enumerate(product(nets, b_values))]
 
 
 @_row_invariants()  # each row invariant is computed once per table
 def run_sweep(config: dict):
-    """Header and rows for a JSON-configured sweep (grid in declaration order)."""
+    """Rows for a JSON-configured sweep (grid in declaration order)."""
     mode = _choice(config, "mode", SWEEP_MODES)
     unread = [field for field in config if field not in ("mode", *_MODE_FIELDS[mode])]
     if unread:
@@ -413,16 +405,14 @@ def run_sweep(config: dict):
         # a* needs n >= 5, b* needs n >= 10
         if _either(config, "b", "a", " for threshold mode"):
             n_values = _n_values(config, 5)
-            return _A_STAR_HEADER, [_a_star_row(n, b, variant)
-                                    for n, b in product(n_values, _unit(config, "b", "(]"))]
+            return [_a_star_row(n, b, variant) for n, b in product(n_values, _unit(config, "b", "(]"))]
         n_values = _n_values(config, 10)
-        return _B_STAR_HEADER, [_b_star_row(n, a, variant)
-                                for n, a in product(n_values, _unit(config, "a", "[)"))]
+        return [_b_star_row(n, a, variant) for n, a in product(n_values, _unit(config, "a", "[)"))]
 
     if mode == "simulate":
         from .montecarlo import _cell_seed
 
-        return _simulate(config, _cell_seed)
+        return _simulate(config, _cell_seed)[1]
 
     nets = _networks_from(config)
 
@@ -434,7 +424,7 @@ def run_sweep(config: dict):
                 if reason := _approx_small_domain(net.n, net.a, b):
                     raise CliError(f"invalid value for field 'b': {b!r} "
                                    f"({reason} at n={net.n}, k={net.k})")
-        return _ANALYTIC_HEADER, [_analytic_row(net, b, method, variant) for net, b in cells]
+        return [_analytic_row(net, b, method, variant) for net, b in cells]
 
     # mode == "shadow"
     method = _choice(config, "method", METHODS, "integrate_conditional")
@@ -442,8 +432,8 @@ def run_sweep(config: dict):
         limit = SERIES_MAX_N[method]
         _require(config, "n", int, lambda v: v <= limit, f"({method} needs n <= {limit})")
     model = _shadow_model_from(config)
-    return _SHADOW_HEADER, [_shadow_row(net, b_o, model, method, variant)
-                            for net, b_o in product(nets, _unit(config, "b_o", "(]"))]
+    return [_shadow_row(net, b_o, model, method, variant)
+            for net, b_o in product(nets, _unit(config, "b_o", "(]"))]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +441,8 @@ def run_sweep(config: dict):
 
 def _run_and_write(config, emitted, out, quiet) -> int:
     """Run a sweep config, write its table and self-check a figure; the exit code."""
-    header, rows = run_sweep(config)
-    _write_table(out, emitted, header, rows, quiet)
+    rows = run_sweep(config)
+    _write_table(out, emitted, rows, quiet)
     if config["mode"] != "figure":
         return 0
     problems = check_figure(config["figure"], rows)
@@ -499,11 +489,13 @@ def _cmd_mode(args):
 def _cmd_estimate(args):
     config = {"mode": "simulate", **_given(args, *_MODE_FIELDS["simulate"])}
     # the master seed itself drives the one cell, as the printed seed says
-    header, [row] = _simulate(config, lambda seed, index: seed)
+    protocol, [row] = _simulate(config, lambda seed, index: seed)
     # record the anchor count, and the fading draw when shadowed
     emitted = {f: v for f, v in config.items() if f not in ("a", "workers")}
-    emitted.update({f: row[f] for f in ("k", "shadow_draw") if f in row})
-    _write_table(args.out, emitted, header, [row], args.quiet)
+    emitted["k"] = row["k"]
+    if protocol.fading:
+        emitted["shadow_draw"] = protocol.shadow_draw
+    _write_table(args.out, emitted, [row], args.quiet)
     return 0
 
 

@@ -142,8 +142,10 @@ def _fading_draws(protocol, rng, probes, anchors):
     """Fading draws in stream order: none, one per probe, or one per (probe, anchor) pair."""
     if protocol.fading is None:
         return None
-    shape = probes if protocol.shadow_draw == "per_node" else (probes, anchors)
-    return rng.normal(0.0, protocol.fading.sigma1, shape)
+    # rng.normal(0.0, sigma1, shape) up to a zero's sign, without its per-element loc/scale path
+    draws = rng.standard_normal(probes if protocol.shadow_draw == "per_node" else (probes, anchors))
+    draws *= protocol.fading.sigma1
+    return draws
 
 
 def _grid_pairs(px, py, ax, ay, reach):

@@ -214,8 +214,7 @@ def test_criterion_10_vanishing_fading_limit():
 
 @pytest.fixture(scope="module")
 def fig6_rows():
-    _, rows = run_sweep({"mode": "figure", "figure": "fig6", "trials": 1000, "seed": 0, "workers": 2})
-    return rows
+    return run_sweep({"mode": "figure", "figure": "fig6", "trials": 1000, "seed": 0, "workers": 2})
 
 
 def test_criterion_11_density_sweep_shape(fig6_rows):

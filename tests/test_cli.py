@@ -57,8 +57,8 @@ class TestFigureTables:
         assert len(rows) == 20
 
     def test_fig6_structure_with_tiny_run(self):
-        header, rows = run_sweep({"mode": "figure", "figure": "fig6", "trials": 4, "seed": 1})
-        assert {"p_loc_theory", "p_loc_sim", "realizations"} <= set(header)
+        rows = run_sweep({"mode": "figure", "figure": "fig6", "trials": 4, "seed": 1})
+        assert {"p_loc_theory", "p_loc_sim", "realizations"} <= set(rows[0])
         assert len(rows) == 33
         assert all(row["realizations"] == 4 for row in rows)
         assert not check_figure("fig6", rows)
@@ -127,8 +127,10 @@ class TestFigureTables:
 
     @pytest.mark.parametrize("name", FIGURES)
     def test_every_caption_claim_fires(self, name):
-        _, rows = run_sweep({"mode": "figure", "figure": name, "trials": 1})
+        rows = run_sweep({"mode": "figure", "figure": name, "trials": 1})
         assert not check_figure(name, rows)
+        # the first row's keys are the table's header, so every row must share their order
+        assert all(list(row) == list(rows[0]) for row in rows)
         assert cli._CLAIMS[name], f"{name} checks no claim"
 
         def broken(index, column, value):
@@ -528,10 +530,32 @@ _SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s
      '# locprob 0.1.0 config={"a":0.5,"mode":"threshold","n":300,"variant":"corrected"}\n'
      "n,a,b_star_exact,b_star_large_n,b_star_fd,gap_exact_fd\n"
      "300,0.5,0.124904992723,0.124442105831,0.129423569393,-0.0045185766706\n"),
+    # a* leaves (0, 1) at n = 20, so those rows print empty a* columns
+    (["sweep", "{cfg}"],
+     {"mode": "threshold", "n": [20, 300], "b": [0.1, 0.15]},
+     '# locprob 0.1.0 config={"b":[0.1,0.15],"mode":"threshold","n":[20,300]}\n'
+     "n,b,a_star,a_star_fd,gap\n"
+     "20,0.1,,,\n"
+     "20,0.15,,,\n"
+     "300,0.1,0.328859060403,0.328858144875,9.1552734377e-07\n"
+     "300,0.15,0.701715137957,0.701714832781,3.05175781312e-07\n"),
+    (["sweep", "{cfg}"],
+     {"mode": "simulate", "protocol": "all", "shadow_draw": "per_link", "n": 50, "k": [10, 40],
+      "b": [0.3], "trials": 8, **_SHADOW_CONFIG},
+     '# locprob 0.1.0 config={"R":40,"b":[0.3],"d0":0.1,"gamma_dbm":-80,"k":[10,40],'
+     '"mode":"simulate","n":50,"n_p":3.5,"p0_dbm":0,"protocol":"all","shadow_draw":"per_link",'
+     '"sigma_s":12,"trials":8}\n'
+     "n,k,a,b,sigma1,b_hat_max,zero_mass,p_f,p_loc,trials,successes,ci_low,ci_high,"
+     "realizations,seed,protocol\n"
+     "50,10,0.8,0.3,3.42857142857,0.482674432221,0.273457937182,0.99375,0.00625,320,2,"
+     "0.00171565206684,0.0224982297791,8,3757552657,all_nl_nodes\n"
+     "50,40,0.2,0.3,3.42857142857,0.482674432221,0.273457937182,0.7,0.3,80,24,"
+     "0.210645712601,0.407681539213,8,673228719,all_nl_nodes\n"),
 ], ids=["estimate_a", "estimate_k_all", "estimate_per_link", "estimate_default_draw",
         "estimate_a_workers", "simulate_sweep", "simulate_sweep_negative_zero_sigma_s",
         "analytic_sum",
-        "approx_small", "shadow_alternating_sum", "analytic_sum_n3000", "threshold_a"])
+        "approx_small", "shadow_alternating_sum", "analytic_sum_n3000", "threshold_a",
+        "threshold_b_sweep", "simulate_sweep_field_per_link"])
 def test_table_bytes(tmp_path, capsys, argv, config, expected):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -335,6 +335,28 @@ def test_field_counts_match_brute_force(case, seed):
     assert kernel_rng.random() == oracle_rng.random()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["per_node", "per_link"]),
+    st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 3.43, 1e6]), st.floats(0.0, 1e6)),
+    st.integers(0, 120),
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+)
+@example("per_link", 3.43, 109, 299, 0)
+@example("per_link", 3.43, 3, 0, 0)
+@example("per_node", 5e-324, 7, 0, 0)
+def test_fading_draws_match_scaled_normals(shadow_draw, sigma1, probes, anchors, seed):
+    # the draws read as rng.normal(0.0, sigma1, shape) always did, and leave the
+    # stream where it did; 0.0 + (-0.0) is +0.0, so only a zero's sign may differ
+    kernel_rng, normal_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    protocol = TrialProtocol("center_node", shadow_draw, _fading(sigma1, 0.5))
+    got = _fading_draws(protocol, kernel_rng, probes, anchors)
+    want = normal_rng.normal(0.0, sigma1, probes if shadow_draw == "per_node" else (probes, anchors))
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert kernel_rng.random() == normal_rng.random()
+
+
 # Field-protocol successes recorded from the dense probes x anchors kernel:
 # any change to the random-stream layout or to the counting shows here.
 @pytest.mark.parametrize(
