@@ -28,6 +28,9 @@ VARIANTS = ("corrected", "paper")
 # exp() of anything below about -745.13 is exactly 0.0; the margin absorbs
 # the rounding of a series term's log, so only exact zeros are skipped.
 _LOG_ZERO_TERM = -800.0
+_LOG_STOP_TERM = -900.0  # the series scan's stop: 100 under the cut, far past any rounding
+_SUM_MAX_TERMS = 250_000  # the most terms one `sum` row evaluates: about 0.5 s and 60 MB
+_SUM_MAX_LOG_ROUNDING = 1e-5  # the most a `sum` term's log may round: n up to about 4.07e9
 
 # Finite-difference step, bisection tolerance and the half-width of the
 # bracket around the closed-form a* for the numeric threshold roots.
@@ -94,33 +97,54 @@ def _few_anchor_mass(p: int, a: float) -> float:
     return a ** (p - 2) * (a * a + p * a * one + 0.5 * p * (p - 1) * one * one)
 
 
-def failure_prob_sum(net: NetworkParams, b: float) -> FailureProbResult:
-    """Failure bound as the full series over the in-range node count.
+def _sum_domain(n: int, b: float) -> str | None:
+    """Why failure_prob_sum refuses (n, b), or None: a term's log may round (about n ln n 2^-53)
+    by over _SUM_MAX_LOG_ROUNDING, which keeps p_f within about 2e-5 relative, or its scan may pass
+    _SUM_MAX_TERMS terms: by Bernstein, each term of Bin(n-1, b^2) whose log tops -1000 (the -900 stop
+    less rounding) lies within 1000/3 + sqrt(1000^2/9 + 2000 (n-1) b^2 (1-b^2)) of the mean.
+    """
+    if (rounding := n * math.log(n) * 2.0**-53) > _SUM_MAX_LOG_ROUNDING:
+        return f"sum's log-binomials may round by {rounding:.2g}, over its tolerance {_SUM_MAX_LOG_ROUNDING}"
+    terms = 2 * math.ceil(1000 / 3 + math.sqrt(1e6 / 9 + 2000 * (n - 1) * b * b * (1 - b * b))) + 3
+    return f"sum may need {terms} terms, over its budget {_SUM_MAX_TERMS}" if terms > _SUM_MAX_TERMS else None
 
-    Terms are evaluated in the log domain (log-gamma binomial coefficients,
-    so n = 3000 is fine where factorials would overflow) and accumulated
-    with exact compensated summation.  The weighted sum is normalised by the
-    computed total mass of the count distribution -- analytically 1 -- which
-    cancels the rounding error the log-gamma evaluations share across terms.
-    Terms whose log lies below -800 are skipped: their exp is exactly 0.0,
-    which fsum would ignore anyway.  The log-binomials of each n and the
-    anchor masses of each (n, a) are row invariants, built once per table.
+
+def failure_prob_sum(net: NetworkParams, b: float) -> FailureProbResult:
+    """Failure bound as the series over the in-range node count.
+
+    Terms are evaluated in the log domain (log-gamma binomial coefficients), summed
+    exactly (fsum) and normalised by the computed total mass -- analytically 1 --
+    which cancels the rounding the log-gammas share.  The scan runs up from the mode
+    of Bin(n-1, b^2), then down, each side to its first term whose log is below -900,
+    and skips those below -800 (exp 0.0): the full series bit for bit, in about
+    85 sqrt(n b^2 (1-b^2)) terms; ValueError where _sum_domain refuses.  A table
+    shares each n's log-binomials and each a's masses by p, for n up to _SUM_MAX_TERMS.
     """
     _check_ratio(b)
     n, a = net.n, net.a
+    if reason := _sum_domain(n, b):
+        raise ValueError(f"outside validity domain: {reason}")
     b2 = b * b
     if b2 == 0.0:
         p_f = 1.0
     elif b2 >= 1.0:
         p_f = _few_anchor_mass(n - 1, a)
     else:
-        log_b2 = math.log(b2)
-        log_q = math.log1p(-b2)
-        log_c = _invariant(("log_c", n), lambda: [  # log C(n - 1, p) by three log-gammas
-            math.lgamma(n) - math.lgamma(p + 1) - math.lgamma(n - p) for p in range(n)])
-        masses = _invariant(("mass", n, a), lambda: [_few_anchor_mass(p, a) for p in range(n)])
-        exponents = [log_cp + p * log_b2 + (n - 1 - p) * log_q for p, log_cp in enumerate(log_c)]
-        kept = [(math.exp(e), mass) for e, mass in zip(exponents, masses) if e >= _LOG_ZERO_TERM]
+        log_b2, log_q = math.log(b2), math.log1p(-b2)
+        log_c = _invariant(("log_c", n), dict) if n <= _SUM_MAX_TERMS else {}  # log C(n-1, p)
+        masses = _invariant(("mass", a), dict) if n <= _SUM_MAX_TERMS else {}  # _few_anchor_mass
+        kept, mode = [], min(n - 1, math.floor(n * b2))
+        for side in (range(mode, n), range(mode - 1, -1, -1)):
+            for p in side:
+                if p not in log_c:
+                    log_c[p] = math.lgamma(n) - math.lgamma(p + 1) - math.lgamma(n - p)
+                e = log_c[p] + p * log_b2 + (n - 1 - p) * log_q
+                if e < _LOG_STOP_TERM:
+                    break
+                if e >= _LOG_ZERO_TERM:
+                    if p not in masses:
+                        masses[p] = _few_anchor_mass(p, a)
+                    kept.append((math.exp(e), masses[p]))
         p_f = math.fsum(t * m for t, m in kept if m != 0.0) / math.fsum(t for t, _ in kept)
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="sum")
 

@@ -40,6 +40,7 @@ from .analytic import (
     VARIANTS,
     _approx_small_domain,
     _row_invariants,
+    _sum_domain,
     failure_prob_approx_small,
     failure_prob_closed,
     failure_prob_sum,
@@ -419,11 +420,11 @@ def run_sweep(config: dict):
     if mode == "analytic":
         method = _choice(config, "method", ("closed", "sum", "approx_small"), "closed")
         cells = list(product(nets, _unit(config, "b")))
-        if method == "approx_small":
-            for net, b in cells:
-                if reason := _approx_small_domain(net.n, net.a, b):
-                    raise CliError(f"invalid value for field 'b': {b!r} "
-                                   f"({reason} at n={net.n}, k={net.k})")
+        for net, b in cells:
+            if method == "approx_small" and (reason := _approx_small_domain(net.n, net.a, b)):
+                raise CliError(f"invalid value for field 'b': {b!r} ({reason} at n={net.n}, k={net.k})")
+            if method == "sum" and (reason := _sum_domain(net.n, b)):
+                raise CliError(f"invalid value for field 'n': {net.n!r} ({reason} at b={b!r})")
         return [_analytic_row(net, b, method, variant) for net, b in cells]
 
     # mode == "shadow"

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -341,19 +342,99 @@ _blind_fractions = st.one_of(
 )
 @example(n=3000, a=0.2, b=0.5)
 @example(n=5000, a=1e-9, b=math.exp(-372.0))
+# the window's edges: the mode at 0 (b^2 < 1/n) and at n - 1 (b just below 1)
+@example(n=3000, a=0.5, b=0.01)
+@example(n=4, a=0.0, b=0.4)
+@example(n=300, a=1.0, b=math.sqrt(1.0 - 1e-4))
+@example(n=5, a=0.0, b=math.nextafter(1.0, 0.0))
+@example(n=4, a=1.0, b=0.999)
+# a = 0 keeps only p <= 2, far below the mode: p_f 2.7e-299 from logs near -690, and a
+# subnormal p_f 1.2e-322 from one term at exp's underflow
+@example(n=3000, a=0.0, b=0.4563)
+@example(n=3000, a=0.0, b=0.4715)
+# b^2 subnormal and the least subnormal: every term past the first lies below exp's underflow
+@example(n=4, a=1.0, b=1e-160)
+@example(n=5, a=0.0, b=math.sqrt(5e-324))
 def test_failure_prob_sum_matches_every_term_series(n, a, b):
-    # skipping terms whose log lies below -800 drops only exact zeros
+    # the scan out from the mode reaches every term whose log is at least -800, and
+    # skipping those below drops only exact zeros
     assume(0.0 < b * b < 1.0)
     net = NetworkParams(n=n, k=round(n * (1.0 - a)), a=a)
     assert failure_prob_sum(net, b).p_f == failure_series_reference(n, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(4, 3000), st.floats(0.6, math.log10(2.0**53)).map(lambda x: int(10**x))),
+    var=st.one_of(st.just(0.0), st.floats(-3.0, 7.0).map(lambda x: 10**x)),
+    near_one=st.booleans(),
+)
+@example(n=4_070_669_070, var=1e15, near_one=False)
+@example(n=4_070_669_070, var=1e3, near_one=True)
+# either side of the budget: about 8,700 terms are accepted, about 17,000 refused
+@example(n=10**9, var=1.08e4, near_one=True)
+@example(n=10**9, var=4e4, near_one=False)
+def test_sum_rows_stay_within_the_term_budget_or_are_refused(n, var, near_one):
+    # b^2 (1 - b^2) is about var / n, so the window's width runs up past the budget, at either
+    # end of b; a smaller budget keeps each accepted row cheap, and the window's bound does not
+    # depend on it
+    n = max(n, 4)
+    x = min(0.5, var / n)
+    b = math.sqrt(1.0 - x if near_one else x)
+    net = NetworkParams(n=n, k=n // 2, a=0.5)
+    with mock.patch.object(analytic, "_SUM_MAX_TERMS", 10_000), \
+            mock.patch("math.lgamma", side_effect=math.lgamma) as lgamma:
+        if analytic._sum_domain(n, b):
+            with pytest.raises(ValueError, match="outside validity domain: sum"):
+                failure_prob_sum(net, b)
+        else:
+            assert 0.0 <= failure_prob_sum(net, b).p_f <= 1.0
+            # outside a table, every term the scan evaluates takes three log-gammas
+            assert lgamma.call_count <= 3 * 10_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.floats(6.0, math.log10(2.0**53)).map(lambda x: int(10**x)),
+    mean=st.floats(0.5, 40.0),
+    a=st.floats(0.1, 0.9),
+)
+# the largest n accepted and the next, and the rows that printed a wrong p_f with exit 0
+# before n was bounded: 0.0896 against 0.2304 at b = 3e-8
+@example(n=4_070_669_070, mean=10.0, a=0.5)
+@example(n=4_070_669_071, mean=10.0, a=0.5)
+@example(n=10**12, mean=3.0, a=0.5)
+@example(n=2**53, mean=(2**53 - 1) * 9e-16, a=0.5)
+@example(n=2**53, mean=(2**53 - 1) * 1e-14, a=0.5)
+def test_sum_at_large_n_keeps_its_accuracy_or_is_refused(n, mean, a):
+    # the series is P(Bin(n - 1, (1 - a) b^2) <= 2); these three terms, with (1 - s)^m as
+    # exp(m log1p(-s)), carry no large log-gamma and so keep about 1e-14 relative; the sum was
+    # within 1.1e-5 of them on 16,000 drawn rows with n from 1e9 to the largest accepted
+    b = math.sqrt(mean / (n - 1))
+    net = NetworkParams(n=n, k=round(n * (1.0 - a)), a=a)
+    if analytic._sum_domain(n, b):
+        with pytest.raises(ValueError, match="outside validity domain: sum's log-binomials may round"):
+            failure_prob_sum(net, b)
+        return
+    s = (1.0 - a) * b * b
+    exact = sum(math.comb(n - 1, j) * s**j * math.exp((n - 1 - j) * math.log1p(-s)) for j in range(3))
+    assert failure_prob_sum(net, b).p_f == pytest.approx(exact, rel=3e-5)
+
+
+def test_a_table_keeps_no_series_terms_of_an_n_past_the_term_budget():
+    # at such an n each b's window is its own, so keeping them would grow with the rows
+    with analytic._row_invariants():
+        for n, b in ((10**7, 0.03), (10**7, 0.05), (3000, 0.5)):
+            failure_prob_sum(make_network(n, n // 2), b)
+        assert set(analytic._invariants.get()) == {("log_c", 3000), ("mass", 0.5)}
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 @example(data=None)
 def test_rows_sharing_a_table_equal_standalone_calls(data):
-    # one table computes each n's log-binomials and each (n, a)'s anchor masses
-    # once; a row must not depend on which rows built them, in any order
+    # one table computes each n's log-binomials and each a's anchor masses once,
+    # term by term; a row must not depend on which rows built them, in any order
     if data is None:  # the benchmark's n = 3000 rows, between rows of a smaller n
         rows = [(n, a, b) for n in (300, 3000) for a in (0.2, 0.5, 0.8) for b in (0.03, 0.3, 0.999)]
         order = list(range(0, len(rows), 2)) + list(range(1, len(rows), 2))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import tracemalloc
 
 import pytest
 
@@ -738,8 +739,20 @@ def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, monkeypatch,
 
 
 def test_n_at_the_cap_gives_finite_closed_forms_and_thresholds(tmp_path, capsys):
-    # never a sum or a simulation at this size: the series allocates n floats
+    # never a simulation at this size: each chunk draws rows of n - 1 doubles
     cfg = tmp_path / "cfg.json"
+    # nor a sum: its log-gammas round by about 37 here, so it fails at the boundary, even at
+    # b = 3e-8, whose window is a few terms (it printed p_f 0.0896 against an exact 0.2304);
+    # at n = 10**9 the logs are fine, but b = 0.5 passes the term budget
+    for n, b, reason in ((2 ** 53, [3e-8, 1e-7, 0.1, 0.5], "sum's log-binomials may round by "),
+                         (10 ** 9, [0.01, 0.5], "sum may need ")):
+        cfg.write_text(json.dumps({"mode": "analytic", "method": "sum", "n": n, "a": [0.2, 0.5, 0.8],
+                                   "b": b}))
+        assert run_cli("sweep", str(cfg)) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith(f"error: invalid value for field 'n': {n} ({reason}")
+        assert len(err.splitlines()) == 1
     cfg.write_text(json.dumps({"mode": "analytic", "n": 2 ** 53, "a": [0.2, 0.8], "b": [0.1, 0.5]}))
     runs = [["sweep", str(cfg)], ["threshold", "--n", str(2 ** 53), "--b", "0.5"],
             ["threshold", "--n", str(2 ** 53), "--a", "0.5"]]
@@ -752,6 +765,21 @@ def test_n_at_the_cap_gives_finite_closed_forms_and_thresholds(tmp_path, capsys)
             # an empty cell is a root outside its bracket, never a nan
             values = [float(v) for h, v in cells.items() if v and h not in ("n", "k", "method", "variant")]
             assert values and all(math.isfinite(v) for v in values), (argv, row)
+
+
+def test_a_sum_row_at_a_billion_nodes_scans_only_its_window(tmp_path, capsys):
+    # about 27,000 terms around the mode of Bin(10**9 - 1, 1e-4), not a list of 10**9 floats
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "analytic", "method": "sum", "n": 10 ** 9, "k": 10 ** 8,
+                               "b": 0.01}))
+    tracemalloc.start()
+    try:
+        assert run_cli("sweep", str(cfg), "--quiet") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert capsys.readouterr().out.splitlines()[2] == "1000000000,100000000,0.9,0.01,0,1,sum,"
 
 
 def test_a_library_fault_is_not_a_config_error(capsys, monkeypatch):
