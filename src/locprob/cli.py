@@ -2,27 +2,27 @@
 
 Verbs: `figure <name>` rebuilds one of the canned curve families as a data
 table, `sweep <config.json>` runs a custom parameter grid, `threshold` and
-`estimate` answer single queries.  A figure is a named sweep config (fig2,
-a bare list of a* values, aside), `threshold` a one-cell sweep, and
-`estimate` a simulate cell drawn from the master seed rather than from a
-per-cell seed; each verb's flags are its mode's fields.  Every table
-re-runs byte-identically for the same seed: floats carry 12 significant
-digits, line endings are LF, the leading comment records the semantic
-configuration (worker count and output path are execution details and
-deliberately excluded), and row order follows grid order regardless of any
-parallelism.
+`estimate` answer single queries.  A figure is a named sweep config (fig2 a
+bare list of a* values), `threshold` a one-cell sweep, and `estimate` a
+simulate cell drawn from the master seed rather than from a per-cell seed;
+each verb's flags are its mode's fields.  Every table re-runs byte-identically
+for the same seed: floats carry 12 significant digits, line endings are LF,
+the leading comment records the semantic configuration (worker count and
+output path are execution details and deliberately excluded), and row order
+follows grid order regardless of any parallelism.
 
-A sweep config may hold only the fields its mode reads (a simulate sweep
-reads no 'variant'); a simulate config becomes one `TrialProtocol`.  Only a
-simulating command imports the Monte Carlo layer, and with it numpy, after
-its config is checked; the analytic, shadow and threshold commands run on
-the standard library alone.
+A sweep is its cells, then its rows.  Each mode's reader checks the whole
+config, which may hold only the fields the mode reads, and only then hands
+back its cells; one loop, `_rows`, builds every table's rows from them, so no
+row is computed before the config is checked.  A simulate config becomes one
+`TrialProtocol`, and only its reader imports the Monte Carlo layer, and with
+it numpy; the analytic, shadow and threshold commands run on the standard
+library alone.
 
 Exit codes: 0 success; 1 invalid configuration or an unwritable output path
-(a config, and a path that is empty, holds a NUL, is a directory or lies in a
-missing or unwritable one, fail before any row); 2 numerical non-convergence,
-or a figure that fails a caption claim, under the `figure` verb and a `figure`
-sweep alike; 3 an internal fault (any other error), after its traceback.
+(both fail before any row); 2 numerical non-convergence, or a figure that
+fails a caption claim, under the `figure` verb and a `figure` sweep alike; 3
+an internal fault (any other error), after its traceback.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from itertools import product
 
 from . import __version__
@@ -58,15 +59,6 @@ FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig6", "fig_shadow")
 _PROTOCOLS = dict(zip(("center", "all"), PROBE_CHOICES))
 _SHADOW_FIELDS = ("p0_dbm", "gamma_dbm", "d0", "n_p", "sigma_s", "R")
 _RUN_FIELDS = ("trials", "seed", "workers")
-# the fields each sweep mode reads besides 'mode'; any other is a config error
-_MODE_FIELDS = {
-    "analytic": ("n", "k", "a", "b", "method", "variant"),
-    "simulate": ("n", "k", "a", "b", "protocol", "shadow_draw", *_RUN_FIELDS, *_SHADOW_FIELDS),
-    "shadow": ("n", "k", "a", "b_o", "method", "variant", *_SHADOW_FIELDS),
-    "threshold": ("n", "b", "a", "variant"),
-    "figure": ("figure", "variant", *_RUN_FIELDS),
-}
-SWEEP_MODES = tuple(_MODE_FIELDS)
 # the fields with a default, used wherever a config or a verb leaves one out
 _DEFAULTS = {"trials": 1000, "seed": 0, "variant": "corrected", "workers": 1, "protocol": "center"}
 # flags that override the sweep config's field of the same name
@@ -134,14 +126,9 @@ def estimate(net, b, protocol, **options):
 # rows: one builder per table kind, whose keys in order are the table's columns.  Layer
 # functions are looked up in this module's globals at call time, so per-layer tracing can wrap them.
 
-
 def _analytic_row(net, b, method, variant):
-    if method == "closed":
-        res = failure_prob_closed(net, b, variant)
-    elif method == "sum":
-        res = failure_prob_sum(net, b)
-    else:
-        res = failure_prob_approx_small(net, b)
+    res = (failure_prob_closed(net, b, variant) if method == "closed"
+           else failure_prob_sum(net, b) if method == "sum" else failure_prob_approx_small(net, b))
     return {"n": net.n, "k": net.k, "a": net.a, "b": b, "p_f": res.p_f,
             "p_loc": res.p_loc, "method": res.method, "variant": res.variant}
 
@@ -184,7 +171,7 @@ def _simulate_row(net, b, protocol, trials, seed, pool):
 
 
 # ---------------------------------------------------------------------------
-# figures: each is a named sweep config, run by run_sweep's own branch
+# figures: each is a named sweep config, read by the figure mode's reader
 
 def _geometric_grid(j_lo: int, j_hi: int) -> list[float]:
     """The doubling grid 2^(j/22) - 1 used for both coverage and blind-fraction sweeps."""
@@ -206,35 +193,38 @@ _FIGURE_SWEEPS = {
 }
 
 
-def _figure(name, variant, trials, seed, workers):
-    """Rows of one figure: its sweep, with the figure's own columns."""
+def _beside_closed(row, variant, columns):
+    """`row` with columns(its p_loc, the closed form's p_loc at its cell) in place of its p_f and p_loc."""
+    def figure_row(net, ratio, *rest):
+        own = row(net, ratio, *rest)
+        beside = columns(own["p_loc"], failure_prob_closed(net, ratio, variant).p_loc)
+        return dict(item for key, value in own.items() if key != "p_loc"
+                    for item in (beside.items() if key == "p_f" else [(key, value)]))
+    return figure_row
+
+
+def _figure_cells(config, variant):
+    """The cells of a figure's sweep, whose rows get the figure's own columns."""
+    name = _choice(config, "figure", FIGURES)
+    trials, seed, workers = _run_settings(config)
     if name == "fig2":  # a* alone; a threshold sweep would add a bisection per row
-        return [{"n": 300, "b": b, "a_star": threshold_a_star(300, b)}
-                for b in (0.085 + 0.005 * i for i in range(159))]
+        yield (lambda n, b: {"n": n, "b": b, "a_star": threshold_a_star(n, b)},
+               [(300, 0.085 + 0.005 * i) for i in range(159)])
+        return
     sweep = dict(_FIGURE_SWEEPS[name])
     if sweep["mode"] == "simulate":  # fig6 reads variant for its theory column alone
         sweep.update(trials=trials, seed=seed, workers=workers)
     else:
         sweep["variant"] = variant
-    rows = run_sweep(sweep)
-
-    def closed_p_loc(row, ratio):
-        return failure_prob_closed(make_network(row["n"], row["k"]), row[ratio], variant).p_loc
-
-    def in_place_of_p(row, columns):
-        """The row with `columns` where its p_f and p_loc were."""
-        return dict(item for key, value in row.items() if key != "p_loc"
-                    for item in (columns.items() if key == "p_f" else [(key, value)]))
-
-    if name == "fig1":
-        rows.sort(key=lambda row: row["b"])  # one curve per coverage ratio, a ascending
-    elif name == "fig6":
-        rows = [in_place_of_p(row, {"p_loc_theory": closed_p_loc(row, "b"), "p_loc_sim": row["p_loc"]})
-                for row in rows]
-    elif name == "fig_shadow":
-        rows = [in_place_of_p(row, {"p_loc_shadow": row["p_loc"],
-                                    "p_loc_noshadow": closed_p_loc(row, "b_o")}) for row in rows]
-    return rows
+    with _reader(sweep) as (row, cells):
+        if name == "fig1":
+            cells.sort(key=lambda cell: cell[1])  # one curve per coverage ratio, a ascending
+        elif name == "fig6":
+            row = _beside_closed(row, variant, lambda sim, closed: {"p_loc_theory": closed, "p_loc_sim": sim})
+        elif name == "fig_shadow":
+            row = _beside_closed(row, variant,
+                                 lambda shadow, closed: {"p_loc_shadow": shadow, "p_loc_noshadow": closed})
+        yield row, cells
 
 
 # The caption claims of each figure, on its deterministic (theory) columns only;
@@ -349,24 +339,6 @@ def _shadow_model_from(config):
         raise CliError(f"invalid shadowing parameters: {exc}") from exc
 
 
-def _simulate_config(config):
-    """Validated (networks, protocol, b values) of a simulate config."""
-    protocol_name = _choice(config, "protocol", tuple(_PROTOCOLS), _DEFAULTS["protocol"])
-    nets = _networks_from(config)
-    blindless = [net for net in nets if net.k == net.n] if protocol_name == "all" else []
-    if blindless:
-        raise CliError(f"invalid value for field '{'k' if 'k' in config else 'a'}': "
-                       f"n={blindless[0].n}, k={blindless[0].k} leaves no blind node for protocol 'all'")
-    shadowed = any(f in config for f in _SHADOW_FIELDS)
-    model = _shadow_model_from(config) if shadowed else None
-    draws = SHADOW_CHOICES[1:] if shadowed else SHADOW_CHOICES[:1]
-    draw = _choice(config, "shadow_draw", draws, draws[0],
-                   None if shadowed else f"needs the shadowing parameters {', '.join(_SHADOW_FIELDS)}")
-    protocol = TrialProtocol(_PROTOCOLS[protocol_name], draw, model)
-    # a shadowed b is the true ratio b_o, which must be positive
-    return nets, protocol, _unit(config, "b", "(]" if shadowed else "[]")
-
-
 def _run_settings(config):
     """Validated (trials, seed, workers) of a Monte Carlo or figure sweep."""
     settings = []
@@ -379,62 +351,89 @@ def _run_settings(config):
     return settings
 
 
-def _simulate(config, cell_seed):
-    """The protocol and rows of a simulate config; cell i is seeded with cell_seed(seed, i)."""
+def _analytic_cells(config, variant):
+    nets = _networks_from(config)
+    method = _choice(config, "method", ("closed", "sum", "approx_small"), "closed")
+    cells = [(net, b, method, variant) for net, b in product(nets, _unit(config, "b"))]
+    for net, b, _, _ in cells:
+        if method == "approx_small" and (reason := _approx_small_domain(net.n, net.a, b)):
+            raise CliError(f"invalid value for field 'b': {b!r} ({reason} at n={net.n}, k={net.k})")
+        if method == "sum" and (reason := _sum_domain(net.n, b)):
+            raise CliError(f"invalid value for field 'n': {net.n!r} ({reason} at b={b!r})")
+    yield _analytic_row, cells
+
+
+def _shadow_cells(config, variant):
+    nets = _networks_from(config)
+    method = _choice(config, "method", METHODS, "integrate_conditional")
+    if limit := SERIES_MAX_N.get(method):
+        _require(config, "n", int, lambda v: v <= limit, f"({method} needs n <= {limit})")
+    model = _shadow_model_from(config)
+    yield _shadow_row, [(net, b_o, model, method, variant)
+                        for net, b_o in product(nets, _unit(config, "b_o", "(]"))]
+
+
+def _threshold_cells(config, variant):
+    # a* at each (n, b) needs n >= 5, b* at each (n, a) needs n >= 10
+    row, low, axis, ends = ((_a_star_row, 5, "b", "(]") if _either(config, "b", "a", " for threshold mode")
+                            else (_b_star_row, 10, "a", "[)"))
+    yield row, [(n, x, variant) for n, x in product(_n_values(config, low), _unit(config, axis, ends))]
+
+
+def _simulate_cells(config, variant, cell_seed=None):
+    """Monte Carlo cells of one `TrialProtocol` in one worker pool; cell i's seed is cell_seed(seed, i)."""
     trials, seed, workers = _run_settings(config)
-    nets, protocol, b_values = _simulate_config(config)
-    from .montecarlo import worker_pool  # a simulate command loads numpy here, before any row
+    protocol_name = _choice(config, "protocol", tuple(_PROTOCOLS), _DEFAULTS["protocol"])
+    nets = _networks_from(config)
+    if protocol_name == "all" and (blindless := [net for net in nets if net.k == net.n]):
+        raise CliError(f"invalid value for field '{'k' if 'k' in config else 'a'}': "
+                       f"n={blindless[0].n}, k={blindless[0].k} leaves no blind node for protocol 'all'")
+    shadowed = any(f in config for f in _SHADOW_FIELDS)
+    model = _shadow_model_from(config) if shadowed else None
+    draws = SHADOW_CHOICES[1:] if shadowed else SHADOW_CHOICES[:1]
+    draw = _choice(config, "shadow_draw", draws, draws[0],
+                   None if shadowed else f"needs the shadowing parameters {', '.join(_SHADOW_FIELDS)}")
+    protocol = TrialProtocol(_PROTOCOLS[protocol_name], draw, model)
+    b_values = _unit(config, "b", "(]" if shadowed else "[]")  # a shadowed b is b_o, which must be positive
+    from .montecarlo import _cell_seed, worker_pool  # a simulating command loads numpy here, before any row
 
     with worker_pool(workers) as pool:
-        return protocol, [_simulate_row(net, b, protocol, trials, cell_seed(seed, i), pool)
-                          for i, (net, b) in enumerate(product(nets, b_values))]
+        yield _simulate_row, [(net, b, protocol, trials, (cell_seed or _cell_seed)(seed, i), pool)
+                              for i, (net, b) in enumerate(product(nets, b_values))]
+
+
+# Each sweep mode: the fields it reads besides 'mode' (any other is a config error), and its
+# reader.  A reader checks the whole config, then yields once, from inside whatever its rows
+# need, its row builder and its cells: each cell is the arguments of one row.
+_MODES = {
+    "analytic": (("n", "k", "a", "b", "method", "variant"), _analytic_cells),
+    "simulate": (("n", "k", "a", "b", "protocol", "shadow_draw", *_RUN_FIELDS, *_SHADOW_FIELDS),
+                 _simulate_cells),
+    "shadow": (("n", "k", "a", "b_o", "method", "variant", *_SHADOW_FIELDS), _shadow_cells),
+    "threshold": (("n", "b", "a", "variant"), _threshold_cells),
+    "figure": (("figure", "variant", *_RUN_FIELDS), _figure_cells),
+}
+
+
+def _reader(config, **options):
+    """The config's mode's reader, entered to get (row builder, cells), after the checks every mode shares."""
+    mode = _choice(config, "mode", tuple(_MODES))
+    fields, read = _MODES[mode]
+    if unread := [field for field in config if field not in ("mode", *fields)]:
+        raise CliError(f"unknown field {unread[0]!r} for {mode} mode")
+    return contextmanager(read)(config, _choice(config, "variant", VARIANTS, _DEFAULTS["variant"]), **options)
 
 
 @_row_invariants()  # each row invariant is computed once per table
+def _rows(row, cells):
+    """The row loop: every table's rows are built here, one per cell, from a reader's checked cells."""
+    return [row(*cell) for cell in cells]
+
+
 def run_sweep(config: dict):
     """Rows for a JSON-configured sweep (grid in declaration order)."""
-    mode = _choice(config, "mode", SWEEP_MODES)
-    unread = [field for field in config if field not in ("mode", *_MODE_FIELDS[mode])]
-    if unread:
-        raise CliError(f"unknown field {unread[0]!r} for {mode} mode")
-    variant = _choice(config, "variant", VARIANTS, _DEFAULTS["variant"])
-
-    if mode == "figure":
-        return _figure(_choice(config, "figure", FIGURES), variant, *_run_settings(config))
-
-    if mode == "threshold":
-        # a* needs n >= 5, b* needs n >= 10
-        if _either(config, "b", "a", " for threshold mode"):
-            n_values = _n_values(config, 5)
-            return [_a_star_row(n, b, variant) for n, b in product(n_values, _unit(config, "b", "(]"))]
-        n_values = _n_values(config, 10)
-        return [_b_star_row(n, a, variant) for n, a in product(n_values, _unit(config, "a", "[)"))]
-
-    if mode == "simulate":
-        from .montecarlo import _cell_seed
-
-        return _simulate(config, _cell_seed)[1]
-
-    nets = _networks_from(config)
-
-    if mode == "analytic":
-        method = _choice(config, "method", ("closed", "sum", "approx_small"), "closed")
-        cells = list(product(nets, _unit(config, "b")))
-        for net, b in cells:
-            if method == "approx_small" and (reason := _approx_small_domain(net.n, net.a, b)):
-                raise CliError(f"invalid value for field 'b': {b!r} ({reason} at n={net.n}, k={net.k})")
-            if method == "sum" and (reason := _sum_domain(net.n, b)):
-                raise CliError(f"invalid value for field 'n': {net.n!r} ({reason} at b={b!r})")
-        return [_analytic_row(net, b, method, variant) for net, b in cells]
-
-    # mode == "shadow"
-    method = _choice(config, "method", METHODS, "integrate_conditional")
-    if method in SERIES_MAX_N:
-        limit = SERIES_MAX_N[method]
-        _require(config, "n", int, lambda v: v <= limit, f"({method} needs n <= {limit})")
-    model = _shadow_model_from(config)
-    return [_shadow_row(net, b_o, model, method, variant)
-            for net, b_o in product(nets, _unit(config, "b_o", "(]"))]
+    with _reader(config) as (row, cells):
+        return _rows(row, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -481,22 +480,23 @@ def _given(args, *fields):
 
 def _cmd_mode(args):
     """`figure` and `threshold`: the flags given are their mode's config."""
-    config = {"mode": args.mode, **_given(args, *_MODE_FIELDS[args.mode])}
+    config = {"mode": args.mode, **_given(args, *_MODES[args.mode][0])}
     # no table records its worker count, and a figure's names the figure rather than its mode
     emitted = {f: v for f, v in config.items() if f != "workers" and (f, v) != ("mode", "figure")}
     return _run_and_write(config, emitted, args.out, args.quiet)
 
 
 def _cmd_estimate(args):
-    config = {"mode": "simulate", **_given(args, *_MODE_FIELDS["simulate"])}
+    config = {"mode": "simulate", **_given(args, *_MODES["simulate"][0])}
     # the master seed itself drives the one cell, as the printed seed says
-    protocol, [row] = _simulate(config, lambda seed, index: seed)
+    with _reader(config, cell_seed=lambda seed, index: seed) as (row, cells):
+        rows = _rows(row, cells)
+    [(net, _, protocol, *_)] = cells
     # record the anchor count, and the fading draw when shadowed
-    emitted = {f: v for f, v in config.items() if f not in ("a", "workers")}
-    emitted["k"] = row["k"]
+    emitted = {f: v for f, v in config.items() if f not in ("a", "workers")} | {"k": net.k}
     if protocol.fading:
         emitted["shadow_draw"] = protocol.shadow_draw
-    _write_table(args.out, emitted, [row], args.quiet)
+    _write_table(args.out, emitted, rows, args.quiet)
     return 0
 
 
@@ -529,7 +529,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(verb, help=summary)
         if mode is None:
             p.add_argument("config", help="path to the JSON sweep configuration")
-        for field in _MODE_FIELDS[mode] if mode else _SWEEP_FLAGS:
+        for field in _MODES[mode][0] if mode else _SWEEP_FLAGS:
             spec = _FLAGS[field]
             if field in _DEFAULTS:  # a sweep's flag defaults to None: its config wins unless given
                 spec = {**spec, "help": f"{spec['help']} (default {_DEFAULTS[field]})",

@@ -14,6 +14,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def stub_row_builders(monkeypatch, message):
+    """Make every row builder, each `cli` name ending in `_row`, fail the test when called."""
+    def no_rows(*args, **kwargs):
+        raise AssertionError(message)
+
+    builders = [name for name in vars(cli) if name.endswith("_row")]
+    assert builders
+    for name in builders:
+        monkeypatch.setattr(cli, name, no_rows)
+
+
 def read_rows(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# locprob ")
@@ -332,25 +343,31 @@ def test_verbs_check_run_settings(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools that the Monte Carlo layer opens, in order."""
+    opened = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "{cfg}"],
     ["figure", "fig6", "--trials", "1"],
     ["estimate", "--n", "300", "--a", "0.2", "--b", "0.099", "--trials", "9000"],
 ], ids=["simulate_sweep", "fig6", "estimate"])
-def test_one_worker_pool_per_command(tmp_path, monkeypatch, argv):
+def test_one_worker_pool_per_command(tmp_path, pools, argv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
         {"mode": "simulate", "n": [60, 80], "k": [20], "b": [0.2, 0.3, 0.4], "trials": 300}
     ))
     argv = [arg.format(cfg=cfg) for arg in argv]
-    pools = []
-
-    class CountingPool(montecarlo.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
     serial, pooled = tmp_path / "w1.csv", tmp_path / "w2.csv"
     assert run_cli(*argv, "--workers", "1", "--out", str(serial), "--quiet") == 0
     assert not pools
@@ -358,6 +375,20 @@ def test_one_worker_pool_per_command(tmp_path, monkeypatch, argv):
     assert len(pools) == 1
     assert not multiprocessing.active_children()
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, "shadow_draw": "per_node"}),
+    (["estimate", "--n", "50", "--k", "50", "--protocol", "all", "--b", "0.2"], None),
+    (["figure", "fig6", "--trials", "0"], None),
+], ids=["simulate_sweep_unshadowed_draw", "estimate_all_without_blind", "fig6_no_trials"])
+def test_a_bad_simulating_config_opens_no_worker_pool(tmp_path, capsys, pools, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(*[arg.format(cfg=cfg) for arg in argv], "--workers", "2", "--quiet") == 1
+    assert capsys.readouterr().err.startswith("error: invalid value for field ")
+    assert not pools
+    assert not multiprocessing.active_children()
 
 
 def test_stdout_emission(capsys):
@@ -390,9 +421,9 @@ def test_verbs_reject_flags_they_ignore(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("verb, fields", [
-    ("figure", cli._MODE_FIELDS["figure"]),
-    ("threshold", cli._MODE_FIELDS["threshold"]),
-    ("estimate", cli._MODE_FIELDS["simulate"]),
+    ("figure", cli._MODES["figure"][0]),
+    ("threshold", cli._MODES["threshold"][0]),
+    ("estimate", cli._MODES["simulate"][0]),
     ("sweep", (*cli._SWEEP_FLAGS, "config")),
 ])
 def test_each_verb_takes_the_fields_of_its_mode(verb, fields):
@@ -406,7 +437,7 @@ def test_each_verb_takes_the_fields_of_its_mode(verb, fields):
     ["estimate", "--n", "50", "--k", "10", "--b", "0.3", "--trials", "20"],
 ], ids=["figure", "threshold", "estimate"])
 def test_an_omitted_flag_gives_the_bytes_of_its_default(capsys, argv):
-    fields = cli._MODE_FIELDS[{"estimate": "simulate"}.get(argv[0], argv[0])]
+    fields = cli._MODES[{"estimate": "simulate"}.get(argv[0], argv[0])][0]
     explicit = [arg for field in fields if field in cli._DEFAULTS and f"--{field}" not in argv
                 for arg in (f"--{field}", str(cli._DEFAULTS[field]))]
     assert explicit
@@ -670,12 +701,7 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
         "threshold_n_above_cap", "threshold_huge_n", "analytic_huge_n", "estimate_n_above_cap",
         *_CHOICE_IDS])
 def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, config, field):
-    def no_rows(*args, **kwargs):
-        raise AssertionError("a row was computed before the config was checked")
-
-    for name in ("estimate", "threshold_a_star", "threshold_b_star", "failure_prob_approx_small",
-                 "failure_prob_shadow"):
-        monkeypatch.setattr(cli, name, no_rows)
+    stub_row_builders(monkeypatch, "a row was computed before the config was checked")
     cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
     cfg.write_text(json.dumps(config))
     assert run_cli(*[arg.format(cfg=cfg) for arg in argv], "--out", str(out), "--quiet") == 1
@@ -719,11 +745,7 @@ def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                   expected):
     # "{out}" lies in a missing directory, "{dir}" is an existing directory, and
     # "{locked}" lies in a directory that os.access reports as unwritable
-    def no_rows(*args, **kwargs):
-        raise AssertionError("a row was computed before the output path was checked")
-
-    for name in ("estimate", "failure_prob_closed"):
-        monkeypatch.setattr(cli, name, no_rows)
+    stub_row_builders(monkeypatch, "a row was computed before the output path was checked")
     cfg, folder, locked = tmp_path / "cfg.json", tmp_path / "existing", tmp_path / "locked"
     paths = {"out": tmp_path / "missing" / "o.csv", "dir": folder, "locked": locked / "o.csv"}
     folder.mkdir()

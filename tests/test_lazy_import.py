@@ -48,15 +48,21 @@ def test_analytic_commands_do_not_load_numpy(tmp_path, code):
     assert not _numpy_loaded_after(code, tmp_path)
 
 
-def test_simulate_setup_loads_numpy_before_the_first_estimate(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig6", "--trials", "1", "--workers", "1"],
+    ["estimate", "--n", "50", "--k", "10", "--b", "0.2", "--trials", "1"],
+    ["sweep", "cfg.json", "--trials", "1"],
+], ids=["fig6", "estimate", "simulate_sweep"])
+def test_simulate_setup_loads_numpy_before_the_first_estimate(tmp_path, argv):
     # set-up ends at the first estimate call, so numpy's import must come before it
+    (tmp_path / "cfg.json").write_text(json.dumps({"mode": "simulate", "n": 50, "k": 10, "b": [0.2, 0.3]}))
     code = ("import sys\n"
             "from locprob import cli\n"
             "def first_call(*args, **kwargs):\n"
             "    print('numpy' in sys.modules)\n"
             "    raise SystemExit(0)\n"
             "cli.estimate = first_call\n"
-            "cli.main(['figure', 'fig6', '--trials', '1', '--workers', '1', '--quiet'])\n"
+            f"cli.main({[*argv, '--quiet']!r})\n"
             "print('no estimate call')\n")
     assert _run(code, tmp_path).splitlines() == ["True"]
 
