@@ -366,8 +366,8 @@ def _analytic_cells(config, variant):
 def _shadow_cells(config, variant):
     nets = _networks_from(config)
     method = _choice(config, "method", METHODS, "integrate_conditional")
-    if limit := SERIES_MAX_N.get(method):
-        _require(config, "n", int, lambda v: v <= limit, f"({method} needs n <= {limit})")
+    if method == "alternating_sum":
+        _require(config, "n", int, lambda v: v <= SERIES_MAX_N, f"({method} needs n <= {SERIES_MAX_N})")
     model = _shadow_model_from(config)
     yield _shadow_row, [(net, b_o, model, method, variant)
                         for net, b_o in product(nets, _unit(config, "b_o", "(]"))]
@@ -395,7 +395,9 @@ def _simulate_cells(config, variant, cell_seed=None):
                    None if shadowed else f"needs the shadowing parameters {', '.join(_SHADOW_FIELDS)}")
     protocol = TrialProtocol(_PROTOCOLS[protocol_name], draw, model)
     b_values = _unit(config, "b", "(]" if shadowed else "[]")  # a shadowed b is b_o, which must be positive
-    from .montecarlo import _cell_seed, worker_pool  # a simulating command loads numpy here, before any row
+    from .montecarlo import _MAX_N, _cell_seed, worker_pool  # numpy loads here, before the pool and any row
+    limit = _MAX_N[protocol.probe]  # a chunk's memory grows with n
+    _require(config, "n", int, lambda v: v <= limit, f"(protocol {protocol_name!r} simulates n <= {limit})")
 
     with worker_pool(workers) as pool:
         yield _simulate_row, [(net, b, protocol, trials, (cell_seed or _cell_seed)(seed, i), pool)

@@ -74,6 +74,10 @@ def _center_chunk_size(n: int) -> int:
 
 # (trial, node) pairs per block of centre trials: one block's draws stay in cache
 _CENTER_BLOCK_PAIRS = 2**15
+# The largest n each probe protocol simulates; a chunk peaks near 60 bytes per measured pair.  A centre
+# block then holds at most _CENTER_BLOCK_PAIRS pairs (2 MB); a field pass up to ceil(_FIELD_PASS_NODES / n)
+# realizations of (n - k) k pairs, all measured at b near 1: 8.4e6 pairs (0.41 GB) at n = 4095, k = 2048.
+_MAX_N = {"center_node": _CENTER_BLOCK_PAIRS + 1, "all_nl_nodes": _FIELD_PASS_NODES}
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ The estimated coverage ratio is a mixed random variable: log-normal around
 the true ratio on (0, b_hat_max], plus a point mass at zero for the
 below-threshold event.  The unconditioned failure bound integrates the
 fixed-coverage bound against that mixture by adaptive Simpson quadrature;
-an alternating binomial series over the mixture's even moments and a
-closed-form log-normal moment approximation are provided as cross-checks on
-their stated validity ranges.
+an alternating binomial series over the mixture's even moments is the
+small-network cross-check.  The published log-normal moment approximation
+leaves [0, 1] at realistic fading; its erratum lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ import math
 from .analytic import FailureProbResult, _bracket, _check_variant, _closed_value, _invariant
 from .model import ALPHA, BhatDistribution, NetworkParams, normal_lower_tail
 
-METHODS = ("integrate_conditional", "alternating_sum", "moment_approx")
+METHODS = ("integrate_conditional", "alternating_sum")
 
-# The largest n at which each series form holds.  The alternating series multiplies
-# moment errors by binomial coefficients up to C(n-3, (n-3)/2); past n ~ 30 the
-# cancellation swamps double precision.  The log-normal moments need small n.
-SERIES_MAX_N = {"alternating_sum": 30, "moment_approx": 10}
+# The largest n at which alternating_sum holds.  It multiplies moment errors by binomial
+# coefficients up to C(n-3, (n-3)/2); past n ~ 30 the cancellation swamps double precision.
+SERIES_MAX_N = 30
 
 _EPS_SCALE = 1e-12  # lower integration cutoff, relative to b_o
 _PEAK_SPAN = 10  # density split points at b_o * 10^(m sigma1 / 10), |m| <= span
-_TWO_ALPHA_SQ = 2.0 * ALPHA * ALPHA  # ~= 37.72, computed rather than quoted
 _MAX_DEPTH = 60  # bisections before the quadrature gives up
 
 
@@ -144,17 +142,11 @@ def failure_prob_shadow(
     counts in full as well.
 
     alternating_sum: binomial series over quadrature moments; algebraically
-    identical to the integral form, kept for small-n cross-validation.
-
-    moment_approx: the same series with closed-form log-normal moments
-    b_o^j * exp(sigma1^2 j^2 / (2 alpha^2)), valid only for small n and
-    small sigma1.  Both series forms take n up to SERIES_MAX_N[method].
+    identical to the integral form, kept for small-n cross-validation up to
+    n = SERIES_MAX_N.
     """
     _check_variant(variant)
     n = net.n
-    if n > SERIES_MAX_N.get(method, n):
-        raise ValueError(f"{method} is outside its stated validity for n = {n} > "
-                         f"{SERIES_MAX_N[method]}, use integrate_conditional")
     if method == "integrate_conditional":
         if dist.sigma1 == 0.0:
             p_f = (
@@ -167,18 +159,13 @@ def failure_prob_shadow(
                 dist, _failure_integrand(net, dist, variant), 1e-9
             )
     elif method == "alternating_sum":
-        moments = {j: bhat_moment(dist, j) for j in range(0, 2 * n, 2)}
-        p_f = _series(net, variant, moments.__getitem__)
-    elif method == "moment_approx":
-        p_f = _series(net, variant, lambda j: _lognormal_moment(dist, j))
+        if n > SERIES_MAX_N:
+            raise ValueError(f"{method} is outside its stated validity for n = {n} > "
+                             f"{SERIES_MAX_N}, use integrate_conditional")
+        p_f = _series(net, variant, {j: bhat_moment(dist, j) for j in range(0, 2 * n, 2)})
     else:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method=method, variant=variant)
-
-
-def _lognormal_moment(dist: BhatDistribution, j: int) -> float:
-    """Untruncated log-normal moment b_o^j exp(sigma1^2 j^2 / (2 alpha^2)), no zero mass."""
-    return dist.b_o**j * math.exp(dist.sigma1**2 * j * j / _TWO_ALPHA_SQ)
 
 
 def _below_cutoff(dist: BhatDistribution) -> float:
@@ -208,8 +195,8 @@ def _failure_integrand(net: NetworkParams, dist: BhatDistribution, variant: str)
     return f
 
 
-def _series(net: NetworkParams, variant: str, moment) -> float:
-    """Alternating binomial series over even moments of the ratio."""
+def _series(net: NetworkParams, variant: str, moments: dict[int, float]) -> float:
+    """Alternating binomial series over the ratio's even moments, by order 0, 2, ..., 2n - 2."""
     n = net.n
     k1 = 1.0 - net.a
     c1, k3 = _bracket(n, variant, k1**2)
@@ -219,6 +206,6 @@ def _series(net: NetworkParams, variant: str, moment) -> float:
         coeff = math.comb(n - 3, ell) * (-k1) ** ell
         terms.append(
             coeff
-            * (moment(2 * ell) + k2 * moment(2 * ell + 2) + k3 * moment(2 * ell + 4))
+            * (moments[2 * ell] + k2 * moments[2 * ell + 2] + k3 * moments[2 * ell + 4])
         )
     return math.fsum(terms)

@@ -3,7 +3,9 @@
 Most of these deliberately avoid the library's own code paths: exact
 rational arithmetic for binomial tails, and raw sampling for distribution
 checks.  The last section keeps plain formulations of the analytic fast
-paths, built from the library's unchanged primitives, for bitwise checks.
+paths, built from the library's unchanged primitives, for bitwise checks,
+and the errata: published approximations the library does not offer, kept
+so that a test can pin where each one goes wrong.
 """
 
 from __future__ import annotations
@@ -182,6 +184,17 @@ def alternating_series_reference(n: int, a: float, variant: str, moment) -> floa
             * (moment(2 * ell) + k2 * moment(2 * ell + 2) + k3 * moment(2 * ell + 4))
         )
     return math.fsum(terms)
+
+
+def lognormal_moment(dist, j: int) -> float:
+    """Erratum: the paper's closed-form moment b_o^j exp(sigma1^2 j^2 / (2 alpha^2)).
+
+    It is the untruncated log-normal moment, with no zero mass and no cut at
+    b_hat_max, so it grows like exp(j^2).  Fed to alternating_series_reference
+    it stays within 5 % of the integral only at small n and sigma1 <= 1; at
+    realistic fading the series leaves [0, 1] by many orders of magnitude.
+    """
+    return dist.b_o**j * math.exp(dist.sigma1**2 * j * j / (2.0 * ALPHA * ALPHA))
 
 
 def failure_series_reference(n: int, a: float, b: float) -> float:

@@ -377,11 +377,34 @@ def test_one_worker_pool_per_command(tmp_path, pools, argv):
     assert pooled.read_bytes() == serial.read_bytes()
 
 
+_SHADOW_FLAGS = ["--sigma-s", "12", "--n-p", "3.5", "--gamma-dbm", "-80", "--p0-dbm", "0",
+                 "--d0", "0.1", "--R", "40"]
+
+
+_SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s": 12, "R": 40}
+
+
+_CENTER_MAX_N, _FIELD_MAX_N = montecarlo._MAX_N["center_node"], montecarlo._MAX_N["all_nl_nodes"]
+# cells past their protocol's n limit, whose chunk memory would grow with n; never run one
+_SIMULATE_N_CASES = [
+    (["estimate", "--n", str(_CENTER_MAX_N + 1), "--k", "10", "--b", "0.2"], None, "n"),
+    (["estimate", "--n", str(_FIELD_MAX_N + 1), "--a", "0.5", "--b", "0.2", "--protocol", "all",
+      *_SHADOW_FLAGS, "--shadow-draw", "per_link"], None, "n"),
+    (["sweep", "{cfg}"], {"mode": "simulate", "n": [50, _FIELD_MAX_N + 1], "a": 0.5, "b": 0.2,
+                          "protocol": "all"}, "n"),
+    (["sweep", "{cfg}"], {"mode": "simulate", "n": [10 ** 9, 50], "k": 10, "b": 0.2, **_SHADOW_CONFIG},
+     "n"),
+]
+_SIMULATE_N_IDS = ["estimate_center_n_above_limit", "estimate_field_n_above_limit",
+                   "simulate_field_n_above_limit", "simulate_center_n_above_limit"]
+
+
 @pytest.mark.parametrize("argv, config", [
     (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, "shadow_draw": "per_node"}),
     (["estimate", "--n", "50", "--k", "50", "--protocol", "all", "--b", "0.2"], None),
     (["figure", "fig6", "--trials", "0"], None),
-], ids=["simulate_sweep_unshadowed_draw", "estimate_all_without_blind", "fig6_no_trials"])
+    *[case[:2] for case in _SIMULATE_N_CASES],
+], ids=["simulate_sweep_unshadowed_draw", "estimate_all_without_blind", "fig6_no_trials", *_SIMULATE_N_IDS])
 def test_a_bad_simulating_config_opens_no_worker_pool(tmp_path, capsys, pools, argv, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -389,6 +412,17 @@ def test_a_bad_simulating_config_opens_no_worker_pool(tmp_path, capsys, pools, a
     assert capsys.readouterr().err.startswith("error: invalid value for field ")
     assert not pools
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", str(_CENTER_MAX_N), "--k", "10", "--b", "0.2"],
+    ["--n", str(_FIELD_MAX_N), "--a", "0.5", "--b", "0.01", "--protocol", "all"],
+], ids=["center", "field"])
+def test_a_cell_at_its_protocols_n_limit_runs(tmp_path, argv):
+    out = tmp_path / "o.csv"
+    assert run_cli("estimate", *argv, "--trials", "1", "--out", str(out), "--quiet") == 0
+    _, [row] = read_rows(out)
+    assert row["n"] == argv[1]
 
 
 def test_stdout_emission(capsys):
@@ -446,13 +480,6 @@ def test_an_omitted_flag_gives_the_bytes_of_its_default(capsys, argv):
         assert run_cli(*args, "--quiet") == 0
         tables.append(capsys.readouterr().out)
     assert tables[0] == tables[1]
-
-
-_SHADOW_FLAGS = ["--sigma-s", "12", "--n-p", "3.5", "--gamma-dbm", "-80", "--p0-dbm", "0",
-                 "--d0", "0.1", "--R", "40"]
-
-
-_SHADOW_CONFIG = {"p0_dbm": 0, "gamma_dbm": -80, "d0": 0.1, "n_p": 3.5, "sigma_s": 12, "R": 40}
 
 
 # Tables recorded when each verb still built its own rows; a change in the
@@ -607,7 +634,7 @@ _CHOICE_FIELDS = [
     ("shadow_draw", {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, **_SHADOW_CONFIG},
      ("per_node", "per_link")),
     ("method", {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2}, ("closed", "sum", "approx_small")),
-    ("method", _SHADOW_SWEEP, ("integrate_conditional", "alternating_sum", "moment_approx")),
+    ("method", _SHADOW_SWEEP, ("integrate_conditional", "alternating_sum")),
 ]
 _CHOICE_CASES = [
     (["sweep", "{cfg}"], {**config, field: bad},
@@ -633,7 +660,8 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
     (["sweep", "{cfg}"],
      {"mode": "analytic", "method": "approx_small", "n": 300, "a": [0.2], "b": [0.05, 0.07]}, "b"),
     (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "method": "alternating_sum"}, "n"),
-    (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "n": 20, "method": "moment_approx"}, "n"),
+    (["sweep", "{cfg}"], {**_SHADOW_SWEEP, "n": 10, "k": 5, "b_o": [0.05, 0.2], "method": "moment_approx"},
+     "method"),
     (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, "shadow_draw": "per_node"},
      "shadow_draw"),
     (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, "shadow_draw": "bogus"},
@@ -685,10 +713,11 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
     (["threshold", "--n", str(10 ** 400), "--a", "0.5"], None, "n"),
     (["sweep", "{cfg}"], {"mode": "analytic", "n": 10 ** 200, "a": 0.5, "b": 0.2}, "n"),
     (["estimate", "--n", str(2 ** 53 + 1), "--k", "10", "--b", "0.2"], None, "n"),
+    *_SIMULATE_N_CASES,
     *_CHOICE_CASES,
 ], ids=["estimate_b", "estimate_shadowed_b", "simulate_shadowed_b", "threshold_a_star_n",
         "threshold_b_star_n", "threshold_sweep_n", "approx_small_domain",
-        "approx_small_p_loc_above_one", "alternating_sum_n", "moment_approx_n", "unshadowed_draw",
+        "approx_small_p_loc_above_one", "alternating_sum_n", "moment_approx_method", "unshadowed_draw",
         "bogus_draw", "estimate_unshadowed_draw",
         "estimate_all_without_blind", "simulate_all_without_blind", "protocol_list",
         "estimate_nan_sigma_s",
@@ -699,7 +728,7 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
         "sweep_out_descriptor", "missing_n", "sweep_k_above_n", "partial_shadowing",
         "bad_variant", "unknown_figure", "analytic_method", "shadow_method", "config_not_object",
         "threshold_n_above_cap", "threshold_huge_n", "analytic_huge_n", "estimate_n_above_cap",
-        *_CHOICE_IDS])
+        *_SIMULATE_N_IDS, *_CHOICE_IDS])
 def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, config, field):
     stub_row_builders(monkeypatch, "a row was computed before the config was checked")
     cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
