@@ -15,7 +15,6 @@ numpy, on first use; `TrialProtocol`, the cell they simulate, does not.
 """
 
 from .analytic import (
-    VARIANTS,
     FailureProbResult,
     failure_prob_approx_small,
     failure_prob_closed,
@@ -54,7 +53,6 @@ def __getattr__(name):
 __all__ = [
     "ALPHA",
     "METHODS",
-    "VARIANTS",
     "BhatDistribution",
     "FailureProbResult",
     "NetworkParams",

@@ -7,7 +7,8 @@ in range and an anchor is (1 - a) * b^2, so the failure bound is the
 probability that a binomial(n - 1, (1 - a) b^2) count stays below three.
 The module evaluates that bound three ways (term-by-term series, closed
 form, small-coverage approximation) plus the transition thresholds where the
-bound's second derivative vanishes.
+bound's second derivative vanishes.  The closed form is the series exactly; the
+published coefficient that breaks this identity is a test erratum (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -18,12 +19,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .model import NetworkParams
-
-#: Bracket-coefficient variants for the closed form.  "corrected" uses the
-#: b^4 coefficient (n-2)(n-3)/2 that matches the term-by-term series exactly;
-#: "paper" keeps the as-published coefficient (n-1)(n-2)/2, which is retained
-#: only to document the discrepancy -- it can exceed probability 1.
-VARIANTS = ("corrected", "paper")
 
 # exp() of anything below about -745.13 is exactly 0.0; the margin absorbs
 # the rounding of a series term's log, so only exact zeros are skipped.
@@ -66,12 +61,6 @@ class FailureProbResult:
     p_f: float
     p_loc: float
     method: str
-    variant: str | None = None
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
 
 def _check_ratio(b: float) -> None:
@@ -149,39 +138,32 @@ def failure_prob_sum(net: NetworkParams, b: float) -> FailureProbResult:
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="sum")
 
 
-def _bracket(n: int, variant: str, weight: float = 1.0) -> tuple[int, float]:
-    """Bracket coefficients (c1, weight * c2) of 1 + c1 s + c2 s^2.
+def _bracket(n: int, weight: float = 1.0) -> tuple[int, float]:
+    """Bracket coefficients (c1, weight * c2) of 1 + c1 s + c2 s^2: c1 = n - 3, c2 = (n-2)(n-3)/2.
 
-    c1 = n - 3 in both variants; c2 is (n-2)(n-3)/2 ("corrected") or the
-    published (n-1)(n-2)/2 ("paper").  The weight is multiplied in first,
-    as weight * 0.5 * top * (top - 1), so a caller that scales c2 keeps
-    one fixed order of float operations.
+    The weight is multiplied in first, as weight * 0.5 * (n-2) * (n-3), so a
+    caller that scales c2 keeps one fixed order of float operations.
     """
-    top = n - 2 if variant == "corrected" else n - 1
-    return n - 3, weight * 0.5 * top * (top - 1)
+    return n - 3, weight * 0.5 * (n - 2) * (n - 3)
 
 
-def _closed_value(n: int, a: float, b: float, variant: str) -> float:
+def _closed_value(n: int, a: float, b: float) -> float:
     s = (1.0 - a) * b * b
-    c1, c2 = _bracket(n, variant)
+    c1, c2 = _bracket(n)
     return (1.0 - s) ** c1 * (1.0 + c1 * s + c2 * s * s)
 
 
-def failure_prob_closed(
-    net: NetworkParams, b: float, variant: str = "corrected"
-) -> FailureProbResult:
-    """Closed-form failure bound u^(n-3) * [1 + c1 s + c2 s^2], s = (1-a) b^2.
+def failure_prob_closed(net: NetworkParams, b: float) -> FailureProbResult:
+    """Closed-form failure bound u^(n-3) * [1 + c1 s + c2 s^2], s = (1-a) b^2, u = 1 - s.
 
-    With variant="corrected" the bracket coefficients are c1 = n-3 and
-    c2 = (n-2)(n-3)/2, which reproduces failure_prob_sum identically.  With
-    variant="paper" the c2 coefficient is (n-1)(n-2)/2 as originally
-    published; that version is inconsistent with the series and can exceed 1
-    on valid inputs, so it exists only for regression of the discrepancy.
+    The bracket coefficients c1 = n-3 and c2 = (n-2)(n-3)/2 make it exactly
+    P(Bin(n-1, s) <= 2), so it reproduces failure_prob_sum.  The published c2,
+    (n-1)(n-2)/2, breaks that identity and can exceed 1; it is kept only as a
+    test erratum (tests/oracles.py).
     """
     _check_ratio(b)
-    _check_variant(variant)
-    p_f = _closed_value(net.n, net.a, b, variant)
-    return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="closed", variant=variant)
+    p_f = _closed_value(net.n, net.a, b)
+    return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="closed")
 
 
 def _approx_small_domain(n: int, a: float, b: float) -> str | None:
@@ -285,24 +267,21 @@ def _curvature_root(g, lo: float, hi: float) -> float | None:
         return None
 
 
-def threshold_a_star_numeric(n: int, b: float, variant: str = "corrected") -> float | None:
+def threshold_a_star_numeric(n: int, b: float) -> float | None:
     """Root of the finite-difference second derivative of p_f in a.
 
     Independent verification of threshold_a_star: bisects the central
     second difference to _ROOT_TOL within _A_BRACKET of the closed-form
     value.  None when there is no closed-form a* or that bracket holds no
-    sign change (n = 52, b = 0.2 gives a* ~ 2e-16; the "paper" root at
-    n = 60, b = 0.655 lies far from a*).
+    sign change (n = 52, b = 0.2 gives a* ~ 2e-16).
     """
-    _check_variant(variant)
     a_star = threshold_a_star(n, b)
     if a_star is None:
         return None
-    return _curvature_root(lambda x: _closed_value(n, x, b, variant),
-                           a_star - _A_BRACKET, a_star + _A_BRACKET)
+    return _curvature_root(lambda x: _closed_value(n, x, b), a_star - _A_BRACKET, a_star + _A_BRACKET)
 
 
-def threshold_b_star_numeric(n: int, a: float, variant: str = "corrected") -> float | None:
+def threshold_b_star_numeric(n: int, a: float) -> float | None:
     """Root of the finite-difference second derivative of p_f in b.
 
     Reported alongside threshold_b_star so their gap can be recorded; the
@@ -310,8 +289,7 @@ def threshold_b_star_numeric(n: int, a: float, variant: str = "corrected") -> fl
     bracket spans 0.5 to 1.8 times the closed-form b*.  None when there is
     no closed-form b* in (0, 1] or the bracket holds no sign change.
     """
-    _check_variant(variant)
     center = threshold_b_star(n, a, form="exact")
     if center is None:
         return None
-    return _curvature_root(lambda x: _closed_value(n, a, x, variant), 0.5 * center, 1.8 * center)
+    return _curvature_root(lambda x: _closed_value(n, a, x), 0.5 * center, 1.8 * center)

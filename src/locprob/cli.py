@@ -38,7 +38,6 @@ from itertools import product
 
 from . import __version__
 from .analytic import (
-    VARIANTS,
     _approx_small_domain,
     _row_invariants,
     _sum_domain,
@@ -60,9 +59,12 @@ _PROTOCOLS = dict(zip(("center", "all"), PROBE_CHOICES))
 _SHADOW_FIELDS = ("p0_dbm", "gamma_dbm", "d0", "n_p", "sigma_s", "R")
 _RUN_FIELDS = ("trials", "seed", "workers")
 # the fields with a default, used wherever a config or a verb leaves one out
-_DEFAULTS = {"trials": 1000, "seed": 0, "variant": "corrected", "workers": 1, "protocol": "center"}
+_DEFAULTS = {"trials": 1000, "seed": 0, "workers": 1, "protocol": "center"}
 # flags that override the sweep config's field of the same name
 _SWEEP_FLAGS = tuple(_DEFAULTS)
+# The closed form's one coefficient, named in the `variant` column and the figure/threshold config comment;
+# bench/refs.json and the CI digests pin those bytes, so the label goes with re-record A (ROADMAP.md).
+_VARIANT = "corrected"
 
 
 class CliError(Exception):
@@ -126,24 +128,24 @@ def estimate(net, b, protocol, **options):
 # rows: one builder per table kind, whose keys in order are the table's columns.  Layer
 # functions are looked up in this module's globals at call time, so per-layer tracing can wrap them.
 
-def _analytic_row(net, b, method, variant):
-    res = (failure_prob_closed(net, b, variant) if method == "closed"
+def _analytic_row(net, b, method):
+    res = (failure_prob_closed(net, b) if method == "closed"
            else failure_prob_sum(net, b) if method == "sum" else failure_prob_approx_small(net, b))
-    return {"n": net.n, "k": net.k, "a": net.a, "b": b, "p_f": res.p_f,
-            "p_loc": res.p_loc, "method": res.method, "variant": res.variant}
+    return {"n": net.n, "k": net.k, "a": net.a, "b": b, "p_f": res.p_f, "p_loc": res.p_loc,
+            "method": res.method, "variant": _VARIANT if method == "closed" else None}
 
 
-def _a_star_row(n, b, variant):
+def _a_star_row(n, b):
     a_star = threshold_a_star(n, b)
-    fd = threshold_a_star_numeric(n, b, variant)
+    fd = threshold_a_star_numeric(n, b)
     return {"n": n, "b": b, "a_star": a_star, "a_star_fd": fd,
             "gap": None if fd is None else a_star - fd}
 
 
-def _b_star_row(n, a, variant):
+def _b_star_row(n, a):
     exact = threshold_b_star(n, a, form="exact")
     approx = threshold_b_star(n, a, form="large_n")
-    fd = threshold_b_star_numeric(n, a, variant)
+    fd = threshold_b_star_numeric(n, a)
     return {"n": n, "a": a, "b_star_exact": exact, "b_star_large_n": approx,
             "b_star_fd": fd, "gap_exact_fd": None if fd is None else exact - fd}
 
@@ -152,11 +154,11 @@ def _fading(dist):
     return {"sigma1": dist.sigma1, "b_hat_max": dist.b_hat_max, "zero_mass": dist.zero_mass}
 
 
-def _shadow_row(net, b_o, model, method, variant):
+def _shadow_row(net, b_o, model, method):
     dist = bhat_distribution(b_o, model.sigma1, model.b_hat_max)
-    res = failure_prob_shadow(net, dist, method, variant)
+    res = failure_prob_shadow(net, dist, method)
     return {"n": net.n, "k": net.k, "a": net.a, "b_o": b_o, **_fading(dist), "p_f": res.p_f,
-            "p_loc": res.p_loc, "method": res.method, "variant": res.variant}
+            "p_loc": res.p_loc, "method": res.method, "variant": _VARIANT}
 
 
 def _simulate_row(net, b, protocol, trials, seed, pool):
@@ -193,17 +195,17 @@ _FIGURE_SWEEPS = {
 }
 
 
-def _beside_closed(row, variant, columns):
+def _beside_closed(row, columns):
     """`row` with columns(its p_loc, the closed form's p_loc at its cell) in place of its p_f and p_loc."""
     def figure_row(net, ratio, *rest):
         own = row(net, ratio, *rest)
-        beside = columns(own["p_loc"], failure_prob_closed(net, ratio, variant).p_loc)
+        beside = columns(own["p_loc"], failure_prob_closed(net, ratio).p_loc)
         return dict(item for key, value in own.items() if key != "p_loc"
                     for item in (beside.items() if key == "p_f" else [(key, value)]))
     return figure_row
 
 
-def _figure_cells(config, variant):
+def _figure_cells(config):
     """The cells of a figure's sweep, whose rows get the figure's own columns."""
     name = _choice(config, "figure", FIGURES)
     trials, seed, workers = _run_settings(config)
@@ -212,18 +214,15 @@ def _figure_cells(config, variant):
                [(300, 0.085 + 0.005 * i) for i in range(159)])
         return
     sweep = dict(_FIGURE_SWEEPS[name])
-    if sweep["mode"] == "simulate":  # fig6 reads variant for its theory column alone
+    if sweep["mode"] == "simulate":
         sweep.update(trials=trials, seed=seed, workers=workers)
-    else:
-        sweep["variant"] = variant
     with _reader(sweep) as (row, cells):
         if name == "fig1":
             cells.sort(key=lambda cell: cell[1])  # one curve per coverage ratio, a ascending
         elif name == "fig6":
-            row = _beside_closed(row, variant, lambda sim, closed: {"p_loc_theory": closed, "p_loc_sim": sim})
+            row = _beside_closed(row, lambda sim, closed: {"p_loc_theory": closed, "p_loc_sim": sim})
         elif name == "fig_shadow":
-            row = _beside_closed(row, variant,
-                                 lambda shadow, closed: {"p_loc_shadow": shadow, "p_loc_noshadow": closed})
+            row = _beside_closed(row, lambda shadow, closed: {"p_loc_shadow": shadow, "p_loc_noshadow": closed})
         yield row, cells
 
 
@@ -351,11 +350,11 @@ def _run_settings(config):
     return settings
 
 
-def _analytic_cells(config, variant):
+def _analytic_cells(config):
     nets = _networks_from(config)
     method = _choice(config, "method", ("closed", "sum", "approx_small"), "closed")
-    cells = [(net, b, method, variant) for net, b in product(nets, _unit(config, "b"))]
-    for net, b, _, _ in cells:
+    cells = [(net, b, method) for net, b in product(nets, _unit(config, "b"))]
+    for net, b, _ in cells:
         if method == "approx_small" and (reason := _approx_small_domain(net.n, net.a, b)):
             raise CliError(f"invalid value for field 'b': {b!r} ({reason} at n={net.n}, k={net.k})")
         if method == "sum" and (reason := _sum_domain(net.n, b)):
@@ -363,24 +362,24 @@ def _analytic_cells(config, variant):
     yield _analytic_row, cells
 
 
-def _shadow_cells(config, variant):
+def _shadow_cells(config):
     nets = _networks_from(config)
     method = _choice(config, "method", METHODS, "integrate_conditional")
     if method == "alternating_sum":
         _require(config, "n", int, lambda v: v <= SERIES_MAX_N, f"({method} needs n <= {SERIES_MAX_N})")
     model = _shadow_model_from(config)
-    yield _shadow_row, [(net, b_o, model, method, variant)
+    yield _shadow_row, [(net, b_o, model, method)
                         for net, b_o in product(nets, _unit(config, "b_o", "(]"))]
 
 
-def _threshold_cells(config, variant):
+def _threshold_cells(config):
     # a* at each (n, b) needs n >= 5, b* at each (n, a) needs n >= 10
     row, low, axis, ends = ((_a_star_row, 5, "b", "(]") if _either(config, "b", "a", " for threshold mode")
                             else (_b_star_row, 10, "a", "[)"))
-    yield row, [(n, x, variant) for n, x in product(_n_values(config, low), _unit(config, axis, ends))]
+    yield row, [(n, x) for n, x in product(_n_values(config, low), _unit(config, axis, ends))]
 
 
-def _simulate_cells(config, variant, cell_seed=None):
+def _simulate_cells(config, cell_seed=None):
     """Monte Carlo cells of one `TrialProtocol` in one worker pool; cell i's seed is cell_seed(seed, i)."""
     trials, seed, workers = _run_settings(config)
     protocol_name = _choice(config, "protocol", tuple(_PROTOCOLS), _DEFAULTS["protocol"])
@@ -408,12 +407,12 @@ def _simulate_cells(config, variant, cell_seed=None):
 # reader.  A reader checks the whole config, then yields once, from inside whatever its rows
 # need, its row builder and its cells: each cell is the arguments of one row.
 _MODES = {
-    "analytic": (("n", "k", "a", "b", "method", "variant"), _analytic_cells),
+    "analytic": (("n", "k", "a", "b", "method"), _analytic_cells),
     "simulate": (("n", "k", "a", "b", "protocol", "shadow_draw", *_RUN_FIELDS, *_SHADOW_FIELDS),
                  _simulate_cells),
-    "shadow": (("n", "k", "a", "b_o", "method", "variant", *_SHADOW_FIELDS), _shadow_cells),
-    "threshold": (("n", "b", "a", "variant"), _threshold_cells),
-    "figure": (("figure", "variant", *_RUN_FIELDS), _figure_cells),
+    "shadow": (("n", "k", "a", "b_o", "method", *_SHADOW_FIELDS), _shadow_cells),
+    "threshold": (("n", "b", "a"), _threshold_cells),
+    "figure": (("figure", *_RUN_FIELDS), _figure_cells),
 }
 
 
@@ -423,7 +422,7 @@ def _reader(config, **options):
     fields, read = _MODES[mode]
     if unread := [field for field in config if field not in ("mode", *fields)]:
         raise CliError(f"unknown field {unread[0]!r} for {mode} mode")
-    return contextmanager(read)(config, _choice(config, "variant", VARIANTS, _DEFAULTS["variant"]), **options)
+    return contextmanager(read)(config, **options)
 
 
 @_row_invariants()  # each row invariant is computed once per table
@@ -485,6 +484,7 @@ def _cmd_mode(args):
     config = {"mode": args.mode, **_given(args, *_MODES[args.mode][0])}
     # no table records its worker count, and a figure's names the figure rather than its mode
     emitted = {f: v for f, v in config.items() if f != "workers" and (f, v) != ("mode", "figure")}
+    emitted["variant"] = _VARIANT
     return _run_and_write(config, emitted, args.out, args.quiet)
 
 
@@ -509,7 +509,6 @@ _FLAGS = {
     "k": dict(type=int, help="anchor count"),
     "a": dict(type=float, help="blind fraction (in place of --k; threshold: query b*)"),
     "b": dict(type=float, help="coverage ratio (b_o when shadowed; threshold: query a*)"),
-    "variant": dict(choices=VARIANTS, help="closed-form coefficient variant"),
     "protocol": dict(choices=sorted(_PROTOCOLS), help="probe protocol for simulations"),
     "shadow_draw": dict(choices=SHADOW_CHOICES[1:], help="fading draw when shadowed (default per_node)"),
     "trials": dict(type=int, help="Monte Carlo realizations per point"),

@@ -327,6 +327,8 @@ def estimate(
     _check_ratio(b)
     if protocol.probe == "all_nl_nodes" and net.k == net.n:
         raise ValueError("all_nl_nodes protocol needs at least one blind node (k < n)")
+    if net.n > _MAX_N[protocol.probe]:  # a chunk's memory grows with n
+        raise ValueError(f"{protocol.probe} protocol simulates n <= {_MAX_N[protocol.probe]}, got n = {net.n}")
 
     if protocol.probe == "center_node":
         chunk_size, kernel = _center_chunk_size(net.n), _center_chunk

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .analytic import FailureProbResult, _bracket, _check_variant, _closed_value, _invariant
+from .analytic import FailureProbResult, _bracket, _closed_value, _invariant
 from .model import ALPHA, BhatDistribution, NetworkParams, normal_lower_tail
 
 METHODS = ("integrate_conditional", "alternating_sum")
@@ -127,12 +127,8 @@ def bhat_moment(dist: BhatDistribution, order: int) -> float:
     return _invariant(("moment", dist, order), lambda: _integrate_mixed(dist, f, 1e-12))
 
 
-def failure_prob_shadow(
-    net: NetworkParams,
-    dist: BhatDistribution,
-    method: str = "integrate_conditional",
-    variant: str = "corrected",
-) -> FailureProbResult:
+def failure_prob_shadow(net: NetworkParams, dist: BhatDistribution,
+                        method: str = "integrate_conditional") -> FailureProbResult:
     """Failure bound with coverage drawn from the mixed ratio distribution.
 
     integrate_conditional (default): zero_mass + integral of the conditional
@@ -145,27 +141,22 @@ def failure_prob_shadow(
     identical to the integral form, kept for small-n cross-validation up to
     n = SERIES_MAX_N.
     """
-    _check_variant(variant)
     n = net.n
     if method == "integrate_conditional":
         if dist.sigma1 == 0.0:
-            p_f = (
-                _closed_value(n, net.a, dist.b_o, variant)
-                if dist.b_o <= dist.b_hat_max
-                else 1.0
-            )
+            p_f = _closed_value(n, net.a, dist.b_o) if dist.b_o <= dist.b_hat_max else 1.0
         else:
             p_f = dist.zero_mass + _below_cutoff(dist) + _integrate_mixed(
-                dist, _failure_integrand(net, dist, variant), 1e-9
+                dist, _failure_integrand(net, dist), 1e-9
             )
     elif method == "alternating_sum":
         if n > SERIES_MAX_N:
             raise ValueError(f"{method} is outside its stated validity for n = {n} > "
                              f"{SERIES_MAX_N}, use integrate_conditional")
-        p_f = _series(net, variant, {j: bhat_moment(dist, j) for j in range(0, 2 * n, 2)})
+        p_f = _series(net, {j: bhat_moment(dist, j) for j in range(0, 2 * n, 2)})
     else:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method=method, variant=variant)
+    return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method=method)
 
 
 def _below_cutoff(dist: BhatDistribution) -> float:
@@ -176,10 +167,10 @@ def _below_cutoff(dist: BhatDistribution) -> float:
     return normal_lower_tail((10.0 * math.log10(lo) - dist.mu) / dist.sigma1)
 
 
-def _failure_integrand(net: NetworkParams, dist: BhatDistribution, variant: str):
-    """x -> _closed_value(n, a, x, variant) times the density at x, bit for bit."""
+def _failure_integrand(net: NetworkParams, dist: BhatDistribution):
+    """x -> _closed_value(n, a, x) times the density at x, bit for bit."""
     one_minus_a = 1.0 - net.a
-    c1, c2 = _bracket(net.n, variant)
+    c1, c2 = _bracket(net.n)
     scale, two_var, mu, b_hat_max = _density_terms(dist)
     log10, exp = math.log10, math.exp
 
@@ -195,11 +186,11 @@ def _failure_integrand(net: NetworkParams, dist: BhatDistribution, variant: str)
     return f
 
 
-def _series(net: NetworkParams, variant: str, moments: dict[int, float]) -> float:
+def _series(net: NetworkParams, moments: dict[int, float]) -> float:
     """Alternating binomial series over the ratio's even moments, by order 0, 2, ..., 2n - 2."""
     n = net.n
     k1 = 1.0 - net.a
-    c1, k3 = _bracket(n, variant, k1**2)
+    c1, k3 = _bracket(n, k1**2)
     k2 = k1 * c1
     terms = []
     for ell in range(n - 2):

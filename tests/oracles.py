@@ -117,7 +117,12 @@ def brute_force_anchor_counts(
 # primitives call by call, so the fast paths must match them bit for bit.
 
 def closed_value_reference(n: int, a: float, b: float, variant: str) -> float:
-    """Closed-form failure bound with the bracket coefficient chosen inline."""
+    """Closed-form failure bound with the bracket coefficient chosen inline.
+
+    "corrected" is the library's c2, (n-2)(n-3)/2.  "paper" is the erratum: the
+    published (n-1)(n-2)/2, which breaks the identity with the series and can
+    exceed 1, and so is no option of the library.
+    """
     s = (1.0 - a) * b * b
     u = 1.0 - s
     if variant == "corrected":

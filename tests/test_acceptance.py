@@ -21,7 +21,8 @@ from locprob.cli import main, run_sweep
 from locprob.model import bhat_distribution, make_network, make_shadow_model
 from locprob.montecarlo import ProbEstimate, estimate
 from locprob.shadowing import failure_prob_shadow, integrate
-from oracles import alternating_series_reference, exact_binomial_cdf, lognormal_moment, pdf_reference
+from oracles import (alternating_series_reference, closed_value_reference, exact_binomial_cdf, lognormal_moment,
+                     pdf_reference)
 
 ROOT_HALF = math.sqrt(0.5)
 GRID_N = (4, 10, 50, 300, 1000, 3000)
@@ -60,17 +61,17 @@ def test_criterion_01_series_equals_closed_form():
 def test_criterion_02_hand_anchor_with_monte_carlo():
     net = make_network(4, 4)
     series = failure_prob_sum(net, ROOT_HALF).p_f
-    closed = failure_prob_closed(net, ROOT_HALF, "corrected").p_f
+    closed = failure_prob_closed(net, ROOT_HALF).p_f
     assert series == pytest.approx(0.875, abs=1e-12)
     assert closed == pytest.approx(0.875, abs=1e-12)
-    published = failure_prob_closed(net, ROOT_HALF, "paper").p_f
+    published = closed_value_reference(4, 0.0, ROOT_HALF, "paper")  # the erratum
     assert published == pytest.approx(1.125, abs=1e-12)
     sim = estimate(net, ROOT_HALF, trials=1_000_000, seed=20240801)
     gap = abs(sim.p_hat - 0.125)
     assert gap <= 3.0 * wilson_se(sim)
     report(
         "02 hand anchor",
-        f"p_f = 0.875 both forms, published variant pinned at 1.125, "
+        f"p_f = 0.875 both forms, published coefficient pinned at 1.125, "
         f"MC gap {gap:.2e} <= 3se",
     )
 

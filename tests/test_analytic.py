@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from locprob import analytic
 from locprob.analytic import (
-    VARIANTS,
     _closed_value,
     failure_prob_approx_small,
     failure_prob_closed,
@@ -39,15 +38,16 @@ class TestHandAnchors:
 
     def test_closed_corrected_matches(self):
         net = make_network(4, 4)
-        res = failure_prob_closed(net, ROOT_HALF, "corrected")
+        res = failure_prob_closed(net, ROOT_HALF)
         assert res.p_f == pytest.approx(0.875, abs=1e-12)
 
     def test_closed_published_coefficient_overshoots(self):
-        # the as-published bracket gives 0.5 * (1 + 0.5 + 3 * 0.25) = 1.125,
-        # above 1: pinned as a regression of the documented inconsistency
-        net = make_network(4, 4)
-        res = failure_prob_closed(net, ROOT_HALF, "paper")
-        assert res.p_f == pytest.approx(1.125, abs=1e-12)
+        # erratum: the as-published bracket gives 0.5 * (1 + 0.5 + 3 * 0.25) = 1.125,
+        # above 1, and 1.0056 at n = 10, a = 0.9, b = 0.7, where the library's form is the series
+        assert closed_value_reference(4, 0.0, ROOT_HALF, "paper") == pytest.approx(1.125, abs=1e-12)
+        assert closed_value_reference(10, 0.9, 0.7, "paper") == pytest.approx(1.0056071071, rel=1e-10)
+        assert failure_prob_closed(make_network(10, 1), 0.7).p_f == pytest.approx(
+            failure_prob_sum(make_network(10, 1), 0.7).p_f, abs=1e-15)
 
 
 class TestTrivialLimits:
@@ -61,8 +61,8 @@ class TestTrivialLimits:
     def test_no_anchors_always_fails(self, b):
         net = make_network(200, 0)
         assert failure_prob_sum(net, b).p_f == 1.0
-        assert failure_prob_closed(net, b, "corrected").p_f == 1.0
-        assert failure_prob_closed(net, b, "paper").p_f == 1.0
+        assert failure_prob_closed(net, b).p_f == 1.0
+        assert closed_value_reference(200, 1.0, b, "paper") == 1.0
 
     def test_full_coverage_all_anchors(self):
         net = make_network(10, 10)
@@ -76,8 +76,9 @@ class TestTrivialLimits:
                 fn(net, 1.5)
 
     def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            failure_prob_closed(make_network(10, 5), 0.3, "fancy")
+        # the closed form has one coefficient, so it takes no variant at all
+        with pytest.raises(TypeError):
+            failure_prob_closed(make_network(10, 5), 0.3, "paper")
 
 
 class TestSeriesClosedIdentity:
@@ -124,9 +125,7 @@ class TestDerivativeIdentity:
         from locprob.analytic import _closed_value
 
         h = 1e-5
-        fd = (
-            _closed_value(n, a + h, b, "corrected") - _closed_value(n, a - h, b, "corrected")
-        ) / (2.0 * h)
+        fd = (_closed_value(n, a + h, b) - _closed_value(n, a - h, b)) / (2.0 * h)
         u = b * b * a + 1.0 - b * b
         triple = (n - 1) * (n - 2) * (n - 3) * b**6 * u ** (n - 4)
         want = 0.5 * (1.0 - a) ** 2 * triple
@@ -199,16 +198,22 @@ class TestThresholdOnBlindFraction:
     def test_numeric_root_rejects_missing_threshold(self):
         assert threshold_a_star_numeric(300, 0.05) is None
 
-    @pytest.mark.parametrize("n, b, variant", [(52, 0.2, "corrected"), (60, 0.655, "paper"),
-                                               (100_000, 0.5, "corrected"),
-                                               (10_000_000, 0.5, "corrected"),
-                                               (2**53, 0.5, "corrected")])
-    def test_numeric_root_outside_the_bracket_is_none(self, n, b, variant):
-        # a* ~ 2e-16 at the domain's edge; the paper variant's root far from a* ~ 0.92;
-        # at large n the curvature underflows to exactly 0.0 at the bracket's lower end,
-        # which is no sign change (it once came back as the root, a gap of exactly 0.08)
-        assert threshold_a_star(n, b) is not None
-        assert threshold_a_star_numeric(n, b, variant) is None
+    @pytest.mark.parametrize("n, b, coefficient", [(52, 0.2, "corrected"), (60, 0.655, "paper"),
+                                                   (100_000, 0.5, "corrected"),
+                                                   (10_000_000, 0.5, "corrected"),
+                                                   (2**53, 0.5, "corrected")])
+    def test_numeric_root_outside_the_bracket_is_none(self, n, b, coefficient):
+        # a* ~ 2e-16 at the domain's edge; at large n the curvature underflows to exactly 0.0
+        # at the bracket's lower end, which is no sign change (it once came back as the root,
+        # a gap of exactly 0.08).  Erratum: the published coefficient's curvature has no root
+        # near a* ~ 0.92 at n = 60, b = 0.655, where the library's root is 0.919625
+        a_star = threshold_a_star(n, b)
+        assert a_star is not None
+        closed = lambda a: closed_value_reference(n, a, b, coefficient)
+        bracket = (a_star - analytic._A_BRACKET, a_star + analytic._A_BRACKET)
+        assert analytic._curvature_root(closed, *bracket) is None
+        fd = threshold_a_star_numeric(n, b)
+        assert fd is None if coefficient == "corrected" else fd == pytest.approx(0.919625, abs=1e-6)
 
     def test_root_where_the_curvature_stays_finite(self):
         gap = threshold_a_star(3000, 0.5) - threshold_a_star_numeric(3000, 0.5)
@@ -253,12 +258,11 @@ class TestThresholdOnCoverage:
         # asserted equal; record-keeping only
         assert abs(exact - root) < 0.05
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_numeric_root_past_the_domain_is_none(self, variant):
+    def test_numeric_root_past_the_domain_is_none(self):
         # both closed forms give b* past b = 1 here (exact 1.14, large_n 1.08)
         assert threshold_b_star(20, 0.9) is None
         assert threshold_b_star(20, 0.9, form="large_n") is None
-        assert threshold_b_star_numeric(20, 0.9, variant) is None
+        assert threshold_b_star_numeric(20, 0.9) is None
 
     def test_missing_sign_change_in_an_unclipped_bracket_is_none(self, monkeypatch):
         # 1.8 b* = 0.22 lies inside the domain, so only a flat curvature reaches this case
@@ -302,7 +306,7 @@ def test_second_difference_sign_flips_at_threshold():
 
     n, b = 300, 0.15
     a_star = threshold_a_star(n, b)
-    g = lambda a: analytic._curvature(lambda t: _closed_value(n, t, b, "corrected"), a)
+    g = lambda a: analytic._curvature(lambda t: _closed_value(n, t, b), a)
     assert g(a_star - 0.05) * g(a_star + 0.05) < 0.0
 
 
@@ -311,15 +315,14 @@ def test_second_difference_sign_flips_at_threshold():
     n=st.integers(10, 3000),
     a=st.floats(0.0, 1.0, exclude_max=True),
     b=st.floats(0.0, 1.0, exclude_min=True),
-    variant=st.sampled_from(VARIANTS),
 )
-@example(n=20, a=0.9, b=0.5, variant="corrected")
-@example(n=52, b=0.2, a=0.0, variant="corrected")
-@example(n=60, b=0.655, a=0.0, variant="paper")
-def test_every_threshold_lies_in_the_domain_or_is_none(n, a, b, variant):
+@example(n=20, a=0.9, b=0.5)
+@example(n=52, b=0.2, a=0.0)
+@example(n=60, b=0.655, a=0.0)
+def test_every_threshold_lies_in_the_domain_or_is_none(n, a, b):
     values = [threshold_a_star(n, b), threshold_b_star(n, a, form="exact"),
-              threshold_b_star(n, a, form="large_n"), threshold_a_star_numeric(n, b, variant),
-              threshold_b_star_numeric(n, a, variant)]
+              threshold_b_star(n, a, form="large_n"), threshold_a_star_numeric(n, b),
+              threshold_b_star_numeric(n, a)]
     assert all(v is None or 0.0 < v <= 1.0 for v in values), values
 
 
@@ -456,7 +459,6 @@ def test_rows_sharing_a_table_equal_standalone_calls(data):
     n=st.integers(4, 10**6),
     a=_blind_fractions,
     b=st.floats(0.0, 1.0),
-    variant=st.sampled_from(VARIANTS),
 )
-def test_closed_value_matches_inline_coefficients(n, a, b, variant):
-    assert _closed_value(n, a, b, variant) == closed_value_reference(n, a, b, variant)
+def test_closed_value_matches_inline_coefficients(n, a, b):
+    assert _closed_value(n, a, b) == closed_value_reference(n, a, b, "corrected")

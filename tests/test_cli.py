@@ -5,9 +5,13 @@ import multiprocessing
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from locprob import cli, montecarlo
+from locprob.analytic import FailureProbResult
 from locprob.cli import FIGURES, _build_parser, check_figure, main, run_sweep
+from oracles import closed_value_reference
 
 
 def run_cli(*argv):
@@ -121,14 +125,22 @@ class TestFigureTables:
 
     @pytest.mark.parametrize("name", FIGURES)
     @pytest.mark.parametrize("variant", ["corrected", "paper"])
-    def test_a_figure_sweep_self_checks_like_the_figure_verb(self, tmp_path, capsys, name, variant):
-        # the paper's coefficients bend fig3's and fig_shadow's closed-form curves
+    def test_a_figure_sweep_self_checks_like_the_figure_verb(self, tmp_path, capsys, monkeypatch, name,
+                                                             variant):
+        # the published bracket coefficient (the oracle's erratum), in place of the closed form,
+        # bends fig3's and fig_shadow's closed-form curves: a failed caption claim exits 2
+        if variant == "paper":
+            def published(net, b):
+                p_f = closed_value_reference(net.n, net.a, b, "paper")
+                return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="closed")
+
+            monkeypatch.setattr(cli, "failure_prob_closed", published)
         expected = 2 if variant == "paper" and name in ("fig3", "fig_shadow") else 0
         trials = {"trials": 1} if name == "fig6" else {}
         cfg, verb, sweep = tmp_path / "cfg.json", tmp_path / "verb.csv", tmp_path / "sweep.csv"
-        cfg.write_text(json.dumps({"mode": "figure", "figure": name, "variant": variant, **trials}))
+        cfg.write_text(json.dumps({"mode": "figure", "figure": name, **trials}))
         flags = [arg for field, value in trials.items() for arg in (f"--{field}", str(value))]
-        assert run_cli("figure", name, "--variant", variant, *flags, "--out", str(verb)) == expected
+        assert run_cli("figure", name, *flags, "--out", str(verb)) == expected
         verb_err = capsys.readouterr().err
         assert run_cli("sweep", str(cfg), "--out", str(sweep)) == expected
         sweep_err = capsys.readouterr().err
@@ -446,7 +458,10 @@ def test_threshold_table_bytes(capsys):
     ["threshold", "--n", "300", "--b", "0.15", "--protocol", "all"],
     ["figure", "fig2", "--protocol", "all"],
     ["estimate", "--n", "300", "--a", "0.2", "--b", "0.1", "--variant", "paper"],
-], ids=["threshold_run_settings", "threshold_protocol", "figure_protocol", "estimate_variant"])
+    ["figure", "fig3", "--variant", "paper"],
+    ["threshold", "--n", "300", "--b", "0.15", "--variant", "corrected"],
+], ids=["threshold_run_settings", "threshold_protocol", "figure_protocol", "estimate_variant",
+        "figure_variant", "threshold_variant"])
 def test_verbs_reject_flags_they_ignore(tmp_path, capsys, argv):
     out = tmp_path / "o.csv"
     assert run_cli(*argv, "--out", str(out), "--quiet") == 1
@@ -467,9 +482,8 @@ def test_each_verb_takes_the_fields_of_its_mode(verb, fields):
 
 @pytest.mark.parametrize("argv", [
     ["figure", "fig2"],
-    ["threshold", "--n", "300", "--b", "0.15"],
     ["estimate", "--n", "50", "--k", "10", "--b", "0.3", "--trials", "20"],
-], ids=["figure", "threshold", "estimate"])
+], ids=["figure", "estimate"])
 def test_an_omitted_flag_gives_the_bytes_of_its_default(capsys, argv):
     fields = cli._MODES[{"estimate": "simulate"}.get(argv[0], argv[0])][0]
     explicit = [arg for field in fields if field in cli._DEFAULTS and f"--{field}" not in argv
@@ -628,7 +642,6 @@ _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFI
 _CHOICE_FIELDS = [
     ("mode", {"n": 50, "a": 0.5, "b": 0.2},
      ("analytic", "simulate", "shadow", "threshold", "figure")),
-    ("variant", {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2}, ("corrected", "paper")),
     ("figure", {"mode": "figure"}, FIGURES),
     ("protocol", {"mode": "simulate", "n": 50, "k": 10, "b": 0.2}, ("center", "all")),
     ("shadow_draw", {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, **_SHADOW_CONFIG},
@@ -644,6 +657,13 @@ _CHOICE_CASES = [
 ]
 _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{field}_{kind}"
                for field, config, _ in _CHOICE_FIELDS for kind in ("string", "list", "object")]
+# the closed form has one coefficient: a variant, of any kind, is a field that no mode reads
+_VARIANT_CASES = [
+    (["sweep", "{cfg}"], {**config, "variant": bad}, f"unknown field 'variant' for {config['mode']} mode")
+    for config, bad in (({"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2}, "corrected"),
+                        (_SHADOW_SWEEP, ["corrected"]), ({"mode": "figure", "figure": "fig3"}, {"paper": 1}))
+]
+_VARIANT_IDS = [f"choice_variant_{kind}" for kind in ("string", "list", "object")]
 
 
 # field None: a combination of shadowing parameters the model rejects; a field with a
@@ -692,7 +712,7 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
     (["sweep", "{cfg}"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, "trials": 10,
                           "variant": "paper"}, "unknown field 'variant' for simulate mode"),
     (["sweep", "{cfg}", "--variant", "paper"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2},
-     "unknown field 'variant' for simulate mode"),
+     "unrecognized arguments: --variant paper"),
     (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": 1}, "out"),
     (["sweep", "{cfg}"], {"mode": "analytic", "a": 0.5, "b": 0.2}, "missing required field 'n'"),
     (["sweep", "{cfg}"], {"mode": "analytic", "n": [60, 50], "k": 55, "b": 0.2}, "k"),
@@ -701,7 +721,7 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
       **{f: v for f, v in _SHADOW_CONFIG.items() if f != "d0"}},
      "missing required field 'd0' (shadowing parameters)"),
     (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "variant": "exact"},
-     "variant"),
+     "unknown field 'variant' for analytic mode"),
     (["sweep", "{cfg}"], {"mode": "figure", "figure": "fig5"}, "figure"),
     (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "method": "series"},
      "method"),
@@ -715,6 +735,7 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
     (["estimate", "--n", str(2 ** 53 + 1), "--k", "10", "--b", "0.2"], None, "n"),
     *_SIMULATE_N_CASES,
     *_CHOICE_CASES,
+    *_VARIANT_CASES,
 ], ids=["estimate_b", "estimate_shadowed_b", "simulate_shadowed_b", "threshold_a_star_n",
         "threshold_b_star_n", "threshold_sweep_n", "approx_small_domain",
         "approx_small_p_loc_above_one", "alternating_sum_n", "moment_approx_method", "unshadowed_draw",
@@ -728,7 +749,7 @@ _CHOICE_IDS = [f"choice_{config['mode'] + '_' if field == 'method' else ''}{fiel
         "sweep_out_descriptor", "missing_n", "sweep_k_above_n", "partial_shadowing",
         "bad_variant", "unknown_figure", "analytic_method", "shadow_method", "config_not_object",
         "threshold_n_above_cap", "threshold_huge_n", "analytic_huge_n", "estimate_n_above_cap",
-        *_SIMULATE_N_IDS, *_CHOICE_IDS])
+        *_SIMULATE_N_IDS, *_CHOICE_IDS, *_VARIANT_IDS])
 def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, config, field):
     stub_row_builders(monkeypatch, "a row was computed before the config was checked")
     cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
@@ -745,6 +766,69 @@ def test_config_boundary_names_the_field(tmp_path, capsys, monkeypatch, argv, co
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+_FIELDS = sorted({field for fields, _ in cli._MODES.values() for field in fields})
+_fuzz_scalars = st.one_of(
+    st.integers(-2, 64), st.integers(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+    st.floats(-2.0, 2.0), st.booleans(), st.text(max_size=3),
+    st.sampled_from([*cli._MODES, *FIGURES, "closed", "sum", "approx_small", "integrate_conditional",
+                     "alternating_sum", "center", "all", "per_node", "per_link", "corrected", "paper"]))
+_fuzz_values = st.one_of(_fuzz_scalars, st.lists(_fuzz_scalars, max_size=4),
+                         st.dictionaries(st.text(max_size=2), _fuzz_scalars, max_size=2))
+_unit_values = st.floats(0.0, 1.0) | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)
+# values a mode accepts, drawn beside the fuzzed ones so that whole configs pass the boundary too
+_PLAUSIBLE = {
+    "mode": st.sampled_from(list(cli._MODES)),
+    "n": st.integers(4, 40) | st.lists(st.integers(4, 40), min_size=1, max_size=4),
+    "k": st.integers(0, 4) | st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    "a": _unit_values, "b": _unit_values, "b_o": _unit_values,
+    "method": st.sampled_from(["closed", "sum", "approx_small", "integrate_conditional", "alternating_sum"]),
+    "figure": st.sampled_from(FIGURES), "protocol": st.sampled_from(["center", "all"]),
+    "shadow_draw": st.sampled_from(["per_node", "per_link"]),
+    "trials": st.integers(1, 3), "seed": st.integers(0, 2**70),
+    **{field: st.floats(-100.0, 100.0) for field in _SHADOW_CONFIG},
+}
+_VALID_CONFIGS = [{"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2},
+                  {"mode": "simulate", "n": 50, "k": 10, "b": 0.2},
+                  {"mode": "simulate", "n": 50, "k": 10, "b": 0.2, **_SHADOW_CONFIG}, _SHADOW_SWEEP,
+                  {"mode": "threshold", "n": 300, "b": 0.15}, {"mode": "figure", "figure": "fig1"}]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_fuzzed_config_runs_or_fails_with_one_error_line(tmp_path, capsys, monkeypatch, data):
+    # rows are stubbed, so a config that passes the boundary costs nothing to run
+    for name in [name for name in vars(cli) if name.endswith("_row")]:
+        monkeypatch.setattr(cli, name, lambda *args: {"p_f": 0.5, "p_loc": 0.5})
+    monkeypatch.setattr(cli, "check_figure", lambda name, rows: [])
+
+    def draw(likely):  # three times in four a likely value: one_of would weigh each fuzzed kind alike
+        return data.draw(likely if data.draw(st.integers(0, 3)) else _fuzz_values)
+
+    config = dict(data.draw(st.sampled_from(_VALID_CONFIGS)))  # a valid config, then up to 3 edits
+    for _ in range(data.draw(st.integers(0, 3))):
+        own = list(cli._MODES[config["mode"]][0]) if config.get("mode") in list(cli._MODES) else _FIELDS
+        key = data.draw(st.sampled_from(own) if data.draw(st.integers(0, 3))
+                        else st.sampled_from([*_FIELDS, "mode", "trails"]))
+        if data.draw(st.integers(0, 3)):
+            config[key] = (data.draw(st.sampled_from([1, 2])) if key == "workers"
+                           else draw(_PLAUSIBLE.get(key, _fuzz_values)))
+        else:
+            config.pop(key, None)
+    mode = config.get("mode")
+    known = mode in list(cli._MODES)  # a list, as the drawn mode may be unhashable
+    if not data.draw(st.integers(0, 3)):  # the first field past the mode, so the boundary names it
+        config = {"variant": data.draw(_fuzz_values), **config}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps(config))
+    code = run_cli("sweep", str(cfg), "--out", str(out), "--quiet")
+    err = capsys.readouterr().err
+    assert code in (0, 1), (config, err)
+    assert err == "" if code == 0 else len(err.splitlines()) == 1 and err.startswith("error: "), err
+    if "variant" in config and known:
+        assert err == f"error: unknown field 'variant' for {mode} mode\n"
 
 
 _NO_DIR = "[Errno 2] No such file or directory: "

@@ -117,6 +117,18 @@ class TestRunTrial:
                        trials=3, seed=3)
         assert (sim.trials, sim.realizations) == (3 * 25, 3)
 
+    @pytest.mark.parametrize("probe", ["center_node", "all_nl_nodes"])
+    def test_n_past_the_protocols_limit_is_refused_before_any_chunk(self, monkeypatch, probe):
+        # a chunk's memory grows with n: at n = 10**9 one centre chunk would need gigabytes
+        def no_chunk(args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(montecarlo, "_center_chunk", no_chunk)
+        monkeypatch.setattr(montecarlo, "_all_nodes_chunk", no_chunk)
+        n = montecarlo._MAX_N[probe] + 1
+        with pytest.raises(ValueError, match=f"simulates n <= {n - 1}, got n = {n}"):
+            estimate(make_network(n, 10), 0.2, TrialProtocol(probe), trials=1)
+
     def test_shadow_requires_matching_parameters(self):
         # a fading draw without a fading model, or a model without a draw, is no protocol
         with pytest.raises(ValueError, match="requires a fading model"):

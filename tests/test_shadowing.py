@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locprob import analytic, shadowing
-from locprob.analytic import VARIANTS, failure_prob_closed
+from locprob.analytic import failure_prob_closed
 from locprob.cli import main
 from locprob.model import NetworkParams, bhat_distribution, make_network, make_shadow_model
 from locprob.shadowing import (
@@ -180,11 +180,12 @@ class TestFailureProbShadow:
         assert all(lo <= hi + 1e-12 for lo, hi in zip(values, values[1:]))
 
     def test_published_coefficient_inflates_the_bound(self, field_model):
+        # erratum: the published bracket coefficient, integrated against the same density
         net = make_network(50, 10)
         dist = bhat_distribution(0.2, field_model.sigma1, field_model.b_hat_max)
-        corrected = failure_prob_shadow(net, dist, variant="corrected").p_f
-        published = failure_prob_shadow(net, dist, variant="paper").p_f
-        assert published > corrected
+        corrected = failure_prob_shadow(net, dist).p_f
+        assert corrected == shadow_failure_reference(net.n, net.a, dist, "corrected")
+        assert shadow_failure_reference(net.n, net.a, dist, "paper") > corrected
 
     def test_fading_helps_when_coverage_is_scarce(self, field_model):
         # the documented crossover: fading spreads some estimates upward,
@@ -221,14 +222,13 @@ class TestFastPathsMatchReference:
         n=st.one_of(st.sampled_from([4, 5, 20, 3000, 5000]), st.integers(4, 400)),
         a=_blind_fractions,
         dist=_distributions,
-        variant=st.sampled_from(VARIANTS),
     )
-    @example(n=50, a=0.8, dist=bhat_distribution(0.9, 3.43, 0.483), variant="corrected")
-    @example(n=3000, a=1e-12, dist=bhat_distribution(0.2, 40.0, 0.483), variant="paper")
-    @example(n=5000, a=0.0, dist=bhat_distribution(0.01, 0.05, 0.483), variant="corrected")
-    def test_failure_prob_shadow(self, n, a, dist, variant):
-        got = failure_prob_shadow(_network(n, a), dist, variant=variant).p_f
-        assert got == shadow_failure_reference(n, a, dist, variant)
+    @example(n=50, a=0.8, dist=bhat_distribution(0.9, 3.43, 0.483))
+    @example(n=3000, a=1e-12, dist=bhat_distribution(0.2, 40.0, 0.483))
+    @example(n=5000, a=0.0, dist=bhat_distribution(0.01, 0.05, 0.483))
+    def test_failure_prob_shadow(self, n, a, dist):
+        got = failure_prob_shadow(_network(n, a), dist).p_f
+        assert got == shadow_failure_reference(n, a, dist, "corrected")
 
     @settings(max_examples=100, deadline=None)
     @given(dist=_distributions, order=st.integers(1, 30).map(lambda j: 2 * j))
@@ -240,13 +240,12 @@ class TestFastPathsMatchReference:
     @given(
         n=st.integers(4, 30),
         a=_blind_fractions,
-        variant=st.sampled_from(VARIANTS),
         b=st.floats(1e-3, 1.0),
     )
-    def test_alternating_series(self, n, a, variant, b):
+    def test_alternating_series(self, n, a, b):
         moments = {j: b**j for j in range(0, 2 * n, 2)}
-        assert _series(_network(n, a), variant, moments) == alternating_series_reference(
-            n, a, variant, moments.__getitem__
+        assert _series(_network(n, a), moments) == alternating_series_reference(
+            n, a, "corrected", moments.__getitem__
         )
 
 
@@ -275,15 +274,14 @@ def test_alternating_rows_sharing_a_table_equal_standalone_calls(field_model, da
     # one table integrates each distribution's moments once; a row must not depend
     # on which rows integrated them, in any order
     ratios = data.draw(st.lists(st.floats(0.01, 0.9), min_size=1, max_size=2, unique=True))
-    rows = data.draw(st.lists(st.tuples(st.integers(4, 30), st.floats(0.0, 1.0),
-                                        st.sampled_from(ratios), st.sampled_from(VARIANTS)),
+    rows = data.draw(st.lists(st.tuples(st.integers(4, 30), st.floats(0.0, 1.0), st.sampled_from(ratios)),
                               min_size=2, max_size=6))
     order = data.draw(st.permutations(range(len(rows))))
 
     def row(i):  # a distribution of its own per row, as the CLI builds one
-        n, a, b_o, variant = rows[i]
+        n, a, b_o = rows[i]
         dist = bhat_distribution(b_o, field_model.sigma1, field_model.b_hat_max)
-        return failure_prob_shadow(_network(n, a), dist, "alternating_sum", variant)
+        return failure_prob_shadow(_network(n, a), dist, "alternating_sum")
 
     standalone = [row(i) for i in range(len(rows))]
     with analytic._row_invariants():
