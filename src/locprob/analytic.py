@@ -74,13 +74,10 @@ def _few_anchor_mass(p: int, a: float) -> float:
     This is the bracket of the p-th series term,
     a^p + p a^(p-1) (1-a) + (p(p-1)/2) a^(p-2) (1-a)^2,
     with the 0^0 = 1 convention so that a = 0 keeps its combinatorial
-    meaning (certain for p <= 2, impossible otherwise).
+    meaning (certain for p <= 2, impossible otherwise); for p >= 3 the
+    formula gives exactly 0.0 at a = 0 and exactly 1.0 at a = 1.
     """
     if p <= 2:
-        return 1.0
-    if a == 0.0:
-        return 0.0
-    if a == 1.0:
         return 1.0
     one = 1.0 - a
     return a ** (p - 2) * (a * a + p * a * one + 0.5 * p * (p - 1) * one * one)

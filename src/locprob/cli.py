@@ -60,6 +60,7 @@ _SHADOW_FIELDS = ("p0_dbm", "gamma_dbm", "d0", "n_p", "sigma_s", "R")
 _RUN_FIELDS = ("trials", "seed", "workers")
 # the fields with a default, used wherever a config or a verb leaves one out
 _DEFAULTS = {"trials": 1000, "seed": 0, "workers": 1, "protocol": "center"}
+_REQUIRED = object()  # the default of a field that has none
 # flags that override the sweep config's field of the same name
 _SWEEP_FLAGS = tuple(_DEFAULTS)
 # The closed form's one coefficient, named in the `variant` column and the figure/threshold config comment;
@@ -264,40 +265,37 @@ def check_figure(name, rows) -> list[str]:
 # ---------------------------------------------------------------------------
 # sweep configs
 
-def _number(v, types, check) -> bool:
-    """Whether v is a number of `types` (a bool is not) that passes `check`."""
-    return isinstance(v, types) and not isinstance(v, bool) and check(v)
-
-
-def _require(config, field, types, check, describe):
-    if field not in config:
+def _field(config, field, check, describe, default=_REQUIRED, grid=False):
+    """`field`'s value or default, once it passes `check`; with grid=True, its non-empty list of values."""
+    if field not in config and default is _REQUIRED:
         raise CliError(f"missing required field '{field}'")
-    values = config[field]
-    values = list(values) if isinstance(values, (list, tuple)) else [values]
+    value = config.get(field, default)
+    values = list(value) if grid and isinstance(value, (list, tuple)) else [value]
     if not values:
         raise CliError(f"empty grid: field '{field}' has no values")
     for v in values:
-        if not _number(v, types, check):
-            raise CliError(f"invalid value for field '{field}': {v!r} {describe}")
-    return values
+        if not check(v):
+            raise CliError(f"invalid value for field '{field}': {v!r} ({describe})")
+    return values if grid else value
+
+
+def _number(types, check):
+    """The check that a value is a number of `types` (a bool is not) that passes `check`."""
+    return lambda v: isinstance(v, types) and not isinstance(v, bool) and check(v)
 
 
 def _unit(config, field, ends="[]"):
     """The grid of `field` as floats in the unit interval, open at an end marked '(' or ')'."""
     low, high = ends
-    values = _require(config, field, (int, float),
-                      lambda v: (v > 0 if low == "(" else v >= 0) and (v < 1 if high == ")" else v <= 1),
-                      f"(must lie in {low}0, 1{high})")
-    return [float(v) for v in values]
+    inside = _number((int, float),
+                     lambda v: (v > 0 if low == "(" else v >= 0) and (v < 1 if high == ")" else v <= 1))
+    return [float(v) for v in _field(config, field, inside, f"must lie in {low}0, 1{high}", grid=True)]
 
 
-def _choice(config, field, allowed, default=None, why=None):
+def _choice(config, field, allowed, default=_REQUIRED, why=None):
     """The value of `field`, one of the tuple `allowed`, so that a list or an object fails too."""
-    value = config.get(field, default)
-    if value not in allowed:
-        why = why or f"expected one of {', '.join(map(repr, allowed))}"
-        raise CliError(f"invalid value for field '{field}': {value!r} ({why})")
-    return value
+    return _field(config, field, lambda v: v in allowed,
+                  why or f"expected one of {', '.join(map(repr, allowed))}", default)
 
 
 def _either(config, one, other, where=""):
@@ -309,45 +307,38 @@ def _either(config, one, other, where=""):
 
 
 def _n_values(config, low=4):
-    _require(config, "n", int, lambda v: v >= low, f"(must be an integer >= {low})")
+    _field(config, "n", _number(int, lambda v: v >= low), f"must be an integer >= {low}", grid=True)
     # the largest n exact as a float; the closed forms and thresholds stay finite up to it
-    return _require(config, "n", int, lambda v: v <= 2 ** 53, "(must be at most 2**53)")
+    return _field(config, "n", lambda v: v <= 2 ** 53, "must be at most 2**53", grid=True)
 
 
 def _networks_from(config):
     n_values = _n_values(config)
     if _either(config, "k", "a"):
         smallest = min(n_values)  # every k meets every n in the grid
-        k_values = _require(config, "k", int, lambda v: 0 <= v <= smallest,
-                            f"(must be an integer from 0 to the smallest n, {smallest})")
+        k_values = _field(config, "k", _number(int, lambda v: 0 <= v <= smallest),
+                          f"must be an integer from 0 to the smallest n, {smallest}", grid=True)
         return [make_network(n, k) for n, k in product(n_values, k_values)]
     # the integer anchor count closest to the requested blind fraction
     return [make_network(n, round(n * (1.0 - a))) for n, a in product(n_values, _unit(config, "a"))]
 
 
 def _shadow_model_from(config):
-    missing = [f for f in _SHADOW_FIELDS if f not in config]
-    if missing:
+    if missing := [f for f in _SHADOW_FIELDS if f not in config]:
         raise CliError(f"missing required field '{missing[0]}' (shadowing parameters)")
-    for f in _SHADOW_FIELDS:
-        if not _number(config[f], (int, float), math.isfinite):
-            raise CliError(f"invalid value for field '{f}': {config[f]!r} (must be a finite number)")
+    finite = _number((int, float), math.isfinite)
+    values = {f: float(_field(config, f, finite, "must be a finite number")) for f in _SHADOW_FIELDS}
     try:
-        return make_shadow_model(**{f: float(config[f]) for f in _SHADOW_FIELDS})
+        return make_shadow_model(**values)
     except ValueError as exc:
         raise CliError(f"invalid shadowing parameters: {exc}") from exc
 
 
 def _run_settings(config):
     """Validated (trials, seed, workers) of a Monte Carlo or figure sweep."""
-    settings = []
-    for field, low in (("trials", 1), ("seed", 0), ("workers", 1)):
-        v = config.get(field, _DEFAULTS[field])
-        if not _number(v, int, lambda v: v >= low):
-            kind = "positive" if low else "non-negative"
-            raise CliError(f"invalid value for field '{field}': {v!r} (must be a {kind} integer)")
-        settings.append(v)
-    return settings
+    return [_field(config, field, _number(int, lambda v: v >= low),
+                   f"must be a {'positive' if low else 'non-negative'} integer", _DEFAULTS[field])
+            for field, low in zip(_RUN_FIELDS, (1, 0, 1))]
 
 
 def _analytic_cells(config):
@@ -366,7 +357,7 @@ def _shadow_cells(config):
     nets = _networks_from(config)
     method = _choice(config, "method", METHODS, "integrate_conditional")
     if method == "alternating_sum":
-        _require(config, "n", int, lambda v: v <= SERIES_MAX_N, f"({method} needs n <= {SERIES_MAX_N})")
+        _field(config, "n", lambda v: v <= SERIES_MAX_N, f"{method} needs n <= {SERIES_MAX_N}", grid=True)
     model = _shadow_model_from(config)
     yield _shadow_row, [(net, b_o, model, method)
                         for net, b_o in product(nets, _unit(config, "b_o", "(]"))]
@@ -396,7 +387,7 @@ def _simulate_cells(config, cell_seed=None):
     b_values = _unit(config, "b", "(]" if shadowed else "[]")  # a shadowed b is b_o, which must be positive
     from .montecarlo import _MAX_N, _cell_seed, worker_pool  # numpy loads here, before the pool and any row
     limit = _MAX_N[protocol.probe]  # a chunk's memory grows with n
-    _require(config, "n", int, lambda v: v <= limit, f"(protocol {protocol_name!r} simulates n <= {limit})")
+    _field(config, "n", lambda v: v <= limit, f"protocol {protocol_name!r} simulates n <= {limit}", grid=True)
 
     with worker_pool(workers) as pool:
         yield _simulate_row, [(net, b, protocol, trials, (cell_seed or _cell_seed)(seed, i), pool)
@@ -465,9 +456,9 @@ def _cmd_sweep(args):
     if not isinstance(config, dict):
         raise CliError("config must be a JSON object")
     config.update(_given(args, *_SWEEP_FLAGS))
-    out = config.pop("out", None)  # read here, not by the sweep; --out overrides it
-    if out is not None and not isinstance(out, str):  # open() would take an int as a descriptor
-        raise CliError(f"invalid value for field 'out': {out!r} (must be a file path)")
+    # read here, not by the sweep; --out overrides it.  open() would take an int as a descriptor
+    out = _field(config, "out", lambda v: isinstance(v, (str, type(None))), "must be a file path", None)
+    config.pop("out", None)
     out = out if args.out is None else args.out
     _check_out(out)
     emitted = {k: v for k, v in config.items() if k != "workers"}
@@ -504,13 +495,13 @@ def _cmd_estimate(args):
 
 # every value flag, by the config field it sets (a figure's name is positional)
 _FLAGS = {
-    "figure": dict(choices=FIGURES, help="the canned figure"),
+    "figure": dict(help=f"the canned figure: {', '.join(FIGURES)}"),
     "n": dict(type=int, help="node count"),
     "k": dict(type=int, help="anchor count"),
     "a": dict(type=float, help="blind fraction (in place of --k; threshold: query b*)"),
     "b": dict(type=float, help="coverage ratio (b_o when shadowed; threshold: query a*)"),
-    "protocol": dict(choices=sorted(_PROTOCOLS), help="probe protocol for simulations"),
-    "shadow_draw": dict(choices=SHADOW_CHOICES[1:], help="fading draw when shadowed (default per_node)"),
+    "protocol": dict(help="probe protocol for simulations: center or all"),
+    "shadow_draw": dict(help="fading draw when shadowed: per_node or per_link (default per_node)"),
     "trials": dict(type=int, help="Monte Carlo realizations per point"),
     "seed": dict(type=int, help="master seed"),
     "workers": dict(type=int, help="parallel workers (results are worker-count independent)"),

@@ -366,6 +366,16 @@ def test_failure_prob_sum_matches_every_term_series(n, a, b):
     assert failure_prob_sum(net, b).p_f == failure_series_reference(n, a, b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.one_of(st.integers(3, 5000), st.integers(3, 2**53), st.integers(2, 53).map(lambda j: 2**j)))
+@example(p=3)
+@example(p=2**53)
+def test_few_anchor_mass_is_exact_at_both_ends(p):
+    # the bracket needs no special case at a = 0 or a = 1 once p >= 3
+    assert analytic._few_anchor_mass(p, 0.0) == 0.0
+    assert analytic._few_anchor_mass(p, 1.0) == 1.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.one_of(st.integers(4, 3000), st.floats(0.6, math.log10(2.0**53)).map(lambda x: int(10**x))),

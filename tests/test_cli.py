@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from locprob import cli, montecarlo
 from locprob.analytic import FailureProbResult
 from locprob.cli import FIGURES, _build_parser, check_figure, main, run_sweep
+from locprob.shadowing import SERIES_MAX_N
 from oracles import closed_value_reference
 
 
@@ -829,6 +830,184 @@ def test_a_fuzzed_config_runs_or_fails_with_one_error_line(tmp_path, capsys, mon
     assert err == "" if code == 0 else len(err.splitlines()) == 1 and err.startswith("error: "), err
     if "variant" in config and known:
         assert err == f"error: unknown field 'variant' for {mode} mode\n"
+
+
+_SIM = {"mode": "simulate", "n": 50, "k": 10, "b": 0.2}
+_SIM_FLAGS = ["--n", "50", "--k", "10", "--b", "0.2"]
+_PROTOCOL_LINE = "invalid value for field 'protocol': 'al' (expected one of 'center', 'all')"
+_DRAW_LINE = "invalid value for field 'shadow_draw': 'bogus' (expected one of 'per_node', 'per_link')"
+_UNSHADOWED_DRAW = "(needs the shadowing parameters p0_dbm, gamma_dbm, d0, n_p, sigma_s, R)"
+_FIGURE_LINE = ("invalid value for field 'figure': 'fig5' (expected one of 'fig1', 'fig2', 'fig3', "
+                "'fig4', 'fig6', 'fig_shadow')")
+_MODE_LINE = ("invalid value for field 'mode': None (expected one of 'analytic', 'simulate', 'shadow', "
+              "'threshold', 'figure')")
+
+
+# one row per kind of boundary message, from a sweep file and, where a flag sets the field,
+# from a verb: (argv, config, the whole error line)
+@pytest.mark.parametrize("argv, config, line", [
+    pytest.param(["sweep", "{cfg}"], {"mode": "analytic", "a": 0.5, "b": 0.2},
+                 "missing required field 'n'", id="missing_sweep"),
+    pytest.param(["estimate", "--n", "50", "--k", "10"], None, "missing required field 'b'",
+                 id="missing_verb"),
+    pytest.param(["threshold", "--b", "0.15"], None, "missing required field 'n'", id="missing_threshold_verb"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": []},
+                 "empty grid: field 'b' has no values", id="empty_grid_sweep"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "threshold", "n": [], "b": 0.5},
+                 "empty grid: field 'n' has no values", id="empty_grid_n_sweep"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": [0.5, 1.5], "b": 0.2},
+                 "invalid value for field 'a': 1.5 (must lie in [0, 1])", id="grid_value_sweep"),
+    pytest.param(["estimate", "--n", "50", "--a", "1.5", "--b", "0.2"], None,
+                 "invalid value for field 'a': 1.5 (must lie in [0, 1])", id="grid_value_verb"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "threshold", "n": [300, 9], "a": 0.5},
+                 "invalid value for field 'n': 9 (must be an integer >= 10)", id="grid_n_sweep"),
+    pytest.param(["threshold", "--n", "9", "--a", "0.5"], None,
+                 "invalid value for field 'n': 9 (must be an integer >= 10)", id="grid_n_verb"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "analytic", "n": [50, 2 ** 53 + 1], "a": 0.5, "b": 0.2},
+                 f"invalid value for field 'n': {2 ** 53 + 1} (must be at most 2**53)", id="grid_n_cap_sweep"),
+    pytest.param(["threshold", "--n", str(2 ** 53 + 1), "--b", "0.5"], None,
+                 f"invalid value for field 'n': {2 ** 53 + 1} (must be at most 2**53)", id="grid_n_cap_verb"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "analytic", "n": [60, 50], "k": 55, "b": 0.2},
+                 "invalid value for field 'k': 55 (must be an integer from 0 to the smallest n, 50)",
+                 id="grid_k_sweep"),
+    pytest.param(["estimate", "--n", "50", "--k", "51", "--b", "0.2"], None,
+                 "invalid value for field 'k': 51 (must be an integer from 0 to the smallest n, 50)",
+                 id="grid_k_verb"),
+    pytest.param(["sweep", "{cfg}"], {**_SHADOW_SWEEP, "b_o": [0.2, 0]},
+                 "invalid value for field 'b_o': 0 (must lie in (0, 1])", id="grid_b_o_sweep"),
+    pytest.param(["estimate", *_SIM_FLAGS[:4], "--b", "0", *_SHADOW_FLAGS], None,
+                 "invalid value for field 'b': 0.0 (must lie in (0, 1])", id="grid_shadowed_b_verb"),
+    pytest.param(["sweep", "{cfg}"], {**_SHADOW_SWEEP, "method": "alternating_sum"},
+                 f"invalid value for field 'n': 50 (alternating_sum needs n <= {SERIES_MAX_N})",
+                 id="grid_series_n_sweep"),
+    pytest.param(["sweep", "{cfg}"], {**_SIM, "n": [50, _CENTER_MAX_N + 1]},
+                 f"invalid value for field 'n': {_CENTER_MAX_N + 1} (protocol 'center' simulates "
+                 f"n <= {_CENTER_MAX_N})", id="grid_simulate_n_sweep"),
+    pytest.param(["estimate", "--n", str(_CENTER_MAX_N + 1), *_SIM_FLAGS[2:]], None,
+                 f"invalid value for field 'n': {_CENTER_MAX_N + 1} (protocol 'center' simulates "
+                 f"n <= {_CENTER_MAX_N})", id="grid_simulate_n_verb"),
+    pytest.param(["sweep", "{cfg}"], {**_SIM, "trials": 0},
+                 "invalid value for field 'trials': 0 (must be a positive integer)", id="trials_sweep"),
+    pytest.param(["sweep", "{cfg}"], {**_SIM, "trials": True},
+                 "invalid value for field 'trials': True (must be a positive integer)", id="trials_bool_sweep"),
+    pytest.param(["sweep", "{cfg}", "--trials", "0"], _SIM,
+                 "invalid value for field 'trials': 0 (must be a positive integer)", id="trials_sweep_flag"),
+    pytest.param(["sweep", "{cfg}"], {**_SIM, "seed": -1},
+                 "invalid value for field 'seed': -1 (must be a non-negative integer)", id="seed_sweep"),
+    pytest.param(["estimate", *_SIM_FLAGS, "--seed", "-1"], None,
+                 "invalid value for field 'seed': -1 (must be a non-negative integer)", id="seed_verb"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "figure", "figure": "fig2", "workers": 1.5},
+                 "invalid value for field 'workers': 1.5 (must be a positive integer)", id="workers_sweep"),
+    pytest.param(["figure", "fig2", "--workers", "0"], None,
+                 "invalid value for field 'workers': 0 (must be a positive integer)", id="workers_verb"),
+    pytest.param(["sweep", "{cfg}"], {**_SIM, **{f: v for f, v in _SHADOW_CONFIG.items() if f != "d0"}},
+                 "missing required field 'd0' (shadowing parameters)", id="shadow_missing_sweep"),
+    pytest.param(["sweep", "{cfg}"], {**_SHADOW_SWEEP, "p0_dbm": math.nan, "gamma_dbm": None, "R": None},
+                 "invalid value for field 'p0_dbm': nan (must be a finite number)", id="shadow_null_sweep"),
+    pytest.param(["sweep", "{cfg}"],
+                 {**{f: v for f, v in _SHADOW_SWEEP.items() if f not in ("gamma_dbm", "R")}, "p0_dbm": math.nan},
+                 "missing required field 'gamma_dbm' (shadowing parameters)", id="shadow_missing_first_sweep"),
+    pytest.param(["estimate", *_SIM_FLAGS, "--sigma-s", "12"], None,
+                 "missing required field 'p0_dbm' (shadowing parameters)", id="shadow_missing_verb"),
+    pytest.param(["sweep", "{cfg}"], {**_SHADOW_SWEEP, "R": math.inf},
+                 "invalid value for field 'R': inf (must be a finite number)", id="shadow_value_sweep"),
+    pytest.param(["sweep", "{cfg}"], {**_SHADOW_SWEEP, "n_p": [3.5]},
+                 "invalid value for field 'n_p': [3.5] (must be a finite number)", id="shadow_list_sweep"),
+    pytest.param(["estimate", *_SIM_FLAGS, *_SHADOW_FLAGS[2:], "--sigma-s", "nan"], None,
+                 "invalid value for field 'sigma_s': nan (must be a finite number)", id="shadow_value_verb"),
+    pytest.param(["sweep", "{cfg}"], {**_SHADOW_SWEEP, "n_p": 0},
+                 "invalid shadowing parameters: path-loss exponent n_p must be positive, got 0.0",
+                 id="shadow_model_sweep"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": 1},
+                 "invalid value for field 'out': 1 (must be a file path)", id="out_sweep"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": ["o.csv"]},
+                 "invalid value for field 'out': ['o.csv'] (must be a file path)", id="out_list_sweep"),
+    pytest.param(["sweep", "{cfg}"], {**_SIM, "protocol": "al"}, _PROTOCOL_LINE, id="choice_sweep"),
+    pytest.param(["estimate", *_SIM_FLAGS, "--protocol", "al"], None, _PROTOCOL_LINE, id="choice_verb"),
+    pytest.param(["sweep", "{cfg}", "--protocol", "al"], _SIM, _PROTOCOL_LINE, id="choice_sweep_flag"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "figure", "figure": "fig5"}, _FIGURE_LINE, id="choice_figure_sweep"),
+    pytest.param(["figure", "fig5"], None, _FIGURE_LINE, id="choice_figure_verb"),
+    pytest.param(["sweep", "{cfg}"], {**_SIM, **_SHADOW_CONFIG, "shadow_draw": "bogus"}, _DRAW_LINE,
+                 id="choice_draw_sweep"),
+    pytest.param(["estimate", *_SIM_FLAGS, *_SHADOW_FLAGS, "--shadow-draw", "bogus"], None, _DRAW_LINE,
+                 id="choice_draw_verb"),
+    pytest.param(["sweep", "{cfg}"], {**_SIM, "shadow_draw": "per_node"},
+                 f"invalid value for field 'shadow_draw': 'per_node' {_UNSHADOWED_DRAW}", id="unshadowed_draw_sweep"),
+    pytest.param(["estimate", *_SIM_FLAGS, "--shadow-draw", "per_link"], None,
+                 f"invalid value for field 'shadow_draw': 'per_link' {_UNSHADOWED_DRAW}", id="unshadowed_draw_verb"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "method": "series"},
+                 "invalid value for field 'method': 'series' (expected one of 'closed', 'sum', 'approx_small')",
+                 id="choice_method_sweep"),
+    pytest.param(["sweep", "{cfg}"], {"n": 50, "a": 0.5, "b": 0.2}, "missing required field 'mode'",
+                 id="missing_mode_sweep"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "figure"}, "missing required field 'figure'",
+                 id="missing_figure_sweep"),
+    pytest.param(["sweep", "{cfg}"], {"mode": None, "n": 50, "a": 0.5, "b": 0.2}, _MODE_LINE, id="null_mode_sweep"),
+])
+def test_each_boundary_message_is_one_whole_line(tmp_path, capsys, monkeypatch, argv, config, line):
+    stub_row_builders(monkeypatch, "a row was computed before the config was checked")
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(*[arg.format(cfg=cfg) for arg in argv], "--out", str(out), "--quiet") == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
+
+
+def test_estimate_takes_the_unshadowed_draw_by_name(capsys):
+    """`--shadow-draw none` on an unshadowed cell prints the rows without it; the config comment records it."""
+    argv = ["estimate", "--n", "50", "--k", "10", "--b", "0.3", "--trials", "20"]
+    tables = []
+    for extra in ([], ["--shadow-draw", "none"]):
+        assert run_cli(*argv, *extra) == 0
+        tables.append(capsys.readouterr().out.splitlines())
+    (plain, *rows), (named, *named_rows) = tables
+    assert named_rows == rows
+    config = json.loads(plain.split("config=", 1)[1])
+    assert "shadow_draw" not in config
+    assert json.loads(named.split("config=", 1)[1]) == {**config, "shadow_draw": "none"}
+
+
+# the verbs whose flags are fuzzed, each with flags that pass its boundary
+_VALID_FLAGS = [("figure", {"figure": "fig1"}), ("threshold", {"n": 300, "b": 0.15}),
+                ("estimate", {"n": 50, "k": 10, "b": 0.2}),
+                ("estimate", {"n": 50, "k": 10, "b": 0.2, **_SHADOW_CONFIG})]
+_VERB_MODES = {"figure": "figure", "threshold": "threshold", "estimate": "simulate"}
+_flag_text = st.one_of(
+    st.integers(-2, 64).map(str), st.integers().map(str), st.floats(-2.0, 2.0).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e3", "-1e3", "1e-320", "1e400", "", " ", "0x10", "1_0",
+                     *FIGURES, "fig5", "center", "all", "al", "none", "per_node", "per_link", "bogus"]),
+    st.text(st.characters(exclude_categories=("Cc", "Cs")), max_size=3))
+_PLAUSIBLE_FLAGS = {
+    "figure": st.sampled_from(FIGURES), "n": st.integers(4, 40), "k": st.integers(0, 4),
+    "a": st.floats(0.0, 1.0), "b": st.floats(0.0, 1.0), "protocol": st.sampled_from(["center", "all"]),
+    "shadow_draw": st.sampled_from(["none", "per_node", "per_link"]), "trials": st.integers(1, 3),
+    "seed": st.integers(0, 2**70), **{field: st.floats(-100.0, 100.0) for field in _SHADOW_CONFIG},
+}
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_verb_flags_run_or_fail_with_one_error_line(capsys, monkeypatch, data):
+    # rows are stubbed, so flags that pass the boundary cost nothing to run
+    for name in [name for name in vars(cli) if name.endswith("_row")]:
+        monkeypatch.setattr(cli, name, lambda *args: {"p_f": 0.5, "p_loc": 0.5})
+    monkeypatch.setattr(cli, "check_figure", lambda name, rows: [])
+    verb, flags = data.draw(st.sampled_from(_VALID_FLAGS))
+    flags = dict(flags)  # valid flags, then up to 3 edits
+    for _ in range(data.draw(st.integers(0, 3))):
+        field = data.draw(st.sampled_from(cli._MODES[_VERB_MODES[verb]][0]))
+        if not data.draw(st.integers(0, 3)):
+            flags.pop(field, None)
+        elif field == "workers":
+            flags[field] = data.draw(st.sampled_from([1, 2]))
+        else:  # three times in four a likely value
+            flags[field] = data.draw(_PLAUSIBLE_FLAGS[field] if data.draw(st.integers(0, 3)) else _flag_text)
+    argv = [verb, *([str(flags.pop("figure"))] if "figure" in flags else []),
+            *[f"--{field.replace('_', '-')}={value}" for field, value in flags.items()]]
+    code = run_cli(*argv, "--quiet")
+    err = capsys.readouterr().err
+    assert code in (0, 1), (argv, err)
+    assert err == "" if code == 0 else len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
 
 
 _NO_DIR = "[Errno 2] No such file or directory: "
