@@ -64,7 +64,7 @@ _REQUIRED = object()  # the default of a field that has none
 # flags that override the sweep config's field of the same name
 _SWEEP_FLAGS = tuple(_DEFAULTS)
 # The closed form's one coefficient, named in the `variant` column and the figure/threshold config comment;
-# bench/refs.json and the CI digests pin those bytes, so the label goes with re-record A (ROADMAP.md).
+# bench/refs.json and tests/pinned/ pin those bytes, so the label goes with re-record A (ROADMAP.md).
 _VARIANT = "corrected"
 
 
@@ -73,8 +73,9 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # map argparse's own failures onto exit code 1
-        raise CliError(message)
+    def error(self, message):  # argparse's own failures exit 1, on one line: repr quotes text after its label
+        label, _, text = message.partition(": ")
+        raise CliError(message if message.isprintable() else f"{label}: {text!r}")
 
 
 def _fmt(value) -> str:

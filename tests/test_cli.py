@@ -2,17 +2,24 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import check_pinned
 from locprob import cli, montecarlo
 from locprob.analytic import FailureProbResult
 from locprob.cli import FIGURES, _build_parser, check_figure, main, run_sweep
 from locprob.shadowing import SERIES_MAX_N
 from oracles import closed_value_reference
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -95,26 +102,6 @@ class TestFigureTables:
     def test_unknown_figure_is_a_config_error(self, capsys):
         assert run_cli("figure", "fig99", "--quiet") == 1
         assert "fig99" in capsys.readouterr().err
-
-    def test_figure_tables_rerun_byte_identically(self, tmp_path):
-        # sha256 of each table as first emitted by the per-figure row loops;
-        # bench/refs.json records the same digests
-        digests = {
-            ("fig1",): "76f472ebeac5f03fb5c5597445edc8deee2c2156c8dcd2fc975fb6fe80836ac3",
-            ("fig2",): "98dd2aabb230866389022882d40bdbc0e6e86efffc04cb8e8f723e0b4b7f27f2",
-            ("fig3",): "8aec22b3f1d3bcca67806c40e30d8441978bcb52721e1ba2458b49388995cc10",
-            ("fig4",): "1952ec892786ca57d8fd3551b2a27be1b8717b03767d2fd44d03d2996da1b4ed",
-            ("fig_shadow",): "d7f2ec1585d73ae9d04b27420be860419e3daca7113b51a263cb082d0c79878c",
-            ("fig6", "--trials", "4", "--seed", "0"):
-                "01ce150305069ccb8e593b8a68f40e8b077c0378b1732420db5b973961115639",
-        }
-        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-        assert run_cli("figure", "fig2", "--out", str(one), "--quiet") == 0
-        assert run_cli("figure", "fig2", "--out", str(two), "--quiet") == 0
-        assert one.read_bytes() == two.read_bytes()
-        for argv, digest in digests.items():
-            assert run_cli("figure", *argv, "--out", str(one), "--quiet") == 0
-            assert hashlib.sha256(one.read_bytes()).hexdigest() == digest, argv
 
     def test_figure_mode_in_sweep_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -445,15 +432,6 @@ def test_stdout_emission(capsys):
     assert out.count("\n") == 3
 
 
-def test_threshold_table_bytes(capsys):
-    assert run_cli("threshold", "--n", "300", "--b", "0.15") == 0
-    assert capsys.readouterr().out == (
-        '# locprob 0.1.0 config={"b":0.15,"mode":"threshold","n":300,"variant":"corrected"}\n'
-        "n,b,a_star,a_star_fd,gap\n"
-        "300,0.15,0.701715137957,0.701714832781,3.05175781312e-07\n"
-    )
-
-
 @pytest.mark.parametrize("argv", [
     ["threshold", "--n", "300", "--b", "0.15", "--workers", "0", "--trials", "-5", "--seed", "-2"],
     ["threshold", "--n", "300", "--b", "0.15", "--protocol", "all"],
@@ -497,144 +475,34 @@ def test_an_omitted_flag_gives_the_bytes_of_its_default(capsys, argv):
     assert tables[0] == tables[1]
 
 
-# Tables recorded when each verb still built its own rows; a change in the
-# shared row builders or in estimate's seeding shows here.  The alternating_sum
-# and n = 3000 sum rows share their row invariants within the table.
-@pytest.mark.parametrize("argv, config, expected", [
-    (["estimate", "--n", "300", "--a", "0.2", "--b", "0.099", "--trials", "1000", "--seed", "1"],
-     None,
-     '# locprob 0.1.0 config={"b":0.099,"k":240,"mode":"simulate","n":300,"protocol":"center",'
-     '"seed":1,"trials":1000}\n'
-     "n,k,a,b,p_f,p_loc,trials,successes,ci_low,ci_high,realizations,seed,protocol\n"
-     "300,240,0.2,0.099,0.572,0.428,1000,428,0.397666253174,0.458884800048,1000,1,center_node\n"),
-    (["estimate", "--n", "50", "--k", "10", "--b", "0.3", "--trials", "20", "--seed", "3",
-      "--protocol", "all"],
-     None,
-     '# locprob 0.1.0 config={"b":0.3,"k":10,"mode":"simulate","n":50,"protocol":"all",'
-     '"seed":3,"trials":20}\n'
-     "n,k,a,b,p_f,p_loc,trials,successes,ci_low,ci_high,realizations,seed,protocol\n"
-     "50,10,0.8,0.3,0.97,0.03,800,24,0.0202414836858,0.0442506599475,20,3,all_nl_nodes\n"),
-    (["estimate", "--n", "50", "--k", "10", "--b", "0.2", *_SHADOW_FLAGS,
-      "--shadow-draw", "per_link", "--trials", "500", "--seed", "2"],
-     None,
-     '# locprob 0.1.0 config={"R":40.0,"b":0.2,"d0":0.1,"gamma_dbm":-80.0,"k":10,'
-     '"mode":"simulate","n":50,"n_p":3.5,"p0_dbm":0.0,"protocol":"center","seed":2,'
-     '"shadow_draw":"per_link","sigma_s":12.0,"trials":500}\n'
-     "n,k,a,b,sigma1,b_hat_max,zero_mass,p_f,p_loc,trials,successes,ci_low,ci_high,"
-     "realizations,seed,protocol\n"
-     "50,10,0.8,0.2,3.42857142857,0.482674432221,0.132213734503,0.994,0.006,500,3,"
-     "0.00204259627196,0.0174902521041,500,2,center_node\n"),
-    (["estimate", "--n", "50", "--k", "10", "--b", "0.2", *_SHADOW_FLAGS, "--trials", "300",
-      "--seed", "4"],
-     None,
-     '# locprob 0.1.0 config={"R":40.0,"b":0.2,"d0":0.1,"gamma_dbm":-80.0,"k":10,'
-     '"mode":"simulate","n":50,"n_p":3.5,"p0_dbm":0.0,"protocol":"center","seed":4,'
-     '"shadow_draw":"per_node","sigma_s":12.0,"trials":300}\n'
-     "n,k,a,b,sigma1,b_hat_max,zero_mass,p_f,p_loc,trials,successes,ci_low,ci_high,"
-     "realizations,seed,protocol\n"
-     "50,10,0.8,0.2,3.42857142857,0.482674432221,0.132213734503,0.95,0.05,300,15,"
-     "0.0305316406293,0.0808470334727,300,4,center_node\n"),
-    (["estimate", "--n", "60", "--a", "0.5", "--b", "0.3", "--trials", "200", "--seed", "5",
-      "--workers", "2"],
-     None,
-     '# locprob 0.1.0 config={"b":0.3,"k":30,"mode":"simulate","n":60,"protocol":"center",'
-     '"seed":5,"trials":200}\n'
-     "n,k,a,b,p_f,p_loc,trials,successes,ci_low,ci_high,realizations,seed,protocol\n"
-     "60,30,0.5,0.3,0.51,0.49,200,98,0.421562783312,0.558814123215,200,5,center_node\n"),
-    (["sweep", "{cfg}", "--seed", "9", "--trials", "200"],
-     {"mode": "simulate", "n": [50, 80], "k": [10], "b": [0.2, 0.3]},
-     '# locprob 0.1.0 config={"b":[0.2,0.3],"k":[10],"mode":"simulate","n":[50,80],'
-     '"seed":9,"trials":200}\n'
-     "n,k,a,b,p_f,p_loc,trials,successes,ci_low,ci_high,realizations,seed,protocol\n"
-     "50,10,0.8,0.2,1,0,200,0,0,0.0188453263773,200,747784396,center_node\n"
-     "50,10,0.8,0.3,0.935,0.065,200,13,0.0383763546492,0.108019079299,200,4053640108,"
-     "center_node\n"
-     "80,10,0.875,0.2,0.98,0.02,200,4,0.00780442641635,0.0502870869058,200,1988026542,"
-     "center_node\n"
-     "80,10,0.875,0.3,0.915,0.085,200,17,0.0537457501775,0.131895870716,200,219603630,"
-     "center_node\n"),
-    # a sigma_s of -0.0 must reach the fading draws as a scale of +0.0
-    (["sweep", "{cfg}", "--seed", "3", "--trials", "200"],
-     {"mode": "simulate", "n": 50, "k": 40, "b": 0.3, **_SHADOW_CONFIG, "sigma_s": -0.0},
-     '# locprob 0.1.0 config={"R":40,"b":0.3,"d0":0.1,"gamma_dbm":-80,"k":40,"mode":"simulate",'
-     '"n":50,"n_p":3.5,"p0_dbm":0,"seed":3,"sigma_s":-0.0,"trials":200}\n'
-     "n,k,a,b,sigma1,b_hat_max,zero_mass,p_f,p_loc,trials,successes,ci_low,ci_high,"
-     "realizations,seed,protocol\n"
-     "50,40,0.2,0.3,0,0.482674432221,0,0.32,0.68,200,136,0.612481015659,0.740734666845,200,"
-     "819382448,center_node\n"),
-    (["sweep", "{cfg}"],
-     {"mode": "analytic", "method": "sum", "n": 50, "a": [0.2, 0.8], "b": [0.3]},
-     '# locprob 0.1.0 config={"a":[0.2,0.8],"b":[0.3],"method":"sum","mode":"analytic",'
-     '"n":50}\n'
-     "n,k,a,b,p_f,p_loc,method,variant\n"
-     "50,40,0.2,0.3,0.305278625823,0.694721374177,sum,\n"
-     "50,10,0.8,0.3,0.941719082917,0.058280917083,sum,\n"),
-    (["sweep", "{cfg}"],
-     {"mode": "analytic", "method": "approx_small", "n": 300, "a": [0.2, 0.8], "b": [0.05]},
-     '# locprob 0.1.0 config={"a":[0.2,0.8],"b":[0.05],"method":"approx_small",'
-     '"mode":"analytic","n":300}\n'
-     "n,k,a,b,p_f,p_loc,method,variant\n"
-     "300,240,0.2,0.05,0.647164,0.352836,approx_small,\n"
-     "300,60,0.8,0.05,0.97794775,0.02205225,approx_small,\n"),
-    (["sweep", "{cfg}"],
-     {"mode": "shadow", "method": "alternating_sum", "n": 20, "a": [0.2, 0.8], "b_o": [0.1, 0.3],
-      **_SHADOW_CONFIG},
-     '# locprob 0.1.0 config={"R":40,"a":[0.2,0.8],"b_o":[0.1,0.3],"d0":0.1,"gamma_dbm":-80,'
-     '"method":"alternating_sum","mode":"shadow","n":20,"n_p":3.5,"p0_dbm":0,"sigma_s":12}\n'
-     "n,k,a,b_o,sigma1,b_hat_max,zero_mass,p_f,p_loc,method,variant\n"
-     "20,16,0.2,0.1,3.42857142857,0.482674432221,0.0230764812287,0.970796499997,0.0292035000031,"
-     "alternating_sum,corrected\n"
-     "20,16,0.2,0.3,3.42857142857,0.482674432221,0.273457937182,0.896043778451,0.103956221549,"
-     "alternating_sum,corrected\n"
-     "20,4,0.8,0.1,3.42857142857,0.482674432221,0.0230764812287,0.998781491926,0.00121850807431,"
-     "alternating_sum,corrected\n"
-     "20,4,0.8,0.3,3.42857142857,0.482674432221,0.273457937182,0.995016218827,0.00498378117337,"
-     "alternating_sum,corrected\n"),
-    (["sweep", "{cfg}"],
-     {"mode": "analytic", "method": "sum", "n": 3000, "a": [0.2, 0.8], "b": [0.03, 0.05]},
-     '# locprob 0.1.0 config={"a":[0.2,0.8],"b":[0.03,0.05],"method":"sum","mode":"analytic",'
-     '"n":3000}\n'
-     "n,k,a,b,p_f,p_loc,method,variant\n"
-     "3000,2400,0.2,0.03,0.633636107211,0.366363892789,sum,\n"
-     "3000,2400,0.2,0.05,0.0618794750764,0.938120524924,sum,\n"
-     "3000,600,0.8,0.03,0.982423454905,0.0175765450955,sum,\n"
-     "3000,600,0.8,0.05,0.809003753148,0.190996246852,sum,\n"),
-    (["threshold", "--n", "300", "--a", "0.5"],
-     None,
-     '# locprob 0.1.0 config={"a":0.5,"mode":"threshold","n":300,"variant":"corrected"}\n'
-     "n,a,b_star_exact,b_star_large_n,b_star_fd,gap_exact_fd\n"
-     "300,0.5,0.124904992723,0.124442105831,0.129423569393,-0.0045185766706\n"),
-    # a* leaves (0, 1) at n = 20, so those rows print empty a* columns
-    (["sweep", "{cfg}"],
-     {"mode": "threshold", "n": [20, 300], "b": [0.1, 0.15]},
-     '# locprob 0.1.0 config={"b":[0.1,0.15],"mode":"threshold","n":[20,300]}\n'
-     "n,b,a_star,a_star_fd,gap\n"
-     "20,0.1,,,\n"
-     "20,0.15,,,\n"
-     "300,0.1,0.328859060403,0.328858144875,9.1552734377e-07\n"
-     "300,0.15,0.701715137957,0.701714832781,3.05175781312e-07\n"),
-    (["sweep", "{cfg}"],
-     {"mode": "simulate", "protocol": "all", "shadow_draw": "per_link", "n": 50, "k": [10, 40],
-      "b": [0.3], "trials": 8, **_SHADOW_CONFIG},
-     '# locprob 0.1.0 config={"R":40,"b":[0.3],"d0":0.1,"gamma_dbm":-80,"k":[10,40],'
-     '"mode":"simulate","n":50,"n_p":3.5,"p0_dbm":0,"protocol":"all","shadow_draw":"per_link",'
-     '"sigma_s":12,"trials":8}\n'
-     "n,k,a,b,sigma1,b_hat_max,zero_mass,p_f,p_loc,trials,successes,ci_low,ci_high,"
-     "realizations,seed,protocol\n"
-     "50,10,0.8,0.3,3.42857142857,0.482674432221,0.273457937182,0.99375,0.00625,320,2,"
-     "0.00171565206684,0.0224982297791,8,3757552657,all_nl_nodes\n"
-     "50,40,0.2,0.3,3.42857142857,0.482674432221,0.273457937182,0.7,0.3,80,24,"
-     "0.210645712601,0.407681539213,8,673228719,all_nl_nodes\n"),
-], ids=["estimate_a", "estimate_k_all", "estimate_per_link", "estimate_default_draw",
-        "estimate_a_workers", "simulate_sweep", "simulate_sweep_negative_zero_sigma_s",
-        "analytic_sum",
-        "approx_small", "shadow_alternating_sum", "analytic_sum_n3000", "threshold_a",
-        "threshold_b_sweep", "simulate_sweep_field_per_link"])
-def test_table_bytes(tmp_path, capsys, argv, config, expected):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert run_cli(*[arg.format(cfg=cfg) for arg in argv]) == 0
-    assert capsys.readouterr().out == expected
+# Every pinned table, tests/pinned/<name>.csv, byte for byte (see tests/check_pinned.py).
+@pytest.mark.parametrize("name", check_pinned.INDEX)
+def test_table_bytes(name):
+    problem = check_pinned.check(name)
+    assert problem is None, problem
+
+
+def test_every_pinned_table_has_an_entry():
+    assert sorted(path.stem for path in check_pinned.PINNED.glob("*.csv")) == sorted(check_pinned.INDEX)
+
+
+# the benchmark step that records each pinned figure (bench/refs.json, which only the benchmark updates)
+@pytest.mark.parametrize("name, step", [
+    (name, "fig6_field/full/fig6" if name == "fig6" else f"analytic_tables/full/{name}") for name in FIGURES])
+def test_a_pinned_figure_is_the_benchmarks_reference(name, step):
+    refs = json.loads((_ROOT / "bench" / "refs.json").read_text(encoding="utf-8"))
+    [digest] = [ref["sha256"] for ref in refs.values() if ref["step"] == step]
+    assert hashlib.sha256((check_pinned.PINNED / f"{name}.csv").read_bytes()).hexdigest() == digest
+
+
+def test_the_stdlib_tables_match_with_numpy_unloadable():
+    run = ("import runpy, sys; sys.modules['numpy'] = None; sys.argv[:] = [sys.argv[1], '--stdlib']; "
+           "runpy.run_path(sys.argv[0], run_name='__main__')")
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    done = subprocess.run([sys.executable, "-B", "-c", run, check_pinned.__file__], env=env, capture_output=True,
+                          text=True)
+    stdlib = sum(entry["stdlib"] for entry in check_pinned.INDEX.values())
+    assert (done.returncode, done.stdout) == (0, f"{stdlib} of {stdlib} pinned tables match\n"), done.stderr
 
 
 _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFIG}
@@ -976,7 +844,10 @@ _flag_text = st.one_of(
     st.integers(-2, 64).map(str), st.integers().map(str), st.floats(-2.0, 2.0).map(str),
     st.sampled_from(["nan", "-nan", "inf", "-inf", "1e3", "-1e3", "1e-320", "1e400", "", " ", "0x10", "1_0",
                      *FIGURES, "fig5", "center", "all", "al", "none", "per_node", "per_link", "bogus"]),
-    st.text(st.characters(exclude_categories=("Cc", "Cs")), max_size=3))
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=3))
+# a stray argument: unrecognized, or (--s= under estimate) an ambiguous option, often with a line break
+_STRAY = st.tuples(st.sampled_from(["", "--x", "--s="]),
+                   st.sampled_from(["", "\n", "\r", "\x00", "\x1b", "\x85", "\u2028"]), _flag_text).map("".join)
 _PLAUSIBLE_FLAGS = {
     "figure": st.sampled_from(FIGURES), "n": st.integers(4, 40), "k": st.integers(0, 4),
     "a": st.floats(0.0, 1.0), "b": st.floats(0.0, 1.0), "protocol": st.sampled_from(["center", "all"]),
@@ -1003,7 +874,8 @@ def test_fuzzed_verb_flags_run_or_fail_with_one_error_line(capsys, monkeypatch, 
         else:  # three times in four a likely value
             flags[field] = data.draw(_PLAUSIBLE_FLAGS[field] if data.draw(st.integers(0, 3)) else _flag_text)
     argv = [verb, *([str(flags.pop("figure"))] if "figure" in flags else []),
-            *[f"--{field.replace('_', '-')}={value}" for field, value in flags.items()]]
+            *[f"--{field.replace('_', '-')}={value}" for field, value in flags.items()],
+            *data.draw(st.lists(_STRAY, max_size=1))]
     code = run_cli(*argv, "--quiet")
     err = capsys.readouterr().err
     assert code in (0, 1), (argv, err)
