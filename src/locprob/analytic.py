@@ -135,13 +135,9 @@ def failure_prob_sum(net: NetworkParams, b: float) -> FailureProbResult:
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="sum")
 
 
-def _bracket(n: int, weight: float = 1.0) -> tuple[int, float]:
-    """Bracket coefficients (c1, weight * c2) of 1 + c1 s + c2 s^2: c1 = n - 3, c2 = (n-2)(n-3)/2.
-
-    The weight is multiplied in first, as weight * 0.5 * (n-2) * (n-3), so a
-    caller that scales c2 keeps one fixed order of float operations.
-    """
-    return n - 3, weight * 0.5 * (n - 2) * (n - 3)
+def _bracket(n: int) -> tuple[int, float]:
+    """Bracket coefficients (c1, c2) of 1 + c1 s + c2 s^2: c1 = n - 3, c2 = (n-2)(n-3)/2."""
+    return n - 3, 0.5 * (n - 2) * (n - 3)
 
 
 def _closed_value(n: int, a: float, b: float) -> float:

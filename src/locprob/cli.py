@@ -2,10 +2,9 @@
 
 Verbs: `figure <name>` rebuilds one of the canned curve families as a data
 table, `sweep <config.json>` runs a custom parameter grid, `threshold` and
-`estimate` answer single queries.  A figure is a named sweep config (fig2 a
-bare list of a* values), `threshold` a one-cell sweep, and `estimate` a
-simulate cell drawn from the master seed rather than from a per-cell seed;
-each verb's flags are its mode's fields.  Every table re-runs byte-identically
+`estimate` answer single queries.  A figure is a named sweep config, and
+`threshold` and `estimate` are one-cell threshold and simulate sweeps; each
+verb's flags are its mode's fields.  Every table re-runs byte-identically
 for the same seed: floats carry 12 significant digits, line endings are LF,
 the leading comment records the semantic configuration (worker count and
 output path are execution details and deliberately excluded), and row order
@@ -63,7 +62,7 @@ _DEFAULTS = {"trials": 1000, "seed": 0, "workers": 1, "protocol": "center"}
 _REQUIRED = object()  # the default of a field that has none
 # flags that override the sweep config's field of the same name
 _SWEEP_FLAGS = tuple(_DEFAULTS)
-# The closed form's one coefficient, named in the `variant` column and the figure/threshold config comment;
+# The closed form's one coefficient, named in the `variant` column and every verb's config comment but sweep's;
 # bench/refs.json and tests/pinned/ pin those bytes, so the label goes with re-record A (ROADMAP.md).
 _VARIANT = "corrected"
 
@@ -185,6 +184,7 @@ def _geometric_grid(j_lo: int, j_hi: int) -> list[float]:
 _FIGURE_SWEEPS = {
     "fig1": {"mode": "analytic", "n": 300, "a": [i / 50.0 for i in range(51)],
              "b": _geometric_grid(3, 20)},
+    "fig2": {"mode": "threshold", "n": 300, "b": [0.085 + 0.005 * i for i in range(159)]},
     "fig3": {"mode": "analytic", "n": 300, "a": _geometric_grid(1, 20),
              "b": [i / 50.0 for i in range(51)]},
     "fig4": {"mode": "threshold", "n": 300, "a": [0.05 * i for i in range(20)]},
@@ -211,16 +211,14 @@ def _figure_cells(config):
     """The cells of a figure's sweep, whose rows get the figure's own columns."""
     name = _choice(config, "figure", FIGURES)
     trials, seed, workers = _run_settings(config)
-    if name == "fig2":  # a* alone; a threshold sweep would add a bisection per row
-        yield (lambda n, b: {"n": n, "b": b, "a_star": threshold_a_star(n, b)},
-               [(300, 0.085 + 0.005 * i) for i in range(159)])
-        return
     sweep = dict(_FIGURE_SWEEPS[name])
     if sweep["mode"] == "simulate":
         sweep.update(trials=trials, seed=seed, workers=workers)
     with _reader(sweep) as (row, cells):
         if name == "fig1":
             cells.sort(key=lambda cell: cell[1])  # one curve per coverage ratio, a ascending
+        elif name == "fig2":  # a* alone; the threshold row would add a bisection per row
+            row = lambda n, b: {"n": n, "b": b, "a_star": threshold_a_star(n, b)}
         elif name == "fig6":
             row = _beside_closed(row, lambda sim, closed: {"p_loc_theory": closed, "p_loc_sim": sim})
         elif name == "fig_shadow":
@@ -371,8 +369,8 @@ def _threshold_cells(config):
     yield row, [(n, x) for n, x in product(_n_values(config, low), _unit(config, axis, ends))]
 
 
-def _simulate_cells(config, cell_seed=None):
-    """Monte Carlo cells of one `TrialProtocol` in one worker pool; cell i's seed is cell_seed(seed, i)."""
+def _simulate_cells(config):
+    """Monte Carlo cells of one `TrialProtocol` in one worker pool."""
     trials, seed, workers = _run_settings(config)
     protocol_name = _choice(config, "protocol", tuple(_PROTOCOLS), _DEFAULTS["protocol"])
     nets = _networks_from(config)
@@ -391,7 +389,7 @@ def _simulate_cells(config, cell_seed=None):
     _field(config, "n", lambda v: v <= limit, f"protocol {protocol_name!r} simulates n <= {limit}", grid=True)
 
     with worker_pool(workers) as pool:
-        yield _simulate_row, [(net, b, protocol, trials, (cell_seed or _cell_seed)(seed, i), pool)
+        yield _simulate_row, [(net, b, protocol, trials, _cell_seed(seed, i), pool)
                               for i, (net, b) in enumerate(product(nets, b_values))]
 
 
@@ -408,13 +406,13 @@ _MODES = {
 }
 
 
-def _reader(config, **options):
+def _reader(config):
     """The config's mode's reader, entered to get (row builder, cells), after the checks every mode shares."""
     mode = _choice(config, "mode", tuple(_MODES))
     fields, read = _MODES[mode]
     if unread := [field for field in config if field not in ("mode", *fields)]:
         raise CliError(f"unknown field {unread[0]!r} for {mode} mode")
-    return contextmanager(read)(config, **options)
+    return contextmanager(read)(config)
 
 
 @_row_invariants()  # each row invariant is computed once per table
@@ -472,26 +470,12 @@ def _given(args, *fields):
 
 
 def _cmd_mode(args):
-    """`figure` and `threshold`: the flags given are their mode's config."""
+    """`figure`, `threshold` and `estimate`: the flags given are their mode's config."""
     config = {"mode": args.mode, **_given(args, *_MODES[args.mode][0])}
     # no table records its worker count, and a figure's names the figure rather than its mode
     emitted = {f: v for f, v in config.items() if f != "workers" and (f, v) != ("mode", "figure")}
     emitted["variant"] = _VARIANT
     return _run_and_write(config, emitted, args.out, args.quiet)
-
-
-def _cmd_estimate(args):
-    config = {"mode": "simulate", **_given(args, *_MODES["simulate"][0])}
-    # the master seed itself drives the one cell, as the printed seed says
-    with _reader(config, cell_seed=lambda seed, index: seed) as (row, cells):
-        rows = _rows(row, cells)
-    [(net, _, protocol, *_)] = cells
-    # record the anchor count, and the fading draw when shadowed
-    emitted = {f: v for f, v in config.items() if f not in ("a", "workers")} | {"k": net.k}
-    if protocol.fading:
-        emitted["shadow_draw"] = protocol.shadow_draw
-    _write_table(args.out, emitted, rows, args.quiet)
-    return 0
 
 
 # every value flag, by the config field it sets (a figure's name is positional)
@@ -518,7 +502,7 @@ def _build_parser() -> _Parser:
             ("figure", "figure", _cmd_mode, "emit a canned figure table"),
             ("sweep", None, _cmd_sweep, "run a JSON-configured sweep"),
             ("threshold", "threshold", _cmd_mode, "transition-threshold query"),
-            ("estimate", "simulate", _cmd_estimate, "Monte Carlo estimate query")):
+            ("estimate", "simulate", _cmd_mode, "Monte Carlo estimate query")):
         p = sub.add_parser(verb, help=summary)
         if mode is None:
             p.add_argument("config", help="path to the JSON sweep configuration")

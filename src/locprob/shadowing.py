@@ -190,8 +190,9 @@ def _series(net: NetworkParams, moments: dict[int, float]) -> float:
     """Alternating binomial series over the ratio's even moments, by order 0, 2, ..., 2n - 2."""
     n = net.n
     k1 = 1.0 - net.a
-    c1, k3 = _bracket(n, k1**2)
+    c1 = n - 3
     k2 = k1 * c1
+    k3 = k1**2 * 0.5 * (n - 2) * (n - 3)  # k1^2 c2, with k1^2 multiplied in first
     terms = []
     for ell in range(n - 2):
         coeff = math.comb(n - 3, ell) * (-k1) ** ell

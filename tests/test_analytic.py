@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from locprob import analytic
 from locprob.analytic import (
     _closed_value,
+    _sum_domain,
     failure_prob_approx_small,
     failure_prob_closed,
     failure_prob_sum,
@@ -364,6 +365,18 @@ def test_failure_prob_sum_matches_every_term_series(n, a, b):
     assume(0.0 < b * b < 1.0)
     net = NetworkParams(n=n, k=round(n * (1.0 - a)), a=a)
     assert failure_prob_sum(net, b).p_f == failure_series_reference(n, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell=st.integers(4, 10**5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n), st.floats(0.0, 1.0))))
+# the closed form's power is subnormal here: its p_f, 1.0000000000000728, passes 1 by 7.3e-14
+@example(cell=(3000, 2458, 2.57e-5))
+def test_closed_form_agrees_with_the_series_at_drawn_cells(cell):
+    n, k, b = cell
+    assume(_sum_domain(n, b) is None)
+    net = make_network(n, k)
+    assert abs(failure_prob_closed(net, b).p_f - failure_prob_sum(net, b).p_f) <= 1e-10
 
 
 @settings(max_examples=200, deadline=None)

@@ -273,15 +273,6 @@ class TestThresholdVerb:
 
 
 class TestEstimateVerb:
-    def test_byte_identical_reruns_and_worker_counts(self, tmp_path):
-        paths = [tmp_path / f"e{i}.csv" for i in range(3)]
-        base = ["estimate", "--n", "300", "--a", "0.2", "--b", "0.099",
-                "--trials", "1000", "--seed", "1", "--quiet"]
-        assert run_cli(*base, "--out", str(paths[0])) == 0
-        assert run_cli(*base, "--out", str(paths[1])) == 0
-        assert run_cli(*base, "--workers", "4", "--out", str(paths[2])) == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
-
     def test_accepts_anchor_count(self, tmp_path):
         out = tmp_path / "e.csv"
         assert run_cli("estimate", "--n", "50", "--k", "10", "--b", "0.3",
@@ -833,6 +824,26 @@ def test_estimate_takes_the_unshadowed_draw_by_name(capsys):
     config = json.loads(plain.split("config=", 1)[1])
     assert "shadow_draw" not in config
     assert json.loads(named.split("config=", 1)[1]) == {**config, "shadow_draw": "none"}
+
+
+@pytest.mark.parametrize("config", [
+    {"n": 300, "a": 0.2, "b": 0.099, "protocol": "center", "trials": 200, "seed": 1},
+    {"n": 50, "k": 10, "b": 0.3, "protocol": "all", "trials": 20, "seed": 3},
+    {"n": 50, "k": 10, "b": 0.2, "protocol": "center", "trials": 100, "seed": 4, **_SHADOW_CONFIG},
+    {"n": 50, "k": 10, "b": 0.2, "protocol": "center", "trials": 100, "seed": 2, **_SHADOW_CONFIG,
+     "shadow_draw": "per_link"},
+], ids=["center_a", "all_k", "shadowed_default_draw", "shadowed_per_link"])
+def test_estimate_is_a_one_cell_simulate_sweep(tmp_path, capsys, config):
+    """`estimate`'s rows, seed column included, are the sweep's; its comment is the config plus `variant`."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "simulate", **config}))
+    assert run_cli("sweep", str(cfg), "--quiet") == 0
+    _, *sweep_rows = capsys.readouterr().out.splitlines()
+    flags = [arg for field, value in config.items() for arg in (f"--{field.replace('_', '-')}", str(value))]
+    assert run_cli("estimate", *flags, "--workers", "1", "--quiet") == 0
+    comment, *rows = capsys.readouterr().out.splitlines()
+    assert rows == sweep_rows
+    assert json.loads(comment.split("config=", 1)[1]) == {"mode": "simulate", **config, "variant": cli._VARIANT}
 
 
 # the verbs whose flags are fuzzed, each with flags that pass its boundary
