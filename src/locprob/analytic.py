@@ -56,11 +56,10 @@ def _invariant(key, build):
 
 @dataclass(frozen=True)
 class FailureProbResult:
-    """Failure bound p_f, its complement p_loc, and the formula used."""
+    """Failure bound p_f and its complement p_loc."""
 
     p_f: float
     p_loc: float
-    method: str
 
 
 def _check_ratio(b: float) -> None:
@@ -132,7 +131,7 @@ def failure_prob_sum(net: NetworkParams, b: float) -> FailureProbResult:
                         masses[p] = _few_anchor_mass(p, a)
                     kept.append((math.exp(e), masses[p]))
         p_f = math.fsum(t * m for t, m in kept if m != 0.0) / math.fsum(t for t, _ in kept)
-    return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="sum")
+    return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f)
 
 
 def _bracket(n: int) -> tuple[int, float]:
@@ -156,7 +155,7 @@ def failure_prob_closed(net: NetworkParams, b: float) -> FailureProbResult:
     """
     _check_ratio(b)
     p_f = _closed_value(net.n, net.a, b)
-    return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="closed")
+    return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f)
 
 
 def _approx_small_domain(n: int, a: float, b: float) -> str | None:
@@ -183,7 +182,7 @@ def failure_prob_approx_small(net: NetworkParams, b: float) -> FailureProbResult
     if reason := _approx_small_domain(net.n, net.a, b):
         raise ValueError(f"outside validity domain: {reason}")
     p_f = 1.0 - ((net.n - 3) * ((1.0 - net.a) * b * b)) ** 2
-    return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="approx_small")
+    return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f)
 
 
 def threshold_a_star(n: int, b: float) -> float | None:

@@ -133,7 +133,7 @@ def _analytic_row(net, b, method):
     res = (failure_prob_closed(net, b) if method == "closed"
            else failure_prob_sum(net, b) if method == "sum" else failure_prob_approx_small(net, b))
     return {"n": net.n, "k": net.k, "a": net.a, "b": b, "p_f": res.p_f, "p_loc": res.p_loc,
-            "method": res.method, "variant": _VARIANT if method == "closed" else None}
+            "method": method, "variant": _VARIANT if method == "closed" else None}
 
 
 def _a_star_row(n, b):
@@ -159,7 +159,7 @@ def _shadow_row(net, b_o, model, method):
     dist = bhat_distribution(b_o, model.sigma1, model.b_hat_max)
     res = failure_prob_shadow(net, dist, method)
     return {"n": net.n, "k": net.k, "a": net.a, "b_o": b_o, **_fading(dist), "p_f": res.p_f,
-            "p_loc": res.p_loc, "method": res.method, "variant": _VARIANT}
+            "p_loc": res.p_loc, "method": method, "variant": _VARIANT}
 
 
 def _simulate_row(net, b, protocol, trials, seed, pool):

@@ -31,21 +31,13 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class ShadowModel:
-    """Propagation constants for power-based ranging with log-normal fading.
+    """Fading constants for power-based ranging, derived by make_shadow_model.
 
-    p0_dbm is the received power at the reference distance d0, gamma_dbm the
-    receiver detection threshold, n_p the path-loss exponent and sigma_s the
-    fading standard deviation in dB.  Derived fields: sigma1 = sigma_s / n_p,
-    d_hat_max the largest measurable distance estimate (same unit as d0 and
-    R), and b_hat_max = d_hat_max / R.
+    sigma1 = sigma_s / n_p is the fading standard deviation in decibels of
+    distance, d_hat_max the largest measurable distance estimate (the unit of
+    d0 and R), and b_hat_max = d_hat_max / R.
     """
 
-    p0_dbm: float
-    gamma_dbm: float
-    d0: float
-    n_p: float
-    sigma_s: float
-    R: float
     sigma1: float
     d_hat_max: float
     b_hat_max: float
@@ -141,12 +133,6 @@ def make_shadow_model(
             f"radius {R:.4g}"
         )
     return ShadowModel(
-        p0_dbm=p0_dbm,
-        gamma_dbm=gamma_dbm,
-        d0=d0,
-        n_p=n_p,
-        sigma_s=sigma_s,
-        R=R,
         sigma1=abs(sigma_s) / n_p,  # +0.0, a valid fading-draw scale, for sigma_s -0.0
         d_hat_max=d_hat_max,
         b_hat_max=b_hat_max,

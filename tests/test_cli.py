@@ -120,7 +120,7 @@ class TestFigureTables:
         if variant == "paper":
             def published(net, b):
                 p_f = closed_value_reference(net.n, net.a, b, "paper")
-                return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f, method="closed")
+                return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f)
 
             monkeypatch.setattr(cli, "failure_prob_closed", published)
         expected = 2 if variant == "paper" and name in ("fig3", "fig_shadow") else 0

@@ -115,7 +115,7 @@ class TestBhatDistribution:
 
     def test_from_model_and_coverage_radius(self):
         model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
-        dist = bhat_distribution(8.0 / model.R, model.sigma1, model.b_hat_max)
+        dist = bhat_distribution(8.0 / 40.0, model.sigma1, model.b_hat_max)
         assert dist.b_o == pytest.approx(0.2, rel=1e-15)
         assert dist.sigma1 == model.sigma1
         assert dist.b_hat_max == model.b_hat_max

@@ -1,10 +1,12 @@
 """The public surface is what the package itself uses.
 
 A name in `locprob.__all__` that no module of the package reads, only tests,
-is a duplicate or dead code: it should move into tests/oracles.py or go.
+is a duplicate or dead code: it should move into tests/oracles.py or go.  So
+is a field of a public record that nothing reads.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import locprob
@@ -26,3 +28,19 @@ def _names_read(path: Path) -> set[str]:
 def test_every_public_name_is_used_by_the_package():
     read = set().union(*(_names_read(p) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
     assert sorted(set(locprob.__all__) - read) == []
+
+
+def _attributes_read(path: Path) -> set[str]:
+    """Every attribute a module loads (record.field)."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_record_field_is_read():
+    # the acceptance tests read the paper's d_hat_max, which no module needs
+    sources = [*PACKAGE.glob("*.py"), Path(__file__).with_name("test_acceptance.py")]
+    read = set().union(*map(_attributes_read, sources))
+    records = [getattr(locprob, name) for name in locprob.__all__]
+    unread = [f"{record.__name__}.{field.name}" for record in records if dataclasses.is_dataclass(record)
+              for field in dataclasses.fields(record) if field.name not in read]
+    assert unread == []
