@@ -18,21 +18,21 @@ row is computed before the config is checked.  A simulate config becomes one
 it numpy; the analytic, shadow and threshold commands run on the standard
 library alone.
 
-Exit codes: 0 success; 1 invalid configuration or an unwritable output path
-(both fail before any row); 2 numerical non-convergence, or a figure that
-fails a caption claim, under the `figure` verb and a `figure` sweep alike; 3
-an internal fault (any other error), after its traceback.
+Exit codes: 0 success; 1 invalid configuration or an output path that open()
+refuses (both fail before any row); 2 numerical non-convergence, or a figure
+that fails a caption claim, under the `figure` verb and a `figure` sweep
+alike; 3 an internal fault (any other error), after its traceback.  A run
+that raises leaves no new output file and an existing one unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import product
 
 from . import __version__
@@ -103,19 +103,21 @@ def _write_table(out_path, config, rows, quiet):
             print(f"wrote {len(rows)} rows to {out_path}", file=sys.stderr)
 
 
-def _check_out(out_path):
-    """Fail an output path that open() would reject: empty, with a NUL, a directory, or for its directory."""
-    if out_path is None:
-        return
-    folder = os.path.dirname(out_path) or "."
-    # the first fault open() would meet; a NUL is caught before os.access, which raises on it
-    code = (errno.ENOENT if not out_path
-            else errno.EINVAL if "\0" in out_path
-            else errno.EISDIR if os.path.isdir(out_path)
-            else errno.ENOENT if not os.path.isdir(folder)
-            else errno.EACCES if not os.access(folder, os.W_OK) else None)
-    if code:
-        raise CliError(f"cannot write output file: {OSError(code, os.strerror(code), out_path)}")
+@contextmanager
+def _held_output(out_path):
+    """The output path, held open from before the first row; a run that raises removes a file it created."""
+    created = out_path is not None and not os.path.lexists(out_path)
+    try:  # append mode changes no byte; a FIFO closed and reopened would wait for a reader that has gone
+        held = nullcontext() if out_path is None else open(out_path, "ab")
+    except (OSError, ValueError) as exc:  # open()'s own refusal; ValueError is a NUL in the path
+        raise CliError(f"cannot write output file: {exc}") from exc
+    with held:
+        try:
+            yield
+        except BaseException:
+            if created:
+                os.remove(out_path)
+            raise
 
 
 def estimate(net, b, protocol, **options):
@@ -455,13 +457,8 @@ def _cmd_sweep(args):
     if not isinstance(config, dict):
         raise CliError("config must be a JSON object")
     config.update(_given(args, *_SWEEP_FLAGS))
-    # read here, not by the sweep; --out overrides it.  open() would take an int as a descriptor
-    out = _field(config, "out", lambda v: isinstance(v, (str, type(None))), "must be a file path", None)
-    config.pop("out", None)
-    out = out if args.out is None else args.out
-    _check_out(out)
     emitted = {k: v for k, v in config.items() if k != "workers"}
-    return _run_and_write(config, emitted, out, args.quiet)
+    return _run_and_write(config, emitted, args.out, args.quiet)
 
 
 def _given(args, *fields):
@@ -522,8 +519,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_out(args.out)
-        return args.func(args)
+        with _held_output(args.out):
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ caller supplies d0 and R in the same length unit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 # decibel scale constant: 10 / ln(10)
@@ -92,6 +93,8 @@ def make_network(n: int, k: int) -> NetworkParams:
     The closed forms all require at least four nodes; k may equal 0 or n
     (the trivial anchors-only / no-anchors configurations are accepted).
     """
+    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):  # numpy integers pass
+        raise ValueError(f"node counts must be integers, got n={n!r}, k={k!r}")
     if n < 4:
         raise ValueError(f"n too small: need n >= 4, got {n}")
     if not 0 <= k <= n:
@@ -151,7 +154,7 @@ def bhat_distribution(b_o: float, sigma1: float, b_hat_max: float) -> BhatDistri
         raise ValueError(f"true ratio b_o must be positive, got {b_o}")
     if not 0.0 < b_hat_max < 1.0:
         raise ValueError(f"b_hat_max must lie in (0, 1), got {b_hat_max}")
-    if sigma1 < 0.0:
+    if not sigma1 >= 0.0:  # a nan too
         raise ValueError(f"sigma1 must be non-negative, got {sigma1}")
     if sigma1 == 0.0:
         zero_mass = 0.0 if b_o <= b_hat_max else 1.0

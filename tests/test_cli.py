@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import check_pinned
 from locprob import cli, montecarlo
 from locprob.analytic import FailureProbResult
 from locprob.cli import FIGURES, _build_parser, check_figure, main, run_sweep
-from locprob.shadowing import SERIES_MAX_N
+from locprob.shadowing import SERIES_MAX_N, NonConvergenceError
 from oracles import closed_value_reference
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -573,7 +574,8 @@ _VARIANT_IDS = [f"choice_variant_{kind}" for kind in ("string", "list", "object"
                           "variant": "paper"}, "unknown field 'variant' for simulate mode"),
     (["sweep", "{cfg}", "--variant", "paper"], {"mode": "simulate", "n": 50, "k": 10, "b": 0.2},
      "unrecognized arguments: --variant paper"),
-    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": 1}, "out"),
+    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": 1},
+     "unknown field 'out' for analytic mode"),
     (["sweep", "{cfg}"], {"mode": "analytic", "a": 0.5, "b": 0.2}, "missing required field 'n'"),
     (["sweep", "{cfg}"], {"mode": "analytic", "n": [60, 50], "k": 55, "b": 0.2}, "k"),
     (["sweep", "{cfg}"],
@@ -777,10 +779,8 @@ _MODE_LINE = ("invalid value for field 'mode': None (expected one of 'analytic',
     pytest.param(["sweep", "{cfg}"], {**_SHADOW_SWEEP, "n_p": 0},
                  "invalid shadowing parameters: path-loss exponent n_p must be positive, got 0.0",
                  id="shadow_model_sweep"),
-    pytest.param(["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": 1},
-                 "invalid value for field 'out': 1 (must be a file path)", id="out_sweep"),
-    pytest.param(["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": ["o.csv"]},
-                 "invalid value for field 'out': ['o.csv'] (must be a file path)", id="out_list_sweep"),
+    pytest.param(["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "o.csv"},
+                 "unknown field 'out' for analytic mode", id="out_sweep"),
     pytest.param(["sweep", "{cfg}"], {**_SIM, "protocol": "al"}, _PROTOCOL_LINE, id="choice_sweep"),
     pytest.param(["estimate", *_SIM_FLAGS, "--protocol", "al"], None, _PROTOCOL_LINE, id="choice_verb"),
     pytest.param(["sweep", "{cfg}", "--protocol", "al"], _SIM, _PROTOCOL_LINE, id="choice_sweep_flag"),
@@ -894,6 +894,7 @@ def test_fuzzed_verb_flags_run_or_fail_with_one_error_line(capsys, monkeypatch, 
 
 
 _NO_DIR = "[Errno 2] No such file or directory: "
+_ANALYTIC = {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2}
 
 
 @pytest.mark.parametrize("argv, config, expected", [
@@ -901,38 +902,99 @@ _NO_DIR = "[Errno 2] No such file or directory: "
     (["figure", "fig6", "--out", "{out}"], None, _NO_DIR + "'{out}'"),
     (["estimate", "--n", "50", "--k", "10", "--b", "0.2", "--trials", "10", "--out", "{out}"], None,
      _NO_DIR + "'{out}'"),
-    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{out}"},
-     _NO_DIR + "'{out}'"),
+    (["sweep", "{cfg}", "--out", "{out}"], _ANALYTIC, _NO_DIR + "'{out}'"),
     (["figure", "fig1", "--out", "{dir}"], None, "[Errno 21] Is a directory: '{dir}'"),
-    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{dir}"},
-     "[Errno 21] Is a directory: '{dir}'"),
+    (["sweep", "{cfg}", "--out", "{dir}"], _ANALYTIC, "[Errno 21] Is a directory: '{dir}'"),
     (["figure", "fig1", "--out", ""], None, _NO_DIR + "''"),
-    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": ""}, _NO_DIR + "''"),
-    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{dir}/o\0.csv"},
-     "[Errno 22] Invalid argument: "),
-    (["sweep", "{cfg}"], {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2, "out": "{dir}\0/o.csv"},
-     "[Errno 22] Invalid argument: "),
+    (["sweep", "{cfg}", "--out", ""], _ANALYTIC, _NO_DIR + "''"),
+    (["sweep", "{cfg}", "--out", "{dir}/o\0.csv"], _ANALYTIC, "embedded null byte"),
+    (["sweep", "{cfg}", "--out", "{dir}\0/o.csv"], _ANALYTIC, "embedded null byte"),
     (["figure", "fig1", "--out", "{locked}"], None, "[Errno 13] Permission denied: '{locked}'"),
+    (["figure", "fig6", "--trials", "40", "--out", "{long}"], None, "[Errno 36] File name too long: '{long}'"),
+    (["figure", "fig1", "--out", "{link}"], None, _NO_DIR + "'{link}'"),
+    (["sweep", "{cfg}", "--out", "{file}/o.csv"], _ANALYTIC, "[Errno 20] Not a directory: '{file}/o.csv'"),
+    (["figure", "fig1", "--out", "{readonly}"], None, "[Errno 13] Permission denied: '{readonly}'"),
 ], ids=["figure", "figure_fig6", "estimate", "sweep_config_out", "figure_out_directory",
         "sweep_config_out_directory", "figure_empty_out", "sweep_config_empty_out",
-        "sweep_config_nul_in_name", "sweep_config_nul_in_directory", "figure_out_unwritable"])
+        "sweep_config_nul_in_name", "sweep_config_nul_in_directory", "figure_out_unwritable",
+        "figure_long_name", "figure_dangling_symlink", "sweep_under_a_file", "figure_existing_unwritable"])
 def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, monkeypatch, argv, config,
                                                   expected):
-    # "{out}" lies in a missing directory, "{dir}" is an existing directory, and
-    # "{locked}" lies in a directory that os.access reports as unwritable
+    # "{out}" lies in a missing directory, "{dir}" is an existing directory, "{link}" a symlink into
+    # the missing one, "{file}" an existing file; open() refuses "{locked}", a new file in a directory
+    # it may not write, and "{readonly}", an existing file it may not write
     stub_row_builders(monkeypatch, "a row was computed before the output path was checked")
     cfg, folder, locked = tmp_path / "cfg.json", tmp_path / "existing", tmp_path / "locked"
-    paths = {"out": tmp_path / "missing" / "o.csv", "dir": folder, "locked": locked / "o.csv"}
+    paths = {"out": tmp_path / "missing" / "o.csv", "dir": folder, "locked": locked / "o.csv",
+             "readonly": locked / "readonly.csv", "long": tmp_path / ("o" * 300), "link": tmp_path / "link",
+             "file": tmp_path / "file"}
     folder.mkdir()
     locked.mkdir()
-    access = cli.os.access
-    monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(locked) and access(path, mode))
-    cfg.write_text(json.dumps(config).replace("{out}", str(paths["out"])).replace("{dir}", str(folder)))
+    paths["readonly"].write_bytes(b"readonly\n")
+    paths["file"].write_bytes(b"file\n")
+    paths["link"].symlink_to(paths["out"])
+
+    def refuse(path, *args, **kwargs):  # the superuser may write anywhere, so the refusal is injected
+        if os.path.dirname(path) == str(locked):
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    def on_disk():
+        return {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+
+    cfg.write_text(json.dumps(config))
+    before = on_disk()
     assert run_cli(*[arg.format(cfg=cfg, **paths) for arg in argv], "--quiet") == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write output file: {expected.format(**paths)}")
-    assert "Traceback" not in err
-    assert not any(folder.iterdir()) and not any(locked.iterdir())
+    assert capsys.readouterr().err == f"error: cannot write output file: {expected.format(**paths)}\n"
+    assert on_disk() == before
+
+
+_TABLE_ARGV = ["threshold", "--n", "300", "--b", "0.15", "--quiet"]
+
+
+def _run_cli_process(*argv):
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    return subprocess.run([sys.executable, "-B", "-m", "locprob.cli", *argv], env=env, capture_output=True,
+                          timeout=60)
+
+
+def test_the_output_path_may_be_a_fifo_a_device_or_a_longer_file(tmp_path, capsys):
+    assert run_cli(*_TABLE_ARGV) == 0
+    table = capsys.readouterr().out.encode()
+    # a FIFO: the held handle keeps its reader from EOF until the table is written
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    done = _run_cli_process(*_TABLE_ARGV, "--out", str(fifo))  # a hang fails at the timeout
+    reader.join(60)
+    assert (done.returncode, done.stderr, received) == (0, b"", [table])
+    assert _run_cli_process(*_TABLE_ARGV, "--out", "/dev/stdout").stdout == table
+    assert run_cli(*_TABLE_ARGV, "--out", os.devnull) == 0
+    longer = tmp_path / "longer.csv"
+    longer.write_bytes(b"x" * 10 * len(table))
+    assert run_cli(*_TABLE_ARGV, "--out", str(longer)) == 0
+    assert longer.read_bytes() == table
+
+
+@pytest.mark.parametrize("n, fault, code", [
+    (9, NonConvergenceError, 1),  # a config error, before the row
+    (300, NonConvergenceError, 2),
+    (300, ZeroDivisionError, 3),
+], ids=["config_error", "non_convergence", "internal_fault"])
+def test_a_failed_run_leaves_the_output_path_as_it_was(tmp_path, monkeypatch, n, fault, code):
+    def failing_row(*args):
+        raise fault("a stubbed row")
+
+    monkeypatch.setattr(cli, "_b_star_row", failing_row)
+    existing = tmp_path / "existing.csv"
+    existing.write_bytes(b"an earlier table\n")
+    for out in (existing, tmp_path / "new.csv"):
+        assert run_cli("threshold", "--n", str(n), "--a", "0.5", "--out", str(out), "--quiet") == code
+    assert existing.read_bytes() == b"an earlier table\n"
+    assert list(tmp_path.iterdir()) == [existing]
 
 
 def test_n_at_the_cap_gives_finite_closed_forms_and_thresholds(tmp_path, capsys):

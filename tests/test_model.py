@@ -26,10 +26,16 @@ class TestMakeNetwork:
         with pytest.raises(ValueError, match="n too small"):
             make_network(3, 1)
 
-    @pytest.mark.parametrize("k", [-1, 101])
+    @pytest.mark.parametrize("k", [-1, 101, 10.5])
     def test_anchor_count_bounds(self, k):
         with pytest.raises(ValueError):
             make_network(100, k)
+
+    def test_counts_are_integers(self):
+        # a float count once made a network that failure_prob_sum and the field probe raised TypeError on
+        with pytest.raises(ValueError, match="must be integers"):
+            make_network(5.5, 2)
+        assert make_network(np.int64(50), np.int32(10)).a == pytest.approx(0.8, abs=1e-15)
 
     def test_degenerate_fractions_accepted(self):
         assert make_network(10, 0).a == 1.0
@@ -140,6 +146,8 @@ class TestBhatDistribution:
             bhat_distribution(0.2, -1.0, 0.48)
         with pytest.raises(ValueError):
             bhat_distribution(0.2, 1.0, 1.0)
+        with pytest.raises(ValueError, match="sigma1"):  # not a nan zero_mass, reported as non-convergence
+            bhat_distribution(0.1, math.nan, 0.5)
 
 
 @pytest.mark.parametrize("shadow_draw", SHADOW_CHOICES)
