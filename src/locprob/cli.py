@@ -52,8 +52,6 @@ from .model import (PROBE_CHOICES, SHADOW_CHOICES, TrialProtocol, bhat_distribut
                     make_shadow_model)
 from .shadowing import METHODS, SERIES_MAX_N, NonConvergenceError, failure_prob_shadow
 
-FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig6", "fig_shadow")
-
 _PROTOCOLS = dict(zip(("center", "all"), PROBE_CHOICES))
 _SHADOW_FIELDS = ("p0_dbm", "gamma_dbm", "d0", "n_p", "sigma_s", "R")
 _RUN_FIELDS = ("trials", "seed", "workers")
@@ -197,6 +195,7 @@ _FIGURE_SWEEPS = {
                    "p0_dbm": 0.0, "gamma_dbm": -80.0, "d0": 0.1, "n_p": 3.5, "sigma_s": 12.0,
                    "R": 40.0},
 }
+FIGURES = tuple(_FIGURE_SWEEPS)
 
 
 def _beside_closed(row, columns):

@@ -2,10 +2,11 @@
 
 Most of these deliberately avoid the library's own code paths: exact
 rational arithmetic for binomial tails, and raw sampling for distribution
-checks.  The last section keeps plain formulations of the analytic fast
-paths, built from the library's unchanged primitives, for bitwise checks,
-and the errata: published approximations the library does not offer, kept
-so that a test can pin where each one goes wrong.
+checks.  Every Monte Carlo gate scores itself with z_score.  The last
+section keeps plain formulations of the analytic fast paths, built from
+the library's unchanged primitives, for bitwise checks, and the errata:
+published approximations the library does not offer, kept so that a test
+can pin where each one goes wrong.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from locprob.analytic import _few_anchor_mass
-from locprob.model import ALPHA, normal_lower_tail
-from locprob.shadowing import _split_points, bhat_moment, integrate
+from locprob.analytic import _few_anchor_mass, failure_prob_closed
+from locprob.model import ALPHA, bhat_distribution, normal_lower_tail
+from locprob.shadowing import _split_points, bhat_moment, failure_prob_shadow, integrate
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -67,6 +68,28 @@ def per_link_center_failure(n: int, a: float, dist) -> float:
     """
     s = (1.0 - a) * bhat_moment(dist, 2)
     return (1.0 - s) ** (n - 3) * (1.0 + (n - 3) * s + 0.5 * (n - 2) * (n - 3) * s * s)
+
+
+def center_theory(net, b: float, protocol) -> float:
+    """Localization probability of a centre-probe cell under its protocol's fading draw:
+    the closed form without fading, the mixture integral when one ratio serves every
+    link (per_node), and 1 - per_link_center_failure when every link draws its own."""
+    if protocol.shadow_draw == "none":
+        return failure_prob_closed(net, b).p_loc
+    dist = bhat_distribution(b, protocol.fading.sigma1, protocol.fading.b_hat_max)
+    if protocol.shadow_draw == "per_node":
+        return failure_prob_shadow(net, dist).p_loc
+    return 1.0 - per_link_center_failure(net.n, net.a, dist)
+
+
+def z_score(successes: int, trials: int, want: float) -> float:
+    """Standard score of successes / trials against the theory value want, under the
+    binomial SE at want.  At want = 0 or 1 the estimate has no spread: z is 0 when it
+    equals want and infinite otherwise."""
+    gap = successes / trials - want
+    if want in (0.0, 1.0):
+        return 0.0 if gap == 0.0 else math.copysign(math.inf, gap)
+    return gap / math.sqrt(want * (1.0 - want) / trials)
 
 
 def sample_truncated_ratio(

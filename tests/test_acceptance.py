@@ -18,11 +18,11 @@ from locprob.analytic import (
     threshold_b_star_numeric,
 )
 from locprob.cli import main, run_sweep
-from locprob.model import bhat_distribution, make_network, make_shadow_model
-from locprob.montecarlo import ProbEstimate, estimate
+from locprob.model import TrialProtocol, bhat_distribution, make_network, make_shadow_model
+from locprob.montecarlo import estimate
 from locprob.shadowing import failure_prob_shadow, integrate
-from oracles import (alternating_series_reference, closed_value_reference, exact_binomial_cdf, lognormal_moment,
-                     pdf_reference)
+from oracles import (alternating_series_reference, center_theory, closed_value_reference, exact_binomial_cdf,
+                     lognormal_moment, pdf_reference, z_score)
 
 ROOT_HALF = math.sqrt(0.5)
 GRID_N = (4, 10, 50, 300, 1000, 3000)
@@ -32,10 +32,6 @@ GRID_B = (0.0, 0.05, 0.099, 0.3, 0.878, 1.0)
 
 def report(criterion: str, detail: str) -> None:
     print(f"criterion {criterion}: PASS ({detail})")
-
-
-def wilson_se(est: ProbEstimate) -> float:
-    return (est.ci_high - est.ci_low) / 2.0 / 1.959963984540054
 
 
 def grid_networks():
@@ -67,12 +63,11 @@ def test_criterion_02_hand_anchor_with_monte_carlo():
     published = closed_value_reference(4, 0.0, ROOT_HALF, "paper")  # the erratum
     assert published == pytest.approx(1.125, abs=1e-12)
     sim = estimate(net, ROOT_HALF, trials=1_000_000, seed=20240801)
-    gap = abs(sim.p_hat - 0.125)
-    assert gap <= 3.0 * wilson_se(sim)
+    z = z_score(sim.successes, sim.trials, 0.125)
+    assert abs(z) <= 3.0, z
     report(
         "02 hand anchor",
-        f"p_f = 0.875 both forms, published coefficient pinned at 1.125, "
-        f"MC gap {gap:.2e} <= 3se",
+        f"p_f = 0.875 both forms, published coefficient pinned at 1.125, MC z = {z:+.2f}",
     )
 
 
@@ -82,11 +77,10 @@ def test_criterion_03_theory_vs_simulation_grid():
         for b in (0.099, 0.3, 0.878):
             net = make_network(300, round(300 * (1.0 - a)))
             sim = estimate(net, b, trials=100_000, seed=int(1000 * a + 10_000 * b))
-            want = failure_prob_sum(net, b).p_loc
-            ratio = abs(sim.p_hat - want) / (3.0 * wilson_se(sim))
-            worst = max(worst, ratio)
-            assert abs(sim.p_hat - want) <= 3.0 * wilson_se(sim)
-    report("03 theory vs simulation", f"worst |gap|/3se = {worst:.2f} over 9 cells at 1e5 trials")
+            z = z_score(sim.successes, sim.trials, center_theory(net, b, TrialProtocol()))
+            assert abs(z) <= 3.0, (a, b, z)
+            worst = max(worst, abs(z))
+    report("03 theory vs simulation", f"worst |z| = {worst:.2f} over 9 cells at 1e5 trials")
 
 
 def test_criterion_04_blind_fraction_threshold():
@@ -229,15 +223,14 @@ def test_criterion_11_density_sweep_shape(fig6_rows):
         second = [f[i + 1] - 2.0 * f[i] + f[i - 1] for i in range(1, len(f) - 1)]
         curvature[n] = sum(second) / len(second)
         for r in sub:
-            se = (r["ci_high"] - r["ci_low"]) / 2.0 / 1.959963984540054
-            worst_excess = max(worst_excess, (r["p_loc_sim"] - r["p_loc_theory"]) / se)
+            worst_excess = max(worst_excess, z_score(r["successes"], r["trials"], r["p_loc_theory"]))
     assert curvature[500] > 0.0
     assert curvature[3000] < 0.0
     assert worst_excess <= 3.0
     report(
         "11 density sweep shape",
         f"mean curvature {curvature[500]:+.4f} (n=500) / {curvature[3000]:+.4f} (n=3000); "
-        f"max (sim - theory)/se = {worst_excess:+.2f}",
+        f"max z of sim above theory = {worst_excess:+.2f}",
     )
 
 

@@ -12,7 +12,7 @@ from locprob.model import (
     make_network,
     make_shadow_model,
 )
-from oracles import sample_truncated_ratio
+from oracles import sample_truncated_ratio, z_score
 
 
 class TestMakeNetwork:
@@ -115,9 +115,8 @@ class TestBhatDistribution:
         dist = bhat_distribution(0.24, 3.43, 0.48)
         rng = np.random.default_rng(99)
         draws = sample_truncated_ratio(rng, 1_000_000, 0.24, 3.43, 0.48)
-        emp = float((draws == 0.0).mean())
-        se = math.sqrt(dist.zero_mass * (1.0 - dist.zero_mass) / 1_000_000)
-        assert abs(emp - dist.zero_mass) < 3.0 * se
+        z = z_score(int((draws == 0.0).sum()), draws.size, dist.zero_mass)
+        assert abs(z) < 3.0, z
 
     def test_from_model_and_coverage_radius(self):
         model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
