@@ -118,19 +118,22 @@ def failure_prob_sum(net: NetworkParams, b: float) -> FailureProbResult:
         log_b2, log_q = math.log(b2), math.log1p(-b2)
         log_c = _invariant(("log_c", n), dict) if n <= _SUM_MAX_TERMS else {}  # log C(n-1, p)
         masses = _invariant(("mass", a), dict) if n <= _SUM_MAX_TERMS else {}  # _few_anchor_mass
-        kept, mode = [], min(n - 1, math.floor(n * b2))
+        exp, lgamma = math.exp, math.lgamma
+        terms, weighted, mode = [], [], min(n - 1, math.floor(n * b2))  # terms, and those times their masses
         for side in (range(mode, n), range(mode - 1, -1, -1)):
             for p in side:
-                if p not in log_c:
-                    log_c[p] = math.lgamma(n) - math.lgamma(p + 1) - math.lgamma(n - p)
-                e = log_c[p] + p * log_b2 + (n - 1 - p) * log_q
+                if (log_cp := log_c.get(p)) is None:
+                    log_cp = log_c[p] = lgamma(n) - lgamma(p + 1) - lgamma(n - p)
+                e = log_cp + p * log_b2 + (n - 1 - p) * log_q
                 if e < _LOG_STOP_TERM:
                     break
                 if e >= _LOG_ZERO_TERM:
-                    if p not in masses:
-                        masses[p] = _few_anchor_mass(p, a)
-                    kept.append((math.exp(e), masses[p]))
-        p_f = math.fsum(t * m for t, m in kept if m != 0.0) / math.fsum(t for t, _ in kept)
+                    if (mass := masses.get(p)) is None:
+                        mass = masses[p] = _few_anchor_mass(p, a)
+                    terms.append(term := exp(e))
+                    if mass != 0.0:
+                        weighted.append(term * mass)
+        p_f = math.fsum(weighted) / math.fsum(terms)
     return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f)
 
 

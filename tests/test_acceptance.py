@@ -73,14 +73,15 @@ def test_criterion_02_hand_anchor_with_monte_carlo():
 
 def test_criterion_03_theory_vs_simulation_grid():
     worst = 0.0
-    for a in (0.2, 0.5, 0.8):
-        for b in (0.099, 0.3, 0.878):
+    # b = 0.878 gives theory p_loc 1.0 exactly, so z = 0 whatever the kernel does; b_half gives p_loc near 0.5
+    for a, b_half in ((0.2, 0.106), (0.5, 0.134), (0.8, 0.211)):
+        for b in (0.099, 0.3, 0.878, b_half):
             net = make_network(300, round(300 * (1.0 - a)))
             sim = estimate(net, b, trials=100_000, seed=int(1000 * a + 10_000 * b))
             z = z_score(sim.successes, sim.trials, center_theory(net, b, TrialProtocol()))
             assert abs(z) <= 3.0, (a, b, z)
             worst = max(worst, abs(z))
-    report("03 theory vs simulation", f"worst |z| = {worst:.2f} over 9 cells at 1e5 trials")
+    report("03 theory vs simulation", f"worst |z| = {worst:.2f} over 12 cells at 1e5 trials")
 
 
 def test_criterion_04_blind_fraction_threshold():

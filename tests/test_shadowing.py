@@ -227,6 +227,9 @@ class TestFastPathsMatchReference:
     @example(n=50, a=0.8, dist=bhat_distribution(0.9, 3.43, 0.483))
     @example(n=3000, a=1e-12, dist=bhat_distribution(0.2, 40.0, 0.483))
     @example(n=5000, a=0.0, dist=bhat_distribution(0.01, 0.05, 0.483))
+    @example(n=4, a=0.3, dist=bhat_distribution(0.2, 3.43, 0.483))  # c1 = c2 = 1
+    @example(n=2**53, a=0.5, dist=bhat_distribution(1e-3, 40.0, 0.483))  # the largest n a sweep accepts
+    @example(n=300, a=0.2, dist=bhat_distribution(0.1, 0.05, 0.483))  # the narrowest width drawn
     def test_failure_prob_shadow(self, n, a, dist):
         got = failure_prob_shadow(_network(n, a), dist).p_f
         assert got == shadow_failure_reference(n, a, dist, "corrected")
