@@ -61,23 +61,20 @@ def _refine(f, lo, flo, hi, fhi, mid, fmid, whole, tol, depth):
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     if depth <= 0:
-        raise _not_converged(lo, hi, delta, tol)
+        raise NonConvergenceError(f"quadrature did not converge on [{lo}, {hi}] "
+                                  f"(residual {abs(delta):.3g}, tolerance {tol:.3g})")
     return _refine(f, lo, flo, mid, fmid, lmid, flmid, left, 0.5 * tol, depth - 1) + _refine(
         f, mid, fmid, hi, fhi, rmid, frmid, right, 0.5 * tol, depth - 1
     )
-
-
-def _not_converged(lo: float, hi: float, delta: float, tol: float) -> NonConvergenceError:
-    return NonConvergenceError(f"quadrature did not converge on [{lo}, {hi}] "
-                               f"(residual {abs(delta):.3g}, tolerance {tol:.3g})")
 
 
 def _density_terms(dist: BhatDistribution) -> tuple[float, float, float, float]:
     """Per-distribution constants of the density: sqrt(2 pi) sigma1,
     2 sigma1^2, mu and b_hat_max.
 
-    The integrands below build the density ALPHA / (scale x) exp(-z^2 / two_var),
-    z = 10 log10(x) - mu, from these in one fixed order of float operations.
+    The integrands below write the density ALPHA / (scale x) exp(-z^2 / two_var),
+    z = 10 log10(x) - mu, out inline from these in one fixed order of float
+    operations; integrate is the one recursion that evaluates them all.
     """
     sigma1 = dist.sigma1
     return math.sqrt(2.0 * math.pi) * sigma1, 2.0 * sigma1 * sigma1, dist.mu, dist.b_hat_max
@@ -100,7 +97,8 @@ def _split_points(dist: BhatDistribution) -> list[float]:
 
 
 def _integrate_mixed(dist: BhatDistribution, f, abs_tol: float) -> float:
-    """Integral of f over the continuous support, split around the density peak."""
+    """Integral of f over the continuous support, split around the density peak: one integrate per
+    piece, for the moments and the failure bound alike."""
     points = _invariant(("split", dist), lambda: _split_points(dist))
     piece_tol = abs_tol / (len(points) - 1)
     return math.fsum(integrate(f, lo, hi, piece_tol) for lo, hi in zip(points, points[1:]))
@@ -149,7 +147,8 @@ def failure_prob_shadow(net: NetworkParams, dist: BhatDistribution,
         if dist.sigma1 == 0.0:
             p_f = _closed_value(n, net.a, dist.b_o) if dist.b_o <= dist.b_hat_max else 1.0
         else:
-            p_f = dist.zero_mass + _below_cutoff(dist) + _failure_integral(net, dist)
+            p_f = dist.zero_mass + _below_cutoff(dist) + _integrate_mixed(
+                dist, _failure_integrand(net, dist), 1e-9)
     elif method == "alternating_sum":
         if n > SERIES_MAX_N:
             raise ValueError(f"{method} is outside its stated validity for n = {n} > "
@@ -168,12 +167,8 @@ def _below_cutoff(dist: BhatDistribution) -> float:
     return normal_lower_tail((10.0 * math.log10(lo) - dist.mu) / dist.sigma1)
 
 
-def _failure_integral(net: NetworkParams, dist: BhatDistribution) -> float:
-    """_integrate_mixed(dist, f, 1e-9) for f(x) = _closed_value(n, a, x) times the density at x, bit for bit.
-
-    integrate's and _refine's steps, in their order, with f written out at each step's two new points;
-    each piece's f(hi) is the next piece's f(lo).
-    """
+def _failure_integrand(net: NetworkParams, dist: BhatDistribution):
+    """x -> _closed_value(n, a, x) times the density at x, bit for bit, with the closed form written out."""
     one_minus_a, (c1, c2) = 1.0 - net.a, _bracket(net.n)
     c1 = float(c1)  # the double that each use of the int converts it to
     scale, two_var, mu, b_hat_max = _density_terms(dist)
@@ -185,35 +180,7 @@ def _failure_integral(net: NetworkParams, dist: BhatDistribution) -> float:
         s, z = one_minus_a * x * x, 10.0 * log10(x) - mu
         return (1.0 - s) ** c1 * (1.0 + c1 * s + c2 * s * s) * (ALPHA / (scale * x) * exp(-z * z / two_var))
 
-    def refine(lo, flo, hi, fhi, mid, fmid, whole, tol, depth):
-        lmid, rmid, flmid, frmid = 0.5 * (lo + mid), 0.5 * (mid + hi), 0.0, 0.0
-        if 0.0 < lmid <= b_hat_max:
-            s, z = one_minus_a * lmid * lmid, 10.0 * log10(lmid) - mu
-            flmid = (1.0 - s) ** c1 * (1.0 + c1 * s + c2 * s * s) * (
-                ALPHA / (scale * lmid) * exp(-z * z / two_var))
-        if 0.0 < rmid <= b_hat_max:
-            s, z = one_minus_a * rmid * rmid, 10.0 * log10(rmid) - mu
-            frmid = (1.0 - s) ** c1 * (1.0 + c1 * s + c2 * s * s) * (
-                ALPHA / (scale * rmid) * exp(-z * z / two_var))
-        left = (mid - lo) / 6.0 * (flo + 4.0 * flmid + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * frmid + fhi)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        if depth <= 0:
-            raise _not_converged(lo, hi, delta, tol)
-        return (refine(lo, flo, mid, fmid, lmid, flmid, left, 0.5 * tol, depth - 1)
-                + refine(mid, fmid, hi, fhi, rmid, frmid, right, 0.5 * tol, depth - 1))
-
-    points = _invariant(("split", dist), lambda: _split_points(dist))
-    tol, pieces, flo = 1e-9 / (len(points) - 1), [], f(points[0])
-    for lo, hi in zip(points, points[1:]):
-        mid = 0.5 * (lo + hi)
-        fhi, fmid = f(hi), f(mid)
-        whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-        pieces.append(refine(lo, flo, hi, fhi, mid, fmid, whole, tol, _MAX_DEPTH))
-        flo = fhi
-    return math.fsum(pieces)
+    return f
 
 
 def _series(net: NetworkParams, moments: dict[int, float]) -> float:

@@ -345,6 +345,29 @@ def test_shadow_sweep_gives_a_probability(tmp_path, change):
     assert 0.0 <= p_loc <= 1.0
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"sigma_s": 1000.0}, "on [2.0024286128663653e-13, 2.0024303475898411e-13] "
+                          "(residual 8.27e-25, tolerance 4.34e-28)"),
+    ({"b_o": 1e-300}, "on [1e-312, 1.00000000032e-312] (residual nan, tolerance 3.94e-29)"),
+], ids=["sigma_s_1000", "b_o_1e-300"])
+def test_non_convergence_matches_the_oracle_and_exits_2(tmp_path, capsys, change, message):
+    # the two exit-2 cells above: the bound raises the reference quadrature's error, and a sweep prints just it
+    config = {**_SHADOW_SWEEP, **change}
+    model = make_shadow_model(*(config[f] for f in ("p0_dbm", "gamma_dbm", "d0", "n_p", "sigma_s", "R")))
+    net, dist = make_network(50, 10), bhat_distribution(config["b_o"], model.sigma1, model.b_hat_max)
+    errors = []
+    for bound in (lambda: shadow_failure_reference(50, net.a, dist, "corrected"),
+                  lambda: failure_prob_shadow(net, dist)):
+        with pytest.raises(shadowing.NonConvergenceError) as error:
+            bound()
+        errors.append(str(error.value))
+    assert errors == [f"quadrature did not converge {message}"] * 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr() == ("", f"numerical error: {errors[0]}\n")
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(4, SERIES_MAX_N), anchors=st.floats(0.0, 1.0), b_o=st.floats(0.01, 0.99),
        sigma1=st.floats(0.5, 6.0), b_hat_max=st.floats(0.1, 0.99))
