@@ -28,7 +28,6 @@ that raises leaves no new output file and an existing one unchanged.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -491,7 +490,6 @@ _FLAGS = {
 }
 
 
-@functools.cache  # parsing leaves the parser as it was, so one process builds it once
 def _build_parser() -> _Parser:
     """Each verb takes the flags of its mode's fields, so a flag it would ignore is an error (exit 1)."""
     parser = _Parser(prog="locprob", description=__doc__.splitlines()[0])

@@ -18,8 +18,6 @@ from pathlib import Path
 import pytest
 
 from locprob import TrialProtocol, cli, make_network
-from locprob.model import bhat_distribution, make_shadow_model
-from locprob.shadowing import _split_points
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,14 +61,6 @@ _SHADOW_ROW = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, "p0_dbm": 0.0, "g
                "d0": 0.1, "n_p": 3.5, "sigma_s": 12.0, "R": 40.0}
 
 
-def _traced_spans(tracing, argv):
-    tracer = tracing.Tracer()
-    with tracer.installed():
-        assert cli.main([*argv, "--quiet"]) == 0
-    assert tracer.missing == []
-    return [span[0] for span in tracer.spans]
-
-
 # a representative command for each target below the CLI
 _LAYER_COMMANDS = {
     "montecarlo.sample": ("estimate", "--n", "50", "--k", "10", "--b", "0.2", "--protocol", "all",
@@ -87,13 +77,8 @@ def test_every_layer_target_is_reached(tracing, tmp_path, span):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_SHADOW_ROW))
     argv = [arg.replace("{config}", str(config)) for arg in _LAYER_COMMANDS[span]]
-    assert span in _traced_spans(tracing, argv)
-
-
-def test_a_shadow_row_integrates_each_piece_through_the_traced_target(tracing, tmp_path):
-    # so the per-layer numerics.integrate.* metrics count the failure integrals, one call per split piece
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(_SHADOW_ROW))
-    model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
-    pieces = len(_split_points(bhat_distribution(0.2, model.sigma1, model.b_hat_max))) - 1
-    assert _traced_spans(tracing, ["sweep", str(config)]).count("numerics.integrate") == pieces
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main([*argv, "--quiet"]) == 0
+    assert tracer.missing == []
+    assert span in [name for name, *_ in tracer.spans]
