@@ -19,10 +19,9 @@ it numpy; the analytic, shadow and threshold commands run on the standard
 library alone.
 
 Exit codes: 0 success; 1 invalid configuration or an output path that open()
-refuses (both fail before any row); 2 numerical non-convergence, or a figure
-that fails a caption claim, under the `figure` verb and a `figure` sweep
-alike; 3 an internal fault (any other error), after its traceback.  A run
-that raises leaves no new output file and an existing one unchanged.
+refuses (both fail before any row); 2 numerical non-convergence; 3 an internal
+fault (any other error), after its traceback.  A run that raises leaves no new
+output file and an existing one unchanged.
 """
 
 from __future__ import annotations
@@ -227,41 +226,6 @@ def _figure_cells(config):
         yield row, cells
 
 
-# The caption claims of each figure, on its deterministic (theory) columns only;
-# Monte Carlo columns are left to the statistical tests.  A claim is (series
-# column or None for one series, x column, y column, sign): within each series,
-# y never falls (+1) or never rises (-1) as x grows.
-_CLAIMS = {
-    "fig1": (("b", "a", "p_loc", -1), ("a", "b", "p_loc", +1)),
-    "fig2": ((None, "b", "a_star", +1),),
-    "fig3": (("b", "a", "p_loc", -1), ("a", "b", "p_loc", +1)),
-    "fig4": ((None, "a", "b_star_exact", +1),),
-    "fig6": (("n", "a", "p_loc_theory", -1),),
-    "fig_shadow": (("k", "b_o", "p_loc_noshadow", +1),),
-}
-
-
-def check_figure(name, rows) -> list[str]:
-    """Post-emission self-test of a figure's caption claims (`_CLAIMS`)."""
-    problems = []
-    for series, x, y, sign in _CLAIMS[name]:
-        groups = {}
-        for row in rows:
-            groups.setdefault(row.get(series), []).append(row)  # row.get(None) is None
-        for key, group in groups.items():
-            group.sort(key=lambda row: row[x])
-            where = "" if series is None else f" at {series}={key:.6g}"
-            # comparisons, not a signed difference, so that a nan fails the claim
-            values = [sign * row[y] for row in group]
-            if not all(later >= earlier for earlier, later in zip(values, values[1:])):
-                problems.append(f"{name}: {y} not non-{'de' if sign > 0 else 'in'}creasing in {x}{where}")
-            if name == "fig_shadow":  # fading gains coverage at small b_o and loses it at large
-                diffs = [row["p_loc_shadow"] - row["p_loc_noshadow"] for row in group]
-                if not diffs[0] > 0.0 > diffs[-1]:
-                    problems.append(f"fig_shadow: no gain-to-loss crossing across b_o{where}")
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # sweep configs
 
@@ -431,20 +395,6 @@ def run_sweep(config: dict):
 # ---------------------------------------------------------------------------
 # verbs
 
-def _run_and_write(config, emitted, out, quiet) -> int:
-    """Run a sweep config, write its table and self-check a figure; the exit code."""
-    rows = run_sweep(config)
-    _write_table(out, emitted, rows, quiet)
-    if config["mode"] != "figure":
-        return 0
-    problems = check_figure(config["figure"], rows)
-    for p in problems:
-        print(f"self-check FAILED: {p}", file=sys.stderr)
-    if not (problems or quiet):
-        print(f"self-check ok: {config['figure']}", file=sys.stderr)
-    return 2 if problems else 0
-
-
 def _cmd_sweep(args):
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -456,8 +406,8 @@ def _cmd_sweep(args):
     if not isinstance(config, dict):
         raise CliError("config must be a JSON object")
     config.update(_given(args, *_SWEEP_FLAGS))
-    emitted = {k: v for k, v in config.items() if k != "workers"}
-    return _run_and_write(config, emitted, args.out, args.quiet)
+    _write_table(args.out, {k: v for k, v in config.items() if k != "workers"}, run_sweep(config), args.quiet)
+    return 0
 
 
 def _given(args, *fields):
@@ -471,7 +421,8 @@ def _cmd_mode(args):
     # no table records its worker count, and a figure's names the figure rather than its mode
     emitted = {f: v for f, v in config.items() if f != "workers" and (f, v) != ("mode", "figure")}
     emitted["variant"] = _VARIANT
-    return _run_and_write(config, emitted, args.out, args.quiet)
+    _write_table(args.out, emitted, run_sweep(config), args.quiet)
+    return 0
 
 
 # every value flag, by the config field it sets (a figure's name is positional)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import check_pinned
 from locprob import cli, montecarlo
 from locprob.analytic import FailureProbResult
-from locprob.cli import FIGURES, _build_parser, check_figure, main, run_sweep
+from locprob.cli import FIGURES, _build_parser, main, run_sweep
 from locprob.shadowing import SERIES_MAX_N, NonConvergenceError
 from oracles import closed_value_reference
 
@@ -86,7 +86,7 @@ class TestFigureTables:
         assert {"p_loc_theory", "p_loc_sim", "realizations"} <= set(rows[0])
         assert len(rows) == 33
         assert all(row["realizations"] == 4 for row in rows)
-        assert not check_figure("fig6", rows)
+        assert not check_pinned.check_figure("fig6", rows)
 
     def test_fig_shadow_emits_both_series(self, tmp_path):
         out = tmp_path / "fig_shadow.csv"
@@ -116,51 +116,72 @@ class TestFigureTables:
     @pytest.mark.parametrize("variant", ["corrected", "paper"])
     def test_a_figure_sweep_self_checks_like_the_figure_verb(self, tmp_path, capsys, monkeypatch, name,
                                                              variant):
-        # the published bracket coefficient (the oracle's erratum), in place of the closed form,
-        # bends fig3's and fig_shadow's closed-form curves: a failed caption claim exits 2
+        # the published bracket coefficient (the oracle's erratum), in place of the closed form, bends
+        # fig3's and fig_shadow's closed-form curves: both tables still exit 0, and the claim check of
+        # the pinned tables names the claims they break
         if variant == "paper":
             def published(net, b):
                 p_f = closed_value_reference(net.n, net.a, b, "paper")
                 return FailureProbResult(p_f=p_f, p_loc=1.0 - p_f)
 
             monkeypatch.setattr(cli, "failure_prob_closed", published)
-        expected = 2 if variant == "paper" and name in ("fig3", "fig_shadow") else 0
+        broken = variant == "paper" and name in ("fig3", "fig_shadow")
         trials = {"trials": 1} if name == "fig6" else {}
         cfg, verb, sweep = tmp_path / "cfg.json", tmp_path / "verb.csv", tmp_path / "sweep.csv"
         cfg.write_text(json.dumps({"mode": "figure", "figure": name, **trials}))
         flags = [arg for field, value in trials.items() for arg in (f"--{field}", str(value))]
-        assert run_cli("figure", name, *flags, "--out", str(verb)) == expected
-        verb_err = capsys.readouterr().err
-        assert run_cli("sweep", str(cfg), "--out", str(sweep)) == expected
-        sweep_err = capsys.readouterr().err
-        checks = [line for line in verb_err.splitlines() if line.startswith("self-check")]
-        assert checks == [line for line in sweep_err.splitlines() if line.startswith("self-check")]
-        assert checks and all(("FAILED" in line) == bool(expected) for line in checks)
-        assert verb.read_bytes().split(b"\n", 1)[1] == sweep.read_bytes().split(b"\n", 1)[1]
+        assert run_cli("figure", name, *flags, "--out", str(verb), "--quiet") == 0
+        assert run_cli("sweep", str(cfg), "--out", str(sweep), "--quiet") == 0
+        assert capsys.readouterr().err == ""
+        table = verb.read_bytes()
+        assert table.split(b"\n", 1)[1] == sweep.read_bytes().split(b"\n", 1)[1]
+        problems = check_pinned.check_figure(name, check_pinned.table_rows(table))
+        assert bool(problems) == broken and all(p.startswith(f"{name}: ") for p in problems), problems
+        if broken:  # the pin reports the broken claims, and --repin leaves its file as it was
+            original = (check_pinned.PINNED / f"{name}.csv").read_bytes()
+            (tmp_path / f"{name}.csv").write_bytes(original)
+            monkeypatch.setattr(check_pinned, "PINNED", tmp_path)
+            assert check_pinned.check(name, repin=True) == f"{name}.csv: {'; '.join(problems)}"
+            assert (tmp_path / f"{name}.csv").read_bytes() == original
+
+    @pytest.mark.parametrize("mutation", ["swap", "nan"])
+    def test_the_pinned_claim_check_names_a_broken_fig3(self, mutation):
+        pinned = (check_pinned.PINNED / "fig3.csv").read_bytes()
+        comment, header, *lines = pinned.decode().splitlines()
+        column = header.split(",").index("p_loc")
+        cells = [line.split(",") for line in lines]
+        low, high = _unequal_pair(check_pinned.table_rows(pinned), "b", "p_loc")  # two points of one curve
+        if mutation == "swap":
+            cells[low][column], cells[high][column] = cells[high][column], cells[low][column]
+        else:
+            cells[low][column] = "nan"
+        table = "\n".join([comment, header, *map(",".join, cells)]) + "\n"
+        problems = check_pinned.check_figure("fig3", check_pinned.table_rows(table.encode()))
+        assert any(p.startswith("fig3: p_loc not non-increasing in a at b=") for p in problems), problems
 
     @pytest.mark.parametrize("name", FIGURES)
     def test_every_caption_claim_fires(self, name):
         rows = run_sweep({"mode": "figure", "figure": name, "trials": 1})
-        assert not check_figure(name, rows)
+        assert not check_pinned.check_figure(name, rows)
         # the first row's keys are the table's header, so every row must share their order
         assert all(list(row) == list(rows[0]) for row in rows)
-        assert cli._CLAIMS[name], f"{name} checks no claim"
+        assert check_pinned.CLAIMS[name], f"{name} checks no claim"
 
         def broken(index, column, value):
             copy = [dict(row) for row in rows]
             copy[index][column] = value
             return copy
 
-        for series, x, y, sign in cli._CLAIMS[name]:
+        for series, x, y, sign in check_pinned.CLAIMS[name]:
             low, high = _unequal_pair(rows, series, y)
             swapped = broken(low, y, rows[high][y])
             swapped[high][y] = rows[low][y]
             for table in (swapped, broken(low, y, float("nan"))):
-                problems = check_figure(name, table)
+                problems = check_pinned.check_figure(name, table)
                 assert any(p.startswith(f"{name}: {y} not non-") for p in problems), (series, x, y)
         if name == "fig_shadow":  # the one claim that is not monotonicity
             flat = [{**row, "p_loc_shadow": row["p_loc_noshadow"]} for row in rows]
-            assert any("no gain-to-loss crossing" in p for p in check_figure(name, flat))
+            assert any("no gain-to-loss crossing" in p for p in check_pinned.check_figure(name, flat))
 
     def test_default_trials_follow_the_reference_protocol(self):
         args = _build_parser().parse_args(["figure", "fig6"])
@@ -664,7 +685,6 @@ def test_a_fuzzed_config_runs_or_fails_with_one_error_line(tmp_path, capsys, mon
     # rows are stubbed, so a config that passes the boundary costs nothing to run
     for name in [name for name in vars(cli) if name.endswith("_row")]:
         monkeypatch.setattr(cli, name, lambda *args: {"p_f": 0.5, "p_loc": 0.5})
-    monkeypatch.setattr(cli, "check_figure", lambda name, rows: [])
 
     def draw(likely):  # three times in four a likely value: one_of would weigh each fuzzed kind alike
         return data.draw(likely if data.draw(st.integers(0, 3)) else _fuzz_values)
@@ -873,7 +893,6 @@ def test_fuzzed_verb_flags_run_or_fail_with_one_error_line(capsys, monkeypatch, 
     # rows are stubbed, so flags that pass the boundary cost nothing to run
     for name in [name for name in vars(cli) if name.endswith("_row")]:
         monkeypatch.setattr(cli, name, lambda *args: {"p_f": 0.5, "p_loc": 0.5})
-    monkeypatch.setattr(cli, "check_figure", lambda name, rows: [])
     verb, flags = data.draw(st.sampled_from(_VALID_FLAGS))
     flags = dict(flags)  # valid flags, then up to 3 edits
     for _ in range(data.draw(st.integers(0, 3))):
