@@ -93,7 +93,8 @@ def make_network(n: int, k: int) -> NetworkParams:
     The closed forms all require at least four nodes; k may equal 0 or n
     (the trivial anchors-only / no-anchors configurations are accepted).
     """
-    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):  # numpy integers pass
+    # numpy integers pass; a bool is an Integral, but no count
+    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in (n, k)):
         raise ValueError(f"node counts must be integers, got n={n!r}, k={k!r}")
     if n < 4:
         raise ValueError(f"n too small: need n >= 4, got {n}")

@@ -35,6 +35,9 @@ class TestMakeNetwork:
         # a float count once made a network that failure_prob_sum and the field probe raised TypeError on
         with pytest.raises(ValueError, match="must be integers"):
             make_network(5.5, 2)
+        for n, k in ((10, True), (True, 0)):
+            with pytest.raises(ValueError, match="must be integers"):
+                make_network(n, k)
         assert make_network(np.int64(50), np.int32(10)).a == pytest.approx(0.8, abs=1e-15)
 
     def test_degenerate_fractions_accepted(self):

@@ -480,37 +480,6 @@ def _dense_center_chunk(rng, m, net, b, sigma1, b_hat_max, shadow_draw="per_link
     return int((counts >= 3).sum()), m
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 300),
-    st.integers(4, 200),
-    st.floats(0.0, 1.0),
-    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    st.one_of(st.just(0.0), st.floats(0.5, 12.0)),
-    st.floats(0.01, 0.99),
-    st.integers(0, 2**32 - 1),
-)
-# b = b_hat_max without fading: every anchor ratio sits exactly on the mask's bound
-@example(200, 60, 1.0, 0.5, 0.0, 0.5, 1)
-@example(50, 40, 0.9, 1.0, 3.0, 0.99, 2)
-@example(50, 40, 0.9, 0.0, 3.0, 0.5, 3)
-def test_center_per_link_chunk_matches_dense_replay(m, n, anchors, b, sigma1, b_hat_max, seed):
-    net = make_network(n, round(anchors * n))
-    protocol = TrialProtocol("center_node", "per_link", _fading(sigma1, b_hat_max))
-    chunk_rngs = []
-
-    def recorded_rng(*key):
-        chunk_rngs.append(_chunk_rng(*key))
-        return chunk_rngs[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(montecarlo, "_chunk_rng", recorded_rng)
-        got = _center_chunk((seed, 5, m, net, b, protocol))
-    replay = _chunk_rng(seed, 5)
-    assert got == _dense_center_chunk(replay, m, net, b, sigma1, b_hat_max)
-    assert chunk_rngs[0].random() == replay.random()
-
-
 _BLOCK = montecarlo._CENTER_BLOCK_PAIRS
 
 
@@ -533,6 +502,10 @@ _BLOCK = montecarlo._CENTER_BLOCK_PAIRS
 @example("none", 3, _BLOCK + 2, 0.99, 0.02, 0.0, 0.5, 4)
 @example("per_link", 3, _BLOCK + 2, 0.99, 0.02, 3.0, 0.5, 5)
 @example("per_node", 1, 40, 0.5, 0.4, 3.0, 0.9, 6)
+# per_link at b = b_hat_max without fading: every anchor ratio sits exactly on the mask's bound
+@example("per_link", 200, 60, 1.0, 0.5, 0.0, 0.5, 1)
+@example("per_link", 50, 40, 0.9, 1.0, 3.0, 0.99, 2)
+@example("per_link", 50, 40, 0.9, 0.0, 3.0, 0.5, 3)
 def test_center_chunk_matches_dense_replay_in_every_mode(
     shadow_draw, m, n, anchors, b, sigma1, b_hat_max, seed
 ):
