@@ -439,6 +439,7 @@ _SHADOW_SWEEP = {"mode": "shadow", "n": 50, "k": 10, "b_o": 0.2, **_SHADOW_CONFI
 _SIM = {"mode": "simulate", "n": 50, "k": 10, "b": 0.2}
 _SIM_FLAGS = ["--n", "50", "--k", "10", "--b", "0.2"]
 _ANALYTIC = {"mode": "analytic", "n": 50, "a": 0.5, "b": 0.2}
+_SUM = {"mode": "analytic", "method": "sum", "a": [0.2, 0.5, 0.8]}
 _UNSHADOWED_DRAW = "(needs the shadowing parameters p0_dbm, gamma_dbm, d0, n_p, sigma_s, R)"
 _TOO_BIG = "(must be at most 2**53)"
 
@@ -484,11 +485,21 @@ _REFUSALS = [
     ("bad_json", _SWEEP, "{not json",
      "config is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ("config_not_object", _SWEEP, [_ANALYTIC], "config must be a JSON object"),
+    ("empty_config_file", _SWEEP, "", "config is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    # a flag that argparse cannot read; a non-printable one is quoted, so the message stays one line
+    ("flag_int_verb", ["estimate", "--n", "x", *_SIM_FLAGS[2:]], None, "argument --n: invalid int value: 'x'"),
+    ("flag_float_verb", ["estimate", *_SIM_FLAGS[:4], "--b", "x"], None, "argument --b: invalid float value: 'x'"),
+    ("stray_nonprintable_verb", ["estimate", *_SIM_FLAGS, "--x\x00"], None, "unrecognized arguments: '--x\\x00'"),
+    ("stray_newline_verb", ["figure", "fig1", "\n"], None, "unrecognized arguments: '\\n'"),
+    ("missing_figure_verb", ["figure"], None, "the following arguments are required: figure"),
     # an empty grid, a grid value out of its range
     ("empty_grid_sweep", _SWEEP, {**_ANALYTIC, "b": []}, "empty grid: field 'b' has no values"),
     ("empty_grid_beside_lists_sweep", _SWEEP, {"mode": "analytic", "n": 300, "a": [0.2], "b": []},
      "empty grid: field 'b' has no values"),
     ("empty_grid_n_sweep", _SWEEP, {"mode": "threshold", "n": [], "b": 0.5}, "empty grid: field 'n' has no values"),
+    ("empty_grid_k_sweep", _SWEEP, {"mode": "analytic", "n": 50, "k": [], "b": 0.2},
+     "empty grid: field 'k' has no values"),
+    ("empty_grid_b_o_sweep", _SWEEP, {**_SHADOW_SWEEP, "b_o": []}, "empty grid: field 'b_o' has no values"),
     ("grid_value_sweep", _SWEEP, {**_ANALYTIC, "a": [0.5, 1.5]},
      "invalid value for field 'a': 1.5 (must lie in [0, 1])"),
     ("grid_b_sweep", _SWEEP, {"mode": "analytic", "n": 300, "a": [0.2], "b": [1.5]},
@@ -499,6 +510,13 @@ _REFUSALS = [
      "invalid value for field 'a': 1.5 (must lie in [0, 1])"),
     ("estimate_b", ["estimate", *_SIM_FLAGS[:4], "--b", "1.5"], None,
      "invalid value for field 'b': 1.5 (must lie in [0, 1])"),
+    ("a_text_sweep", _SWEEP, {**_ANALYTIC, "a": "0.5"}, "invalid value for field 'a': '0.5' (must lie in [0, 1])"),
+    ("threshold_a_one_verb", ["threshold", "--n", "300", "--a", "1"], None,
+     "invalid value for field 'a': 1.0 (must lie in [0, 1))"),
+    ("threshold_b_zero_sweep", _SWEEP, {"mode": "threshold", "n": 300, "b": [0.1, 0]},
+     "invalid value for field 'b': 0 (must lie in (0, 1])"),
+    ("grid_b_o_above_one_sweep", _SWEEP, {**_SHADOW_SWEEP, "b_o": [0.2, 1.5]},
+     "invalid value for field 'b_o': 1.5 (must lie in (0, 1])"),
     ("grid_b_o_sweep", _SWEEP, {**_SHADOW_SWEEP, "b_o": [0.2, 0]},
      "invalid value for field 'b_o': 0 (must lie in (0, 1])"),
     ("simulate_shadowed_b", _SWEEP, {**_SIM, "b": 0, **_SHADOW_CONFIG},
@@ -513,6 +531,7 @@ _REFUSALS = [
      "invalid value for field 'n': 4 (must be an integer >= 5)"),
     ("estimate_small_n", ["estimate", "--n", "3", "--k", "1", "--b", "0.1"], None,
      "invalid value for field 'n': 3 (must be an integer >= 4)"),
+    ("n_bool_sweep", _SWEEP, {**_ANALYTIC, "n": True}, "invalid value for field 'n': True (must be an integer >= 4)"),
     ("grid_n_cap_sweep", _SWEEP, {**_ANALYTIC, "n": [50, 2 ** 53 + 1]},
      f"invalid value for field 'n': {2 ** 53 + 1} {_TOO_BIG}"),
     ("grid_n_cap_verb", ["threshold", "--n", str(2 ** 53 + 1), "--b", "0.5"], None,
@@ -527,12 +546,23 @@ _REFUSALS = [
      "invalid value for field 'k': 55 (must be an integer from 0 to the smallest n, 50)"),
     ("grid_k_verb", ["estimate", "--n", "50", "--k", "51", "--b", "0.2"], None,
      "invalid value for field 'k': 51 (must be an integer from 0 to the smallest n, 50)"),
+    ("k_float_sweep", _SWEEP, {"mode": "analytic", "n": 50, "k": 2.5, "b": 0.2},
+     "invalid value for field 'k': 2.5 (must be an integer from 0 to the smallest n, 50)"),
+    ("k_bool_sweep", _SWEEP, {**_SIM, "k": True},
+     "invalid value for field 'k': True (must be an integer from 0 to the smallest n, 50)"),
     # a cell that the method or protocol cannot compute
     ("approx_small_domain", _SWEEP, {"mode": "analytic", "method": "approx_small", "n": 300, "a": [0.2], "b": [0.5]},
      "invalid value for field 'b': 0.5 (approx_small needs (1-a) b^2 < 2/n, got 0.2 >= 0.006667 at n=300, k=240)"),
     ("approx_small_p_loc_above_one", _SWEEP,
      {"mode": "analytic", "method": "approx_small", "n": 300, "a": [0.2], "b": [0.05, 0.07]},
      "invalid value for field 'b': 0.07 (approx_small needs (n-3) (1-a) b^2 <= 1, got 1.164 at n=300, k=240)"),
+    # sum's logs round by about 37 at n = 2**53, even at b = 3e-8, whose window is a few terms (it printed
+    # p_f 0.0896 against an exact 0.2304); at n = 10**9 the logs are fine, but b = 0.5 passes the term budget
+    ("sum_rounding_sweep", _SWEEP, {**_SUM, "n": 2 ** 53, "b": [3e-8, 1e-7, 0.1, 0.5]},
+     f"invalid value for field 'n': {2 ** 53} (sum's log-binomials may round by 37, over its tolerance 1e-05 "
+     "at b=3e-08)"),
+    ("sum_terms_sweep", _SWEEP, {**_SUM, "n": 10 ** 9, "b": [0.01, 0.5]},
+     f"invalid value for field 'n': {10 ** 9} (sum may need 1225415 terms, over its budget 250000 at b=0.5)"),
     ("grid_series_n_sweep", _SWEEP, {**_SHADOW_SWEEP, "method": "alternating_sum"},
      f"invalid value for field 'n': 50 (alternating_sum needs n <= {SERIES_MAX_N})"),
     ("grid_simulate_n_sweep", _SWEEP, {**_SIM, "n": [50, _CENTER_MAX_N + 1]},
@@ -592,10 +622,20 @@ _REFUSALS = [
      "invalid value for field 'R': inf (must be a finite number)"),
     ("shadow_list_sweep", _SWEEP, {**_SHADOW_SWEEP, "n_p": [3.5]},
      "invalid value for field 'n_p': [3.5] (must be a finite number)"),
+    ("shadow_text_sweep", _SWEEP, {**_SHADOW_SWEEP, "n_p": "3.5"},
+     "invalid value for field 'n_p': '3.5' (must be a finite number)"),
     ("shadow_value_verb", ["estimate", *_SIM_FLAGS, *_SHADOW_FLAGS[2:], "--sigma-s", "nan"], None,
      "invalid value for field 'sigma_s': nan (must be a finite number)"),
     ("shadow_model_sweep", _SWEEP, {**_SHADOW_SWEEP, "n_p": 0},
      "invalid shadowing parameters: path-loss exponent n_p must be positive, got 0.0"),
+    ("shadow_n_p_verb", ["estimate", *_SIM_FLAGS, *_SHADOW_FLAGS[:2], "--n-p", "-1", *_SHADOW_FLAGS[4:]], None,
+     "invalid shadowing parameters: path-loss exponent n_p must be positive, got -1.0"),
+    ("shadow_sigma_s_sweep", _SWEEP, {**_SHADOW_SWEEP, "sigma_s": -1},
+     "invalid shadowing parameters: sigma_s must be non-negative, got -1.0"),
+    ("shadow_d0_sweep", _SWEEP, {**_SHADOW_SWEEP, "d0": 0},
+     "invalid shadowing parameters: reference distance d0 must be positive, got 0.0"),
+    ("shadow_R_sweep", _SWEEP, {**_SHADOW_SWEEP, "R": 0},
+     "invalid shadowing parameters: domain radius R must be positive, got 0.0"),
     ("shadow_b_hat_max_underflow", _SWEEP, {**_SHADOW_SWEEP, "p0_dbm": -1e6},
      "invalid shadowing parameters: b_hat_max = 0 is outside (0, 1): the maximum measurable distance 0 must be "
      "positive and fit inside the domain radius 40"),
@@ -927,20 +967,9 @@ def test_a_failed_run_leaves_the_output_path_as_it_was(tmp_path, monkeypatch, n,
 
 
 def test_n_at_the_cap_gives_finite_closed_forms_and_thresholds(tmp_path, capsys):
-    # never a simulation at this size: each chunk draws rows of n - 1 doubles
+    # never a simulation at this size: each chunk draws rows of n - 1 doubles; nor a sum, which the
+    # boundary refuses here (the table's row sum_rounding_sweep)
     cfg = tmp_path / "cfg.json"
-    # nor a sum: its log-gammas round by about 37 here, so it fails at the boundary, even at
-    # b = 3e-8, whose window is a few terms (it printed p_f 0.0896 against an exact 0.2304);
-    # at n = 10**9 the logs are fine, but b = 0.5 passes the term budget
-    for n, b, reason in ((2 ** 53, [3e-8, 1e-7, 0.1, 0.5], "sum's log-binomials may round by "),
-                         (10 ** 9, [0.01, 0.5], "sum may need ")):
-        cfg.write_text(json.dumps({"mode": "analytic", "method": "sum", "n": n, "a": [0.2, 0.5, 0.8],
-                                   "b": b}))
-        assert run_cli("sweep", str(cfg)) == 1
-        out, err = capsys.readouterr()
-        assert not out
-        assert err.startswith(f"error: invalid value for field 'n': {n} ({reason}")
-        assert len(err.splitlines()) == 1
     cfg.write_text(json.dumps({"mode": "analytic", "n": 2 ** 53, "a": [0.2, 0.8], "b": [0.1, 0.5]}))
     runs = [["sweep", str(cfg)], ["threshold", "--n", str(2 ** 53), "--b", "0.5"],
             ["threshold", "--n", str(2 ** 53), "--a", "0.5"]]
