@@ -262,11 +262,11 @@ def _choice(config, field, allowed, default=_REQUIRED, why=None):
                   why or f"expected one of {', '.join(map(repr, allowed))}", default)
 
 
-def _either(config, one, other, where=""):
+def _either(config, one, other):
     """Whether the config gives field `one` rather than `other`; it must give exactly one."""
     if (one in config) == (other in config):
         raise CliError(f"give either field '{one}' or field '{other}', not both" if one in config
-                       else f"missing required field '{one}' or '{other}'{where}")
+                       else f"missing required field '{one}' or '{other}'")
     return one in config
 
 
@@ -329,7 +329,7 @@ def _shadow_cells(config):
 
 def _threshold_cells(config):
     # a* at each (n, b) needs n >= 5, b* at each (n, a) needs n >= 10
-    row, low, axis, ends = ((_a_star_row, 5, "b", "(]") if _either(config, "b", "a", " for threshold mode")
+    row, low, axis, ends = ((_a_star_row, 5, "b", "(]") if _either(config, "b", "a")
                             else (_b_star_row, 10, "a", "[)"))
     yield row, [(n, x) for n, x in product(_n_values(config, low), _unit(config, axis, ends))]
 

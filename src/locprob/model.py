@@ -35,12 +35,11 @@ class ShadowModel:
     """Fading constants for power-based ranging, derived by make_shadow_model.
 
     sigma1 = sigma_s / n_p is the fading standard deviation in decibels of
-    distance, d_hat_max the largest measurable distance estimate (the unit of
-    d0 and R), and b_hat_max = d_hat_max / R.
+    distance, and b_hat_max the largest measurable distance estimate as a
+    fraction of the domain radius R.
     """
 
     sigma1: float
-    d_hat_max: float
     b_hat_max: float
 
 
@@ -111,11 +110,12 @@ def make_shadow_model(
     sigma_s: float,
     R: float,
 ) -> ShadowModel:
-    """Shadowing model with derived sigma1, d_hat_max and b_hat_max.
+    """Shadowing model with derived sigma1 and b_hat_max.
 
-    d_hat_max = d0 * 10^((p0 - gamma) / (10 n_p)) is the distance estimate at
-    which the received power hits the detection threshold.  The mixed-ratio
-    analysis requires that this stays inside the domain (0 < b_hat_max < 1).
+    d_hat_max = d0 * 10^((p0 - gamma) / (10 n_p)), in the unit of d0 and R, is
+    the distance estimate at which the received power hits the detection
+    threshold, and b_hat_max = d_hat_max / R.  The mixed-ratio analysis
+    requires that this stays inside the domain (0 < b_hat_max < 1).
     """
     if not n_p > 0.0:
         raise ValueError(f"path-loss exponent n_p must be positive, got {n_p}")
@@ -138,7 +138,6 @@ def make_shadow_model(
         )
     return ShadowModel(
         sigma1=abs(sigma_s) / n_p,  # +0.0, a valid fading-draw scale, for sigma_s -0.0
-        d_hat_max=d_hat_max,
         b_hat_max=b_hat_max,
     )
 

@@ -33,8 +33,8 @@ The centre kernel also counts all three modes in one path, in row blocks of
 about 2^15 (trial, node) pairs so each block is drawn and counted while it
 sits in cache.  A chunk's stream holds all its radius uniforms, then all its
 anchor uniforms, then its fading draws; a float64 uniform takes exactly one
-PCG64 output, so each uniform run is read from a copy of the stream advanced
-to its offset and the blocks draw the same numbers as whole-chunk draws.
+PCG64 output, so each run opens a fresh generator on the chunk's seed jumped
+to its offset, and the blocks draw the same numbers as whole-chunk draws.
 
 Determinism: trials are partitioned into fixed-size chunks and chunk i draws
 from an independent stream spawned from the master seed, so results are
@@ -44,7 +44,6 @@ passes a `worker_pool`, which a sweep or figure shares across its cells.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -225,17 +224,10 @@ def _cell_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    # default_rng's generator, spelled out because _center_chunk relies on PCG64.advance
+def _chunk_rng(seed: int, index: int, skip: int = 0) -> np.random.Generator:
+    """default_rng's generator for chunk `index`, jumped `skip` 64-bit outputs into its stream."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(seq))
-
-
-def _stream_at(rng: np.random.Generator, outputs: int) -> np.random.Generator:
-    """A generator on a copy of rng's stream, moved on by `outputs` 64-bit outputs."""
-    bit_generator = copy.deepcopy(rng.bit_generator)
-    bit_generator.advance(outputs)
-    return np.random.Generator(bit_generator)
+    return np.random.Generator(np.random.PCG64(seq).advance(skip))
 
 
 def _center_chunk(args) -> tuple[int, int]:
@@ -244,15 +236,13 @@ def _center_chunk(args) -> tuple[int, int]:
     A block keeps the flat (trial, node) index of each anchor within reach: b,
     the trial's ratio (per_node), or b_hat_max, which bounds every per_link
     ratio, so per_link then keeps the pairs within their own; index // (n-1)
-    is the trial.  Radius and anchor uniforms come from copies of the stream
-    at their offsets; rng skips both runs and draws the fading values (a
-    variable number of outputs), so it ends where whole-chunk draws would.
+    is the trial.  The radius, anchor and fading runs each open the chunk's
+    stream at their own offset, 0, m(n-1) and 2m(n-1) outputs, so rng, which
+    draws a variable number of outputs, ends where whole-chunk draws would.
     """
     seed, index, m, net, b, protocol = args
-    rng, fading = _chunk_rng(seed, index), protocol.fading
-    n_other = net.n - 1
-    radii_rng, anchor_rng = _stream_at(rng, 0), _stream_at(rng, m * n_other)
-    rng.bit_generator.advance(2 * m * n_other)
+    fading, n_other = protocol.fading, net.n - 1
+    radii_rng, anchor_rng, rng = (_chunk_rng(seed, index, j * m * n_other) for j in range(3))
     rows = max(1, _CENTER_BLOCK_PAIRS // n_other)
     successes = 0
     for start in range(0, m, rows):

@@ -101,14 +101,6 @@ class TestFigureTables:
         ]
         assert diffs[0] > 0.0 > diffs[-1]
 
-    def test_figure_mode_in_sweep_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": "figure", "figure": "fig4"}))
-        out = tmp_path / "f.csv"
-        assert run_cli("sweep", str(cfg), "--out", str(out), "--quiet") == 0
-        _, rows = read_rows(out)
-        assert len(rows) == 20
-
     @pytest.mark.parametrize("name", FIGURES)
     @pytest.mark.parametrize("variant", ["corrected", "paper"])
     def test_figure_verb_and_sweep_agree_and_the_claim_check_names_broken_claims(self, tmp_path, capsys,
@@ -472,7 +464,7 @@ _REFUSALS = [
     ("missing_threshold_verb", ["threshold", "--b", "0.15"], None, "missing required field 'n'"),
     ("missing_mode_sweep", _SWEEP, {"n": 50, "a": 0.5, "b": 0.2}, "missing required field 'mode'"),
     ("missing_figure_sweep", _SWEEP, {"mode": "figure"}, "missing required field 'figure'"),
-    ("missing_axis_verb", ["threshold", "--n", "300"], None, "missing required field 'b' or 'a' for threshold mode"),
+    ("missing_axis_verb", ["threshold", "--n", "300"], None, "missing required field 'b' or 'a'"),
     ("missing_k_or_a_verb", ["estimate", "--n", "50", "--b", "0.2"], None, "missing required field 'k' or 'a'"),
     ("threshold_b_and_a", _SWEEP, {"mode": "threshold", "n": 300, "b": 0.15, "a": 0.5},
      "give either field 'b' or field 'a', not both"),

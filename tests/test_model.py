@@ -58,13 +58,13 @@ class TestMakeShadowModel:
         # 0 dBm at 10 cm, -80 dBm threshold, exponent 3.5, 12 dB fading, 40 m domain
         model = make_shadow_model(0.0, -80.0, 0.1, 3.5, 12.0, 40.0)
         assert model.sigma1 == pytest.approx(3.43, abs=0.01)
-        assert model.d_hat_max == pytest.approx(19.3, abs=0.05)
+        assert model.b_hat_max * 40.0 == pytest.approx(19.3, abs=0.05)
         assert model.b_hat_max == pytest.approx(0.48, abs=0.005)
         assert ALPHA == pytest.approx(10.0 / math.log(10.0), rel=1e-15)
 
     def test_threshold_at_reference_power(self):
         model = make_shadow_model(-10.0, -10.0, 0.25, 2.0, 3.0, 100.0)
-        assert model.d_hat_max == pytest.approx(0.25, rel=1e-15)
+        assert model.b_hat_max == 0.25 / 100.0
 
     def test_rejects_unmeasurable_domain(self):
         # same scenario with a 10 m domain: the 19.3 m limit does not fit

@@ -377,6 +377,18 @@ def test_field_protocol_stream_is_frozen(n, k, b, seed, shadow_draw, successes, 
     assert (sim.successes, sim.trials) == (successes, probes)
 
 
+def _record_chunk_rngs(patch):
+    """Patches montecarlo._chunk_rng to keep every generator it opens; returns that list."""
+    opened = []
+
+    def recorded_rng(*key):
+        opened.append(_chunk_rng(*key))
+        return opened[-1]
+
+    patch.setattr(montecarlo, "_chunk_rng", recorded_rng)
+    return opened
+
+
 @pytest.mark.parametrize("m", [1, 2, 5, 32])
 @pytest.mark.parametrize(
     "n, k, b, shadow_draw",
@@ -387,13 +399,7 @@ def test_field_chunk_matches_per_realization_replay(monkeypatch, m, n, k, b, sha
     net = make_network(n, k)
     model = _REFERENCE_FADING
     protocol = TrialProtocol("all_nl_nodes", shadow_draw, None if shadow_draw == "none" else model)
-    chunk_rngs = []
-
-    def recorded_rng(*key):
-        chunk_rngs.append(_chunk_rng(*key))
-        return chunk_rngs[-1]
-
-    monkeypatch.setattr(montecarlo, "_chunk_rng", recorded_rng)
+    chunk_rngs = _record_chunk_rngs(monkeypatch)
     got = _all_nodes_chunk((11, 3, m, net, b, protocol))
     replay = _chunk_rng(11, 3)
     successes = 0
@@ -483,6 +489,12 @@ def _dense_center_chunk(rng, m, net, b, sigma1, b_hat_max, shadow_draw="per_link
 _BLOCK = montecarlo._CENTER_BLOCK_PAIRS
 
 
+def _block_pairs(shape, n):
+    """(trial, node) pairs per centre block: one pair, one trial, three trials
+    and a pair (a ragged last block), the default, or a whole chunk."""
+    return {"1": 1, "n-1": n - 1, "3(n-1)+1": 3 * (n - 1) + 1, "default": _BLOCK, "2**22": 2**22}[shape]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(SHADOW_CHOICES),
@@ -493,72 +505,42 @@ _BLOCK = montecarlo._CENTER_BLOCK_PAIRS
     st.one_of(st.just(0.0), st.floats(0.5, 12.0)),
     st.floats(0.01, 0.99),
     st.integers(0, 2**32 - 1),
+    st.sampled_from(["1", "n-1", "3(n-1)+1", "default", "2**22"]),
 )
 # n - 1 = 128 divides the block: exactly two whole blocks, or one and a partial last one
-@example("none", 2 * _BLOCK // 128, 129, 0.5, 0.3, 0.0, 0.5, 1)
-@example("per_node", 2 * _BLOCK // 128, 129, 0.5, 0.3, 4.0, 0.5, 2)
-@example("per_link", _BLOCK // 128 + 45, 129, 0.5, 0.3, 4.0, 0.5, 3)
+@example("none", 2 * _BLOCK // 128, 129, 0.5, 0.3, 0.0, 0.5, 1, "default")
+@example("per_node", 2 * _BLOCK // 128, 129, 0.5, 0.3, 4.0, 0.5, 2, "default")
+@example("per_link", _BLOCK // 128 + 45, 129, 0.5, 0.3, 4.0, 0.5, 3, "default")
 # n - 1 above the block: one trial per block
-@example("none", 3, _BLOCK + 2, 0.99, 0.02, 0.0, 0.5, 4)
-@example("per_link", 3, _BLOCK + 2, 0.99, 0.02, 3.0, 0.5, 5)
-@example("per_node", 1, 40, 0.5, 0.4, 3.0, 0.9, 6)
+@example("none", 3, _BLOCK + 2, 0.99, 0.02, 0.0, 0.5, 4, "default")
+@example("per_link", 3, _BLOCK + 2, 0.99, 0.02, 3.0, 0.5, 5, "default")
+@example("per_node", 1, 40, 0.5, 0.4, 3.0, 0.9, 6, "default")
 # per_link at b = b_hat_max without fading: every anchor ratio sits exactly on the mask's bound
-@example("per_link", 200, 60, 1.0, 0.5, 0.0, 0.5, 1)
-@example("per_link", 50, 40, 0.9, 1.0, 3.0, 0.99, 2)
-@example("per_link", 50, 40, 0.9, 0.0, 3.0, 0.5, 3)
+@example("per_link", 200, 60, 1.0, 0.5, 0.0, 0.5, 1, "default")
+@example("per_link", 50, 40, 0.9, 1.0, 3.0, 0.99, 2, "default")
+@example("per_link", 50, 40, 0.9, 0.0, 3.0, 0.5, 3, "default")
+# every mode with a ragged last block of one trial
+@example("none", 200, 60, 0.5, 0.3, 0.0, 0.5, 1, "3(n-1)+1")
+@example("per_node", 200, 60, 0.5, 0.3, 4.0, 0.5, 2, "3(n-1)+1")
+@example("per_link", 200, 60, 0.5, 0.3, 4.0, 0.5, 3, "3(n-1)+1")
 def test_center_chunk_matches_dense_replay_in_every_mode(
-    shadow_draw, m, n, anchors, b, sigma1, b_hat_max, seed
+    shadow_draw, m, n, anchors, b, sigma1, b_hat_max, seed, block
 ):
+    # the dense replay has no blocks, so matching it at every block size shows a pair's trial is its
+    # flat index // (n-1), whatever rows a block holds
     net = make_network(n, round(anchors * n))
     fading = None if shadow_draw == "none" else _fading(sigma1, b_hat_max)
     protocol = TrialProtocol("center_node", shadow_draw, fading)
-    chunk_rngs = []
-
-    def recorded_rng(*key):
-        chunk_rngs.append(_chunk_rng(*key))
-        return chunk_rngs[-1]
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(montecarlo, "_chunk_rng", recorded_rng)
+        patch.setattr(montecarlo, "_CENTER_BLOCK_PAIRS", _block_pairs(block, n))
+        chunk_rngs = _record_chunk_rngs(patch)
         got = _center_chunk((seed, 5, m, net, b, protocol))
     replay = _chunk_rng(seed, 5)
     assert got == _dense_center_chunk(replay, m, net, b, sigma1, b_hat_max, shadow_draw)
-    # the chunk's own generator drew the fading values and ends where the dense draws end
-    assert [r.bit_generator.state for r in chunk_rngs] == [replay.bit_generator.state]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from(SHADOW_CHOICES),
-    st.integers(1, 200),
-    st.integers(4, 200),
-    st.floats(0.0, 1.0),
-    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    st.one_of(st.just(0.0), st.floats(0.5, 12.0)),
-    st.floats(0.01, 0.99),
-    st.integers(0, 2**32 - 1),
-)
-# every mode with a ragged last block at 3(n-1)+1 pairs per block (three trials)
-@example("none", 200, 60, 0.5, 0.3, 0.0, 0.5, 1)
-@example("per_node", 200, 60, 0.5, 0.3, 4.0, 0.5, 2)
-@example("per_link", 200, 60, 0.5, 0.3, 4.0, 0.5, 3)
-def test_center_chunk_does_not_depend_on_block_shape(
-    shadow_draw, m, n, anchors, b, sigma1, b_hat_max, seed
-):
-    # a pair's trial is its flat index // (n-1), whatever rows a block holds
-    net = make_network(n, round(anchors * n))
-    fading = None if shadow_draw == "none" else _fading(sigma1, b_hat_max)
-    protocol = TrialProtocol("center_node", shadow_draw, fading)
-    outcomes, chunk_rngs = [], []
-
-    def recorded_rng(*key):
-        chunk_rngs.append(_chunk_rng(*key))
-        return chunk_rngs[-1]
-
-    for block_pairs in (1, n - 1, 3 * (n - 1) + 1, 2**15, 2**22):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "_CENTER_BLOCK_PAIRS", block_pairs)
-            patch.setattr(montecarlo, "_chunk_rng", recorded_rng)
-            got = _center_chunk((seed, 5, m, net, b, protocol))
-        outcomes.append((got, chunk_rngs[-1].bit_generator.state))
-    assert outcomes == [outcomes[0]] * len(outcomes)
+    # the radius run ends where the anchor run starts, the anchor run where the fading run starts, and
+    # the fading run where the dense draws end
+    uniforms, run_ends = _chunk_rng(seed, 5), []
+    for _ in range(2):
+        uniforms.random(m * (n - 1))
+        run_ends.append(uniforms.bit_generator.state)
+    assert [r.bit_generator.state for r in chunk_rngs] == [*run_ends, replay.bit_generator.state]
