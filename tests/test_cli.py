@@ -465,6 +465,7 @@ _REFUSALS = [
     ("missing_mode_sweep", _SWEEP, {"n": 50, "a": 0.5, "b": 0.2}, "missing required field 'mode'"),
     ("missing_figure_sweep", _SWEEP, {"mode": "figure"}, "missing required field 'figure'"),
     ("missing_axis_verb", ["threshold", "--n", "300"], None, "missing required field 'b' or 'a'"),
+    ("missing_axis_sweep", _SWEEP, {"mode": "threshold", "n": 300}, "missing required field 'b' or 'a'"),
     ("missing_k_or_a_verb", ["estimate", "--n", "50", "--b", "0.2"], None, "missing required field 'k' or 'a'"),
     ("threshold_b_and_a", _SWEEP, {"mode": "threshold", "n": 300, "b": 0.15, "a": 0.5},
      "give either field 'b' or field 'a', not both"),

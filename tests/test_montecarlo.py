@@ -377,6 +377,15 @@ def test_field_protocol_stream_is_frozen(n, k, b, seed, shadow_draw, successes, 
     assert (sim.successes, sim.trials) == (successes, probes)
 
 
+def test_chunk_rng_skip_jumps_that_many_outputs_into_the_chunk_stream():
+    # skip counts 64-bit outputs, one per uniform, which is how _center_chunk's offsets count
+    for seed, index, skip in [(0, 0, 0), (7, 3, 1), (7, 3, 299), (2**32 - 1, 12, 3 * 299 + 5)]:
+        drawn = _chunk_rng(seed, index).random(skip + 4)[skip:]
+        np.testing.assert_array_equal(_chunk_rng(seed, index, skip).random(4), drawn)
+    seq = np.random.SeedSequence(entropy=7, spawn_key=(3,))
+    np.testing.assert_array_equal(_chunk_rng(7, 3).random(4), np.random.default_rng(seq).random(4))
+
+
 def _record_chunk_rngs(patch):
     """Patches montecarlo._chunk_rng to keep every generator it opens; returns that list."""
     opened = []
